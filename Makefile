@@ -4,7 +4,7 @@ GO ?= go
 # must stay clean under the race detector.
 RACE_PKGS = ./internal/core ./internal/server ./internal/persist ./internal/admission ./internal/obs ./internal/shard ./internal/shard/reshard ./internal/repair ./internal/replica ./internal/policy
 
-.PHONY: check vet build test race bench bench-go
+.PHONY: check vet build test race bench bench-go bench-serve
 
 ## check: everything CI would run — vet, build, race-sensitive packages
 ## under -race, then the full test suite (including the e2e server
@@ -42,3 +42,15 @@ bench:
 ## bench-go: the stdlib testing benchmarks, unchanged.
 bench-go:
 	$(GO) test -bench=. -benchmem
+
+# N is how many numbered result files bench-serve writes.
+N ?= 10
+
+## bench-serve: the serving benchmark (benchmark/README.md) — all four
+## workloads against the real ngfix-server binary, N times, one result
+## file per repetition under benchmark/out/. Run it in two checkouts and
+## diff them with the printed command.
+bench-serve:
+	$(GO) run -C benchmark . -repeat $(N)
+	@echo "to compare with another checkout's runs (paths absolute, or relative to benchmark/):"
+	@echo "  $(GO) run -C benchmark . compare /path/to/parent/benchmark/out/result-all-seed1*.json -- out/result-all-seed1*.json"

@@ -49,7 +49,7 @@ type OnlineFixer struct {
 	// concurrent reader behind every append. qmu is leaf-level — never
 	// acquire pmu or mu while holding it.
 	qmu     sync.Mutex
-	pending *vec.Matrix
+	pending queryRing
 	counter int
 	shed    int
 
@@ -194,7 +194,7 @@ func NewOnlineFixer(ix *Index, cfg OnlineConfig) *OnlineFixer {
 	}
 	o := &OnlineFixer{
 		ix:          ix,
-		pending:     vec.NewMatrix(0, ix.G.Dim()),
+		pending:     queryRing{dim: ix.G.Dim(), capRows: cfg.BatchSize},
 		batchSize:   cfg.BatchSize,
 		sampleN:     cfg.SampleEvery,
 		autoFix:     cfg.AutoFix,
@@ -244,10 +244,10 @@ func (o *OnlineFixer) RecordSynthetic(qs *vec.Matrix) int {
 	defer o.qmu.Unlock()
 	accepted := 0
 	for i := 0; i < qs.Rows(); i++ {
-		if o.pending.Rows() >= o.batchSize/2 {
+		if o.pending.count >= o.batchSize/2 {
 			break
 		}
-		o.pending.Append(qs.Row(i))
+		o.pending.push(qs.Row(i))
 		accepted++
 	}
 	return accepted
@@ -292,13 +292,13 @@ func (o *OnlineFixer) SearchCtx(ctx context.Context, q []float32, k, ef int) ([]
 	o.qmu.Lock()
 	o.counter++
 	if o.counter%o.sampleN == 0 {
-		if o.pending.Rows() >= o.batchSize {
-			o.pending.DropFront(o.pending.Rows() - o.batchSize + 1)
+		if o.pending.full() {
+			o.pending.dropOldest()
 			o.shed++
 		}
-		o.pending.Append(q)
+		o.pending.push(q)
 	}
-	runNow := o.autoFix && o.pending.Rows() >= o.batchSize
+	runNow := o.autoFix && o.pending.full()
 	o.qmu.Unlock()
 	if runNow {
 		o.FixPending()
@@ -310,7 +310,7 @@ func (o *OnlineFixer) SearchCtx(ctx context.Context, q []float32, k, ef int) ([]
 func (o *OnlineFixer) Pending() int {
 	o.qmu.Lock()
 	defer o.qmu.Unlock()
-	return o.pending.Rows()
+	return o.pending.count
 }
 
 // Stats returns totals: queries fixed and batches run.
@@ -360,7 +360,7 @@ func (o *OnlineFixer) OnlineStats() OnlineStats {
 	// graph counters between the two acquisitions — they are progress
 	// gauges, not invariants.
 	o.qmu.Lock()
-	pending, shed := o.pending.Rows(), o.shed
+	pending, shed := o.pending.count, o.shed
 	o.qmu.Unlock()
 
 	o.mu.RLock()
@@ -423,7 +423,7 @@ type Signals struct {
 // trigger inputs, not invariants.
 func (o *OnlineFixer) Signals() Signals {
 	o.qmu.Lock()
-	pending, shed := o.pending.Rows(), o.shed
+	pending, shed := o.pending.count, o.shed
 	o.qmu.Unlock()
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -496,19 +496,15 @@ const ewmaAlpha = 0.3
 // shrinks batches instead of stopping repair entirely.
 func (o *OnlineFixer) FixPendingLimitChecked(max int) (FixReport, error) {
 	o.qmu.Lock()
-	var batch *vec.Matrix
-	rows := o.pending.Rows()
-	switch {
-	case rows == 0:
+	rows := o.pending.count
+	if rows == 0 {
 		o.qmu.Unlock()
 		return FixReport{}, nil
-	case max <= 0 || max >= rows:
-		batch = o.pending
-		o.pending = vec.NewMatrix(0, o.dim)
-	default:
-		batch = o.pending.Slice(0, max).Clone()
-		o.pending.DropFront(max)
 	}
+	if max > 0 && max < rows {
+		rows = max
+	}
+	batch := o.pending.take(rows)
 	o.qmu.Unlock()
 
 	// Approximate truth under the read lock (concurrent with searches).
@@ -535,9 +531,8 @@ func (o *OnlineFixer) FixPendingLimitChecked(max int) (FixReport, error) {
 			o.unreachableEWMA = ewmaAlpha*rate + (1-ewmaAlpha)*o.unreachableEWMA
 		}
 	}
-	// Graph structure changed: drop pooled searchers bound to stale sizes.
-	o.searchers = sync.Pool{New: func() interface{} { return graph.NewSearcher(o.ix.G) }}
-	o.resetPQSearchersLocked()
+	// Pooled searchers stay: a fix batch rewires edges, and a searcher
+	// holds nothing edge-derived between searches.
 	var err error
 	snap := false
 	if o.wal != nil {

@@ -169,7 +169,7 @@ func TestOnlineFixerShedsOldest(t *testing.T) {
 	}
 	// Queries 0 and 1 were shed; the buffer should start at query 2.
 	want := d.History.Row(2)
-	got := o.pending.Row(0)
+	got := o.pending.row(0)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("oldest retained query is not query 2 (dim %d: %v != %v)", i, got[i], want[i])

@@ -234,8 +234,9 @@ func (o *OnlineFixer) pqAppendLocked(v []float32) {
 	ps.updateResident()
 }
 
-// resetPQSearchersLocked drops pooled fused searchers after a graph
-// mutation, mirroring the full-precision pool discipline.
+// resetPQSearchersLocked drops pooled fused searchers after a mutation
+// that can change the vertex count (insert, purge), mirroring the
+// full-precision pool discipline.
 func (o *OnlineFixer) resetPQSearchersLocked() {
 	if o.pqs == nil {
 		return

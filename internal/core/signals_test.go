@@ -160,7 +160,7 @@ func TestFixPendingLimitDrainsOldestFirst(t *testing.T) {
 	}
 	// Queries 0..3 went into the batch; the buffer must now start at 4.
 	want := d.History.Row(4)
-	got := o.pending.Row(0)
+	got := o.pending.row(0)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("oldest retained query is not query 4 (dim %d: %v != %v)", i, got[i], want[i])

@@ -280,6 +280,50 @@ func TestRNGPrune(t *testing.T) {
 	}
 }
 
+// TestRNGPruneNormsMatchesMetricDistance pins that the prepared-distancer
+// occlusion test (with or without a norm cache) keeps exactly what the
+// plain Metric.Distance rule keeps, on every metric and both kernel arms.
+func TestRNGPruneNormsMatchesMetricDistance(t *testing.T) {
+	defer vec.SetSIMD(true)
+	rng := rand.New(rand.NewSource(9))
+	m := randomVectors(rng, 120, 24)
+	norms := vec.RowNorms(m)
+	for _, simd := range []bool{true, false} {
+		vec.SetSIMD(simd)
+		for _, metric := range []vec.Metric{vec.Cosine, vec.L2, vec.InnerProduct} {
+			var cands []Candidate
+			for i := 1; i < m.Rows(); i++ {
+				cands = append(cands, Candidate{ID: uint32(i), Dist: metric.Distance(m.Row(0), m.Row(i))})
+			}
+			SortCandidates(cands)
+			var want []Candidate
+			for _, c := range cands {
+				occluded := false
+				for _, s := range want {
+					if metric.Distance(m.Row(int(s.ID)), m.Row(int(c.ID))) < c.Dist {
+						occluded = true
+						break
+					}
+				}
+				if !occluded {
+					want = append(want, c)
+				}
+			}
+			for _, cache := range [][]float32{norms, nil} {
+				got := RNGPruneNorms(m, metric, cache, cands, len(cands))
+				if len(got) != len(want) {
+					t.Fatalf("%s/%v: kept %d, reference rule keeps %d", vec.KernelName(), metric, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s/%v: kept[%d] = %v, reference %v", vec.KernelName(), metric, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTauPruneKeepsMore(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomVectors(rng, 40, 4)

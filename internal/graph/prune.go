@@ -34,15 +34,22 @@ func SortCandidates(cs []Candidate) {
 // vectors/metric supply the inter-candidate distances; candidates must be
 // pre-sorted (SortCandidates) and must not contain the pivot itself.
 func RNGPrune(vectors *vec.Matrix, metric vec.Metric, candidates []Candidate, maxDegree int) []Candidate {
+	return RNGPruneNorms(vectors, metric, nil, candidates, maxDegree)
+}
+
+// RNGPruneNorms is RNGPrune with a row-norm cache for cosine (see
+// vec.RowNorms; nil computes norms as needed): the same kept set, bit for
+// bit, at one dot product per occlusion test instead of three.
+func RNGPruneNorms(vectors *vec.Matrix, metric vec.Metric, norms []float32, candidates []Candidate, maxDegree int) []Candidate {
 	kept := make([]Candidate, 0, maxDegree)
 	for _, c := range candidates {
 		if len(kept) >= maxDegree {
 			break
 		}
 		occluded := false
-		cRow := vectors.Row(int(c.ID))
+		cd := vec.NewQueryDistancer(metric, vectors.Row(int(c.ID)), norms)
 		for _, s := range kept {
-			if metric.Distance(vectors.Row(int(s.ID)), cRow) < c.Dist {
+			if cd.RowDistance(vectors, s.ID) < c.Dist {
 				occluded = true
 				break
 			}

@@ -46,6 +46,27 @@ type Index struct {
 	maxLevel int
 	rng      *rand.Rand
 	levelMul float64
+	// norms caches every row's norm for cosine (nil otherwise), so scoring
+	// pays one dot product per evaluation instead of three.
+	norms []float32
+	// build is the sequential builder's beam-search scratch.
+	build levelScratch
+}
+
+// levelScratch is the reusable state of one searchLevel call: allocating
+// it per call would cost an O(n) visited set per level per insert.
+type levelScratch struct {
+	visited *minheap.Visited
+	cand    *minheap.Min
+	results *minheap.Bounded
+}
+
+func newLevelScratch(n, ef int) levelScratch {
+	return levelScratch{
+		visited: minheap.NewVisited(n),
+		cand:    minheap.NewMin(ef),
+		results: minheap.NewBounded(ef),
+	}
 }
 
 // Build constructs an HNSW index over the given vectors by sequential
@@ -66,6 +87,10 @@ func Build(vectors *vec.Matrix, cfg Config) *Index {
 	}
 	n := vectors.Rows()
 	idx.links = make([][][]uint32, 0, n)
+	if cfg.Metric == vec.Cosine {
+		idx.norms = vec.RowNorms(vectors)
+	}
+	idx.build = newLevelScratch(n, cfg.EFConstruction)
 	for i := 0; i < n; i++ {
 		idx.insert(uint32(i))
 	}
@@ -100,7 +125,6 @@ func (idx *Index) insert(id uint32) {
 	level := idx.randomLevel()
 	nodeLinks := make([][]uint32, level+1)
 	idx.links = append(idx.links, nodeLinks)
-	q := idx.vectors.Row(int(id))
 
 	if len(idx.links) == 1 {
 		idx.entry = id
@@ -108,11 +132,12 @@ func (idx *Index) insert(id uint32) {
 		return
 	}
 
+	qd := vec.NewQueryDistancer(idx.cfg.Metric, idx.vectors.Row(int(id)), idx.norms)
 	ep := idx.entry
-	epDist := idx.cfg.Metric.Distance(q, idx.vectors.Row(int(ep)))
+	epDist := qd.RowDistance(idx.vectors, ep)
 	// Greedy descent through levels above the new node's level.
 	for l := idx.maxLevel; l > level; l-- {
-		ep, epDist = idx.greedyStep(q, ep, epDist, l)
+		ep, epDist = idx.greedyStep(&qd, ep, epDist, l)
 	}
 	// Beam search + connect on each level from min(level, maxLevel) down.
 	top := level
@@ -120,9 +145,9 @@ func (idx *Index) insert(id uint32) {
 		top = idx.maxLevel
 	}
 	for l := top; l >= 0; l-- {
-		cands := idx.searchLevel(q, ep, epDist, idx.cfg.EFConstruction, l, nil)
+		cands := idx.searchLevel(&qd, &idx.build, ep, epDist, idx.cfg.EFConstruction, l)
 		graph.SortCandidates(cands)
-		selected := graph.RNGPrune(idx.vectors, idx.cfg.Metric, cands, idx.cfg.M)
+		selected := graph.RNGPruneNorms(idx.vectors, idx.cfg.Metric, idx.norms, cands, idx.cfg.M)
 		nbrs := make([]uint32, len(selected))
 		for i, c := range selected {
 			nbrs[i] = c.ID
@@ -153,13 +178,13 @@ func (idx *Index) connect(u, v uint32, dist float32, l int) {
 	ls = append(ls, v)
 	max := idx.maxDegree(l)
 	if len(ls) > max {
-		uRow := idx.vectors.Row(int(u))
+		ud := vec.NewQueryDistancer(idx.cfg.Metric, idx.vectors.Row(int(u)), idx.norms)
 		cands := make([]graph.Candidate, len(ls))
 		for i, w := range ls {
-			cands[i] = graph.Candidate{ID: w, Dist: idx.cfg.Metric.Distance(uRow, idx.vectors.Row(int(w)))}
+			cands[i] = graph.Candidate{ID: w, Dist: ud.RowDistance(idx.vectors, w)}
 		}
 		graph.SortCandidates(cands)
-		kept := graph.RNGPrune(idx.vectors, idx.cfg.Metric, cands, max)
+		kept := graph.RNGPruneNorms(idx.vectors, idx.cfg.Metric, idx.norms, cands, max)
 		ls = ls[:0]
 		for _, c := range kept {
 			ls = append(ls, c.ID)
@@ -170,11 +195,11 @@ func (idx *Index) connect(u, v uint32, dist float32, l int) {
 }
 
 // greedyStep walks one level greedily until no neighbor improves.
-func (idx *Index) greedyStep(q []float32, ep uint32, epDist float32, l int) (uint32, float32) {
+func (idx *Index) greedyStep(qd *vec.QueryDistancer, ep uint32, epDist float32, l int) (uint32, float32) {
 	for {
 		improved := false
 		for _, v := range idx.neighborsAt(ep, l) {
-			d := idx.cfg.Metric.Distance(q, idx.vectors.Row(int(v)))
+			d := qd.RowDistance(idx.vectors, v)
 			if d < epDist {
 				ep, epDist = v, d
 				improved = true
@@ -195,19 +220,13 @@ func (idx *Index) neighborsAt(u uint32, l int) []uint32 {
 }
 
 // searchLevel is beam search restricted to one level, returning up to ef
-// candidates in heap order (unsorted). When dc is non-nil it counts
-// distance evaluations.
-func (idx *Index) searchLevel(q []float32, ep uint32, epDist float32, ef, l int, dc *vec.DistanceCounter) []graph.Candidate {
-	visited := minheap.NewVisited(len(idx.links))
-	cand := minheap.NewMin(ef)
-	results := minheap.NewBounded(ef)
-
-	dist := func(id uint32) float32 {
-		if dc != nil {
-			return dc.Distance(q, idx.vectors.Row(int(id)))
-		}
-		return idx.cfg.Metric.Distance(q, idx.vectors.Row(int(id)))
-	}
+// candidates in ascending distance. Distances come from qd (which counts
+// them); sc is reset here and must not be shared by concurrent calls.
+func (idx *Index) searchLevel(qd *vec.QueryDistancer, sc *levelScratch, ep uint32, epDist float32, ef, l int) []graph.Candidate {
+	visited, cand, results := sc.visited, sc.cand, sc.results
+	visited.Reset()
+	cand.Reset()
+	results.Reset(ef)
 
 	visited.Visit(ep)
 	cand.Push(minheap.Item{ID: ep, Dist: epDist})
@@ -221,7 +240,7 @@ func (idx *Index) searchLevel(q []float32, ep uint32, epDist float32, ef, l int,
 			if visited.Visit(v) {
 				continue
 			}
-			d := dist(v)
+			d := qd.RowDistance(idx.vectors, v)
 			if results.WouldAccept(d) {
 				cand.Push(minheap.Item{ID: v, Dist: d})
 				results.Push(minheap.Item{ID: v, Dist: d})
@@ -246,25 +265,14 @@ func (idx *Index) Search(q []float32, k, ef int) ([]graph.Result, graph.Stats) {
 	if ef < k {
 		ef = k
 	}
-	dc := vec.DistanceCounter{Metric: idx.cfg.Metric}
+	qd := vec.NewQueryDistancer(idx.cfg.Metric, q, idx.norms)
 	ep := idx.entry
-	epDist := dc.Distance(q, idx.vectors.Row(int(ep)))
+	epDist := qd.RowDistance(idx.vectors, ep)
 	for l := idx.maxLevel; l >= 1; l-- {
-		for {
-			improved := false
-			for _, v := range idx.neighborsAt(ep, l) {
-				d := dc.Distance(q, idx.vectors.Row(int(v)))
-				if d < epDist {
-					ep, epDist = v, d
-					improved = true
-				}
-			}
-			if !improved {
-				break
-			}
-		}
+		ep, epDist = idx.greedyStep(&qd, ep, epDist, l)
 	}
-	cands := idx.searchLevel(q, ep, epDist, ef, 0, &dc)
+	sc := newLevelScratch(len(idx.links), ef)
+	cands := idx.searchLevel(&qd, &sc, ep, epDist, ef, 0)
 	if len(cands) > k {
 		cands = cands[:k]
 	}
@@ -272,7 +280,7 @@ func (idx *Index) Search(q []float32, k, ef int) ([]graph.Result, graph.Stats) {
 	for i, c := range cands {
 		out[i] = graph.Result{ID: c.ID, Dist: c.Dist}
 	}
-	return out, graph.Stats{NDC: dc.Count}
+	return out, graph.Stats{NDC: qd.Count}
 }
 
 // Bottom exports the level-0 layer as a graph.Graph sharing the vector

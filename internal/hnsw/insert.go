@@ -2,6 +2,7 @@ package hnsw
 
 import (
 	"ngfix/internal/graph"
+	"ngfix/internal/vec"
 )
 
 // InsertIntoGraph performs an HNSW-style level-0 insertion of vector v
@@ -36,7 +37,7 @@ func InsertIntoGraphWith(g *graph.Graph, s *graph.Searcher, v []float32, m, efCo
 		}
 	}
 	graph.SortCandidates(cands)
-	selected := graph.RNGPrune(g.Vectors, g.Metric, cands, m)
+	selected := graph.RNGPruneNorms(g.Vectors, g.Metric, g.RowNorms(), cands, m)
 	for _, c := range selected {
 		g.AddBaseEdge(id, c.ID)
 		linkBack(g, c.ID, id, 2*m)
@@ -54,13 +55,13 @@ func linkBack(g *graph.Graph, u, v uint32, cap int) {
 	if len(nbrs) <= cap {
 		return
 	}
-	uRow := g.Vectors.Row(int(u))
+	ud := vec.NewQueryDistancer(g.Metric, g.Vectors.Row(int(u)), g.RowNorms())
 	cands := make([]graph.Candidate, len(nbrs))
 	for i, w := range nbrs {
-		cands[i] = graph.Candidate{ID: w, Dist: g.Metric.Distance(uRow, g.Vectors.Row(int(w)))}
+		cands[i] = graph.Candidate{ID: w, Dist: ud.RowDistance(g.Vectors, w)}
 	}
 	graph.SortCandidates(cands)
-	kept := graph.RNGPrune(g.Vectors, g.Metric, cands, cap)
+	kept := graph.RNGPruneNorms(g.Vectors, g.Metric, g.RowNorms(), cands, cap)
 	out := make([]uint32, len(kept))
 	for i, c := range kept {
 		out[i] = c.ID

@@ -165,3 +165,22 @@ func TestCacheConcurrentInvalidation(t *testing.T) {
 		}
 	}
 }
+
+// The serving path hands Put and Record a query it may reuse the moment
+// they return; each must keep its own copy.
+func TestRetainedQueriesAreCopies(t *testing.T) {
+	c := NewCache(64)
+	q := q1(5)
+	c.Put(q, 3, 100, res1(7), c.Generation())
+	a := NewAdaptive(4, AdaptiveConfig{ReservoirSize: 8, MinSamples: 4}, nil)
+	a.Record(q)
+	for i := range q {
+		q[i] = -1
+	}
+	if _, ok := c.Get(q1(5), 3, 100); !ok {
+		t.Fatal("cache entry changed with the caller's slice")
+	}
+	if got, want := a.reservoir.Row(0), q1(5); got[0] != want[0] || got[3] != want[3] {
+		t.Fatalf("reservoir row changed with the caller's slice: %v", got)
+	}
+}

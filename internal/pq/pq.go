@@ -266,25 +266,35 @@ func (q *Quantizer) Decode(i int) []float32 {
 	return out
 }
 
-// Table is the per-query ADC lookup table: Table[m][c] is the partial
-// squared distance between the query's m-th block and centroid c.
-type Table [][]float32
+// Table is the per-query ADC lookup table, flat: Table[m*KS+c] is the
+// partial squared distance between the query's m-th block and centroid c
+// of that subspace.
+type Table []float32
 
 // BuildTable precomputes the ADC table for a query (L2 / squared-distance
 // semantics; for inner product or cosine on normalized data the L2 table
 // preserves the ranking).
 func (q *Quantizer) BuildTable(query []float32) Table {
+	return q.BuildTableInto(nil, query)
+}
+
+// BuildTableInto is BuildTable writing into t's storage when it is large
+// enough (M·KS floats), so a searcher builds every query's table in the
+// one buffer it owns.
+func (q *Quantizer) BuildTableInto(t Table, query []float32) Table {
 	if len(query) != q.dim {
 		panic("pq: query dimension mismatch")
 	}
-	t := make(Table, q.cfg.M)
+	ks := q.cfg.KS
+	if n := q.cfg.M * ks; cap(t) < n {
+		t = make(Table, n)
+	} else {
+		t = t[:n]
+	}
 	for m := 0; m < q.cfg.M; m++ {
-		block := query[m*q.sub : (m+1)*q.sub]
-		row := make([]float32, q.cfg.KS)
 		// The m-th codebook is a contiguous KS×sub matrix: one batched
 		// streaming scan fills the whole table row.
-		vec.DistancesRows(vec.L2, block, q.centroids[m], 0, q.cfg.KS, row)
-		t[m] = row
+		vec.DistancesRows(vec.L2, query[m*q.sub:(m+1)*q.sub], q.centroids[m], 0, ks, t[m*ks:(m+1)*ks])
 	}
 	return t
 }
@@ -293,10 +303,10 @@ func (q *Quantizer) BuildTable(query []float32) Table {
 // table's query and encoded row i: M table lookups, no float math on the
 // original vectors.
 func (q *Quantizer) ADC(t Table, i int) float32 {
-	code := q.Code(i)
+	ks := q.cfg.KS
 	var s float32
-	for m, c := range code {
-		s += t[m][c]
+	for m, c := range q.Code(i) {
+		s += t[m*ks+int(c)]
 	}
 	return s
 }

@@ -21,8 +21,10 @@ import (
 // starves the rerank set.
 type GraphSearcher struct {
 	g *graph.Graph
-	q *Quantizer
 	s *graph.Searcher
+	// ts scores through the per-query ADC table, rebuilt in place for each
+	// search: one M·KS buffer per searcher, not per query.
+	ts tableScorer
 	// Rerank is how many ADC-best candidates get exact re-ranking
 	// (default 4·k at search time when zero).
 	Rerank int
@@ -38,7 +40,7 @@ func NewGraphSearcher(g *graph.Graph, q *Quantizer) *GraphSearcher {
 	if q.Rows() != g.Len() {
 		panic("pq: quantizer rows != graph size")
 	}
-	return &GraphSearcher{g: g, q: q, s: graph.NewSearcher(g)}
+	return &GraphSearcher{g: g, s: graph.NewSearcher(g), ts: tableScorer{q: q}}
 }
 
 // tableScorer adapts a per-query ADC table to the graph.Scorer seam.
@@ -55,13 +57,13 @@ func (ts *tableScorer) ScoreID(id uint32) float32 { return ts.q.ADC(ts.t, int(id
 // floats, cache-resident for the whole query).
 func (ts *tableScorer) ScoreIDs(ids []uint32, out []float32) {
 	q, t := ts.q, ts.t
-	m := q.cfg.M
+	m, ks := q.cfg.M, q.cfg.KS
 	codes := q.codes
 	for i, id := range ids {
 		code := codes[int(id)*m : int(id)*m+m]
 		var s float32
 		for j, c := range code {
-			s += t[j][c]
+			s += t[j*ks+int(c)]
 		}
 		out[i] = s
 	}
@@ -96,8 +98,8 @@ func (s *GraphSearcher) SearchCtx(ctx context.Context, query []float32, k, ef in
 	if rerank < k {
 		rerank = k
 	}
-	ts := tableScorer{q: s.q, t: s.q.BuildTable(query)}
-	pool, st := s.s.SearchScoredPoolCtx(ctx, &ts, ef, rerank, g.EntryPoint)
+	s.ts.t = s.ts.q.BuildTableInto(s.ts.t, query)
+	pool, st := s.s.SearchScoredPoolCtx(ctx, &s.ts, ef, rerank, g.EntryPoint)
 
 	// Exact re-rank of the ADC-best candidates from the full-precision
 	// tier (graph vectors unless a demoted tier is attached).

@@ -95,10 +95,8 @@ func (f *Follower) method(verb string, h http.HandlerFunc) http.HandlerFunc {
 
 func (f *Follower) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		f.httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+	if status, err := decodeRequest(r, f.set.Dim(), &req); err != nil {
+		f.httpError(w, status, err)
 		return
 	}
 	if len(req.Vector) == 0 {

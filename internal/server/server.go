@@ -17,9 +17,10 @@
 //
 // Robustness: every handler runs behind panic recovery (a bad request
 // cannot kill the process) and http.MaxBytesReader (a huge body cannot
-// OOM it); wrong methods get 405 with an Allow header; response-encoding
-// failures are logged through an injectable logger so operators see
-// malformed-response incidents.
+// OOM it); a body is one JSON value with known fields and nothing but
+// whitespace after it, or a 400 (see codec.go); wrong methods get 405
+// with an Allow header; response-encoding failures are logged through an
+// injectable logger so operators see malformed-response incidents.
 //
 // Durability honesty: when the fixer has a WAL and a journal append
 // fails, the mutation is applied in memory but answered with 500 instead
@@ -1219,16 +1220,8 @@ func (s *Server) checkVector(v []float32) error {
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+	if status, err := decodeRequest(r, s.grp().Dim(), dst); err != nil {
+		s.httpError(w, status, err)
 		return false
 	}
 	return true

@@ -240,22 +240,6 @@ func (m *Matrix) Append(row []float32) int {
 	return m.Rows() - 1
 }
 
-// DropFront removes the first n rows in place, shifting the remainder
-// down. Dropping more rows than exist empties the matrix. The online
-// fixer uses this to shed the oldest recorded queries when its buffer is
-// full, keeping the freshest traffic.
-func (m *Matrix) DropFront(n int) {
-	if n <= 0 || m.dim == 0 {
-		return
-	}
-	if n >= m.Rows() {
-		m.data = m.data[:0]
-		return
-	}
-	copy(m.data, m.data[n*m.dim:])
-	m.data = m.data[:len(m.data)-n*m.dim]
-}
-
 // Clone returns a deep copy of the matrix.
 func (m *Matrix) Clone() *Matrix {
 	c := &Matrix{data: make([]float32, len(m.data)), dim: m.dim}

@@ -300,26 +300,3 @@ func benchDistance(b *testing.B, m Metric, dim int) {
 	}
 	_ = sink
 }
-
-func TestMatrixDropFront(t *testing.T) {
-	m := NewMatrix(0, 2)
-	for i := 0; i < 4; i++ {
-		m.Append([]float32{float32(i), float32(i)})
-	}
-	m.DropFront(1)
-	if m.Rows() != 3 || m.Row(0)[0] != 1 || m.Row(2)[0] != 3 {
-		t.Fatalf("after DropFront(1): rows=%d row0=%v", m.Rows(), m.Row(0))
-	}
-	m.DropFront(0)
-	if m.Rows() != 3 {
-		t.Fatal("DropFront(0) changed the matrix")
-	}
-	m.DropFront(5)
-	if m.Rows() != 0 {
-		t.Fatalf("DropFront past end left %d rows", m.Rows())
-	}
-	m.Append([]float32{9, 9})
-	if m.Rows() != 1 || m.Row(0)[0] != 9 {
-		t.Fatal("Append after emptying DropFront broken")
-	}
-}
