@@ -112,7 +112,10 @@ func runPerf(mode, jsonPath string, short bool) {
 			short, vec.BestKernelName())
 		rep := bench.RunKernelBench(short)
 		for _, s := range rep.Speedups {
-			fmt.Fprintf(os.Stderr, "  %-8s dim=%-4d %.2fx\n", s.Op, s.Dim, s.Speedup)
+			fmt.Fprintf(os.Stderr, "  %-16s dim=%-4d %.2fx\n", s.Op, s.Dim, s.Speedup)
+		}
+		for _, s := range rep.SubspaceSpeedups {
+			fmt.Fprintf(os.Stderr, "  fused vs per-row sub=%-2d ks=%-3d %-6s %.2fx\n", s.Sub, s.KS, s.Arm, s.Speedup)
 		}
 		report = rep
 	case "search":

@@ -611,9 +611,9 @@ func wirePQ(fixers []*core.OnlineFixer, stores []*persist.Store, cfg pqSettings,
 			}
 		}
 		st, _ := f.PQStats()
-		log.Printf("shard %d: pq serving %s (m=%d ks=%d rerank=%dx): resident %d bytes vs %d full-precision",
+		log.Printf("shard %d: pq serving %s (m=%d ks=%d rerank=%dx): resident %d bytes (plus a %d-byte codebook scan copy) vs %d full-precision",
 			i, map[bool]string{true: "recovered", false: "trained"}[attached],
-			st.M, st.KS, st.Rerank, st.ResidentBytes, st.FullVectorBytes)
+			st.M, st.KS, st.Rerank, st.ResidentBytes, st.ScanCopyBytes, st.FullVectorBytes)
 	}
 	return nil
 }

@@ -47,10 +47,11 @@ func perfEnv(short bool) PerfEnv {
 
 // KernelResult is one (operation, dimension, dispatch arm) measurement.
 type KernelResult struct {
-	Op      string  `json:"op"`     // "l2" | "dot" | "batch_l2"
-	Dim     int     `json:"dim"`    // vector dimension
-	Arm     string  `json:"arm"`    // "scalar" | "simd"
-	Kernel  string  `json:"kernel"` // active kernel name during the run
+	Op      string  `json:"op"`           // "l2" | "dot" | "batch_l2" | "subspace_per_row" | "subspace_fused"
+	Dim     int     `json:"dim"`          // vector dimension (sub-vector length for the subspace ops)
+	KS      int     `json:"ks,omitempty"` // centroids per call (subspace ops only)
+	Arm     string  `json:"arm"`          // "scalar" | "simd"
+	Kernel  string  `json:"kernel"`       // active kernel name during the run
 	NsPerOp float64 `json:"ns_per_op"`
 	OpsPerS float64 `json:"ops_per_sec"` // distance evaluations per second
 }
@@ -62,11 +63,21 @@ type KernelSpeedup struct {
 	Speedup float64 `json:"speedup"` // scalar ns_per_op / simd ns_per_op
 }
 
+// SubspaceSpeedup is the per-row-vs-fused headline of the product
+// quantization inner loop, per (shape, arm).
+type SubspaceSpeedup struct {
+	Sub     int     `json:"sub"`
+	KS      int     `json:"ks"`
+	Arm     string  `json:"arm"`
+	Speedup float64 `json:"speedup"` // subspace_per_row ns_per_op / subspace_fused ns_per_op
+}
+
 // KernelReport is the BENCH_kernels.json payload.
 type KernelReport struct {
-	Env      PerfEnv         `json:"env"`
-	Results  []KernelResult  `json:"results"`
-	Speedups []KernelSpeedup `json:"speedups,omitempty"`
+	Env              PerfEnv           `json:"env"`
+	Results          []KernelResult    `json:"results"`
+	Speedups         []KernelSpeedup   `json:"speedups,omitempty"`
+	SubspaceSpeedups []SubspaceSpeedup `json:"subspace_speedups,omitempty"`
 }
 
 // sinkF32 defeats dead-code elimination of benchmark loops.
@@ -111,8 +122,15 @@ func kernelBenchDims(short bool) []int {
 // beam-search gather.
 const batchRows = 1024
 
-// RunKernelBench measures L2Squared, Dot, and the batched row-distance
-// kernel on both dispatch arms with fixed-seed inputs.
+// subspaceShapes are the (sub-vector length, centroids) shapes of the
+// subspace rows: the serving benchmark's quantizer (dim 128, M 16, KS 256)
+// and the default config's (dim 128, M 8, KS 64).
+var subspaceShapes = [][2]int{{8, 256}, {16, 64}}
+
+// RunKernelBench measures L2Squared, Dot, the batched row-distance kernel,
+// and product quantization's centroid scan — one call per centroid row
+// against one fused call over a dimension-major codebook — on both
+// dispatch arms with fixed-seed inputs.
 func RunKernelBench(short bool) KernelReport {
 	rep := KernelReport{Env: perfEnv(short)}
 	minTime := 100 * time.Millisecond
@@ -181,6 +199,52 @@ func RunKernelBench(short bool) KernelReport {
 				sinkF32 += out[0]
 			})
 			add("batch_l2", nsBatch/batchRows)
+		}
+	}
+
+	for _, shape := range subspaceShapes {
+		sub, ks := shape[0], shape[1]
+		x := make([]float32, sub)
+		for i := range x {
+			x[i] = rng.Float32()*2 - 1
+		}
+		cents := vec.NewMatrix(ks, sub) // row-major: the per-row path's layout
+		cols := make([]float32, sub*ks) // the same centroids, dimension-major
+		for c := 0; c < ks; c++ {
+			for j := range cents.Row(c) {
+				v := rng.Float32()*2 - 1
+				cents.Row(c)[j] = v
+				cols[j*ks+c] = v
+			}
+		}
+		out := make([]float32, ks)
+		for _, arm := range arms {
+			vec.SetSIMD(arm.simd)
+			// Both are ns per centroid distance, like batch_l2.
+			perRow := benchNs(minTime, func(iters int) {
+				for i := 0; i < iters; i++ {
+					vec.DistancesRows(vec.L2, x, cents, 0, ks, out)
+				}
+				sinkF32 += out[0]
+			}) / float64(ks)
+			fused := benchNs(minTime, func(iters int) {
+				for i := 0; i < iters; i++ {
+					vec.SubspaceL2(x, cols, ks, out)
+				}
+				sinkF32 += out[0]
+			}) / float64(ks)
+			for _, r := range []struct {
+				op string
+				ns float64
+			}{{"subspace_per_row", perRow}, {"subspace_fused", fused}} {
+				rep.Results = append(rep.Results, KernelResult{
+					Op: r.op, Dim: sub, KS: ks, Arm: arm.name, Kernel: vec.KernelName(),
+					NsPerOp: r.ns, OpsPerS: 1e9 / r.ns,
+				})
+			}
+			rep.SubspaceSpeedups = append(rep.SubspaceSpeedups, SubspaceSpeedup{
+				Sub: sub, KS: ks, Arm: arm.name, Speedup: perRow / fused,
+			})
 		}
 	}
 

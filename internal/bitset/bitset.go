@@ -115,11 +115,14 @@ func (s *Set) ForEach(fn func(i int) bool) {
 // i". It is sized n×n at construction.
 type Matrix struct {
 	rows []*Set
+	// scratch is RelaxThrough's working row, kept here so a call allocates
+	// nothing.
+	scratch *Set
 }
 
 // NewMatrix returns an n×n all-false matrix.
 func NewMatrix(n int) *Matrix {
-	m := &Matrix{rows: make([]*Set, n)}
+	m := &Matrix{rows: make([]*Set, n), scratch: New(n)}
 	for i := range m.rows {
 		m.rows[i] = New(n)
 	}
@@ -140,7 +143,7 @@ func (m *Matrix) Row(i int) *Set { return m.rows[i] }
 
 // Clone returns a deep copy of the matrix.
 func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{rows: make([]*Set, len(m.rows))}
+	c := &Matrix{rows: make([]*Set, len(m.rows)), scratch: New(len(m.rows))}
 	for i, r := range m.rows {
 		c.rows[i] = r.Clone()
 	}
@@ -165,57 +168,54 @@ func (m *Matrix) CloseOver(k int) {
 	}
 }
 
-// RelaxThrough propagates reachability through the single new vertex p over
-// the first k rows: any row i (i < k) that reaches p inherits everything p
-// reaches, and then one more closure sweep settles chains created by p.
-// It returns the list of (i, j) pairs with i, j < k that became reachable.
-//
-// This is the incremental step Algorithm 2 performs after adding each new
-// point to the neighborhood subgraph.
-func (m *Matrix) RelaxThrough(p, k int) (changed [][2]int) {
-	before := make([]*Set, k)
-	for i := 0; i < k; i++ {
-		before[i] = m.rows[i].Clone()
+// Intersects reports whether s and t share a set bit. The two sets must
+// have equal capacity.
+func (s *Set) Intersects(t *Set) bool {
+	if s.n != t.n {
+		panic("bitset: size mismatch")
 	}
-	// Iterate to a fixed point: p may create multi-hop chains i→p→j→...
-	for {
-		any := false
-		for i := 0; i < k; i++ {
-			row := m.rows[i]
-			if i != p && row.Test(p) {
-				old := row.Count()
-				row.Or(m.rows[p])
-				if row.Count() != old {
-					any = true
-				}
-			}
-		}
-		// Propagate one closure sweep over vertices that changed.
-		for pivot := 0; pivot < k; pivot++ {
-			prow := m.rows[pivot]
-			for i := 0; i < k; i++ {
-				if i != pivot && m.rows[i].Test(pivot) {
-					old := m.rows[i].Count()
-					m.rows[i].Or(prow)
-					if m.rows[i].Count() != old {
-						any = true
-					}
-				}
-			}
-		}
-		if !any {
-			break
-		}
-	}
-	for i := 0; i < k; i++ {
-		diff := m.rows[i].Clone()
-		diff.AndNot(before[i])
-		diff.ForEach(func(j int) bool {
-			if j < k {
-				changed = append(changed, [2]int{i, j})
-			}
+	for i, w := range t.words {
+		if s.words[i]&w != 0 {
 			return true
-		})
+		}
 	}
-	return changed
+	return false
+}
+
+// RelaxThrough extends a closure over the vertices [0, p) to one over
+// [0, p]: the incremental step Algorithm 2 performs after adding each new
+// point to the neighborhood subgraph. On entry the rows and columns below
+// p must be transitively closed, row p must hold p's direct edges, and
+// column p the direct edges into p.
+//
+// One pass suffices. A simple path out of p never comes back to p, so what
+// p reaches is the union of what its direct successors already reach; and
+// a vertex reaches p exactly when it has, or already reaches a vertex that
+// has, a direct edge into p — it then inherits everything p reaches.
+func (m *Matrix) RelaxThrough(p int) {
+	prow := m.rows[p]
+	into := m.scratch // the vertices below p with a direct edge into p
+	into.Reset()
+	for i := 0; i < p; i++ {
+		if m.rows[i].Test(p) {
+			into.Set(i)
+		}
+	}
+	// Rows absorbed here were closed before this call, so bits the ORs add
+	// to prow ahead of the scan only repeat what is already absorbed.
+	prow.ForEach(func(j int) bool {
+		if j < p {
+			prow.Or(m.rows[j])
+		}
+		return true
+	})
+	if prow.Intersects(into) {
+		prow.Set(p) // p lies on a cycle
+	}
+	for i := 0; i < p; i++ {
+		if row := m.rows[i]; row.Test(p) || row.Intersects(into) {
+			row.Set(p)
+			row.Or(prow)
+		}
+	}
 }

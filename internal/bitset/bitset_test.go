@@ -168,8 +168,8 @@ func TestCloseOverMatchesReference(t *testing.T) {
 }
 
 // Property: RelaxThrough after adding edges touching a new vertex yields
-// the same matrix as recomputing the closure from scratch, and reports
-// exactly the pairs that changed.
+// the same matrix as recomputing the closure from scratch, every pair that
+// turns reachable does so at some step, and a step allocates nothing.
 func TestRelaxThroughIncrementalEqualsBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
@@ -189,8 +189,30 @@ func TestRelaxThroughIncrementalEqualsBatch(t *testing.T) {
 					inc.Set(j, p)
 				}
 			}
-			for _, c := range inc.RelaxThrough(p, p+1) {
-				reported[c] = true
+			before := inc.Clone()
+			inc.RelaxThrough(p)
+			for i := 0; i <= p; i++ {
+				for j := 0; j <= p; j++ {
+					if inc.Test(i, j) && !before.Test(i, j) {
+						reported[[2]int{i, j}] = true
+					}
+				}
+			}
+			// After step p the first p+1 vertices are closed over
+			// themselves: the precondition of step p+1.
+			want := NewMatrix(n)
+			for i := 0; i <= p; i++ {
+				for j := 0; j <= p; j++ {
+					if adj[i][j] {
+						want.Set(i, j)
+					}
+				}
+			}
+			want.CloseOver(p + 1)
+			for i := 0; i <= p; i++ {
+				if !inc.Row(i).Equal(want.Row(i)) {
+					t.Fatalf("trial %d n=%d: row %d after step %d is not the closure over the first %d vertices", trial, n, i, p, p+1)
+				}
 			}
 		}
 
@@ -223,6 +245,21 @@ func TestRelaxThroughIncrementalEqualsBatch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestRelaxThroughAllocatesNothing(t *testing.T) {
+	m := NewMatrix(64)
+	for i := 0; i < 64; i++ {
+		m.Set(i, i)
+		m.Set(i, (i*7+3)%64)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for p := 0; p < 64; p++ {
+			m.RelaxThrough(p)
+		}
+	}); n != 0 {
+		t.Fatalf("RelaxThrough allocates %v times per sweep", n)
 	}
 }
 

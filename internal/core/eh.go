@@ -139,7 +139,7 @@ func ComputeEH(g *graph.Graph, nn []uint32, k int) *EHResult {
 		// Propagate reachability through the new vertex, then stamp every
 		// pair that is reachable now but was not before: by Theorem 2 its
 		// Escape Hardness is exactly p_m's 1-indexed NN rank, m+1.
-		R.RelaxThrough(m, m+1)
+		R.RelaxThrough(m)
 		for i := 0; i < k && i <= m; i++ {
 			for j := 0; j < k && j <= m; j++ {
 				if i != j && res.EH[i][j] == InfEH && R.Test(i, j) {

@@ -232,7 +232,7 @@ func (ix *Index) FixQuery(q []float32, nn []uint32) QueryFixReport {
 		out.NGFixPruned += st.EdgesPruned
 		out.DefectivePairs += st.PairsAboveDelta
 		if r.RFix {
-			rst := RFix(ix.G, q, nn, RFixParams{
+			rst := rfix(ix.G, ix.s, q, nn, RFixParams{
 				K: r.K, L: ix.opts.RFixL, LEx: ix.opts.LEx,
 			})
 			out.RFixEdges += rst.EdgesAdded

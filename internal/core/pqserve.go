@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -138,6 +139,37 @@ func (ps *pqState) updateResident() {
 	}
 }
 
+// pqNormTolerance is how far a row's norm may sit from 1 under
+// InnerProduct or Cosine before compressed serving is refused.
+const pqNormTolerance = 1e-3
+
+// checkPQMetric refuses graphs the fused path would navigate by the wrong
+// order. The ADC table holds squared L2 distances, which rank rows like
+// InnerProduct and Cosine do only when every row has unit norm; on other
+// rows the beam would follow one order and the exact rerank another, with
+// nothing but lost recall to show for it. Rows inserted later are not
+// checked.
+func checkPQMetric(g *graph.Graph) error {
+	if g.Metric == vec.L2 {
+		return nil
+	}
+	norms := g.RowNorms() // cached for Cosine only
+	if norms == nil {
+		norms = vec.RowNorms(g.Vectors)
+	}
+	worst, at := float32(0), -1
+	for i, n := range norms {
+		if dev := float32(math.Abs(float64(n - 1))); dev > worst {
+			worst, at = dev, i
+		}
+	}
+	if worst > pqNormTolerance {
+		return fmt.Errorf("core: pq navigates by L2, which orders rows like %s only at unit norm: row %d has norm %g (|norm-1| = %g, limit %g); normalize the rows or use L2",
+			g.Metric, at, norms[at], worst, float32(pqNormTolerance))
+	}
+	return nil
+}
+
 // EnablePQ trains a quantizer on the current graph vectors and switches
 // the serving path to compressed scoring. Call once, before traffic
 // (training and the optional tier write hold the write lock for their
@@ -153,6 +185,9 @@ func (o *OnlineFixer) EnablePQ(cfg PQConfig) error {
 	defer o.mu.Unlock()
 	if o.pqs != nil {
 		return ErrPQEnabled
+	}
+	if err := checkPQMetric(o.ix.G); err != nil {
+		return err
 	}
 	q, err := pq.Train(o.ix.G.Vectors, qcfg)
 	if err != nil {
@@ -181,6 +216,9 @@ func (o *OnlineFixer) AttachPQ(q *pq.Quantizer, cfg PQConfig) error {
 	}
 	if q.Rows() > o.ix.G.Len() {
 		return fmt.Errorf("core: pq sidecar has %d codes but graph has %d rows", q.Rows(), o.ix.G.Len())
+	}
+	if err := checkPQMetric(o.ix.G); err != nil {
+		return err
 	}
 	if q.Rows() < o.ix.G.Len() {
 		q.AppendRowsFrom(o.ix.G.Vectors, q.Rows(), o.ix.G.Len())
@@ -319,6 +357,10 @@ type PQStats struct {
 	TierResidentBytes int64 `json:"tier_resident_bytes"`
 	ResidentBytes     int64 `json:"resident_bytes"`
 	FullVectorBytes   int64 `json:"full_vector_bytes"`
+	// ScanCopyBytes is the derived dimension-major codebook copy
+	// (pq.Quantizer.ScanCopyBytes): in heap, as large as CodebookBytes,
+	// and reported here rather than inside ResidentBytes.
+	ScanCopyBytes int64 `json:"scan_copy_bytes"`
 	// Served work.
 	Searches   int64 `json:"searches"`
 	ADCLookups int64 `json:"adc_lookups"`
@@ -346,6 +388,7 @@ func (o *OnlineFixer) PQStats() (PQStats, bool) {
 		CodebookBytes:     ps.codebookBytes.Load(),
 		TierResidentBytes: ps.tierResident.Load(),
 		FullVectorBytes:   o.nvec.Load() * int64(o.dim) * 4,
+		ScanCopyBytes:     int64(ps.q.ScanCopyBytes()),
 		Searches:          ps.searches.Load(),
 		ADCLookups:        ps.adcLookups.Load(),
 		RerankNDC:         ps.rerankNDC.Load(),

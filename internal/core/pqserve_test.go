@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ngfix/internal/bruteforce"
+	"ngfix/internal/hnsw"
 	"ngfix/internal/pq"
 	"ngfix/internal/vec"
 )
@@ -211,6 +213,51 @@ func TestAttachPQRejectsMismatch(t *testing.T) {
 	}
 	if _, ok := o.PQStats(); ok {
 		t.Fatal("rejected attach left PQ state behind")
+	}
+}
+
+// TestPQRefusesNonUnitRowsUnderDotMetrics pins the metric guard: the ADC
+// table is an L2 table, so under InnerProduct or Cosine compressed
+// serving is only sound on unit-norm rows. Enable and attach both refuse
+// anything else, naming the worst row, and accept the same rows once
+// normalized.
+func TestPQRefusesNonUnitRowsUnderDotMetrics(t *testing.T) {
+	raw := randTestMatrix(300, 12, 7)
+	raw.Row(41)[3] += 9 // the worst offender
+	unit := raw.Clone()
+	for i := 0; i < unit.Rows(); i++ {
+		vec.Normalize(unit.Row(i))
+	}
+	q, err := pq.Train(unit, pq.Config{M: 4, KS: 16, Iters: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixerOver := func(m *vec.Matrix, met vec.Metric) *OnlineFixer {
+		g := hnsw.Build(m, hnsw.Config{M: 8, EFConstruction: 40, Metric: met, Seed: 2}).Bottom()
+		return NewOnlineFixer(New(g, Options{Rounds: []Round{{K: 10}}, LEx: 32}), OnlineConfig{})
+	}
+	for _, met := range []vec.Metric{vec.InnerProduct, vec.Cosine} {
+		o := fixerOver(raw, met)
+		for name, err := range map[string]error{
+			"EnablePQ": o.EnablePQ(PQConfig{KS: 16}),
+			"AttachPQ": o.AttachPQ(q, PQConfig{}),
+		} {
+			if err == nil || !strings.Contains(err.Error(), "row 41") {
+				t.Fatalf("%s %s on un-normalized rows: err = %v, want a refusal naming row 41", met, name, err)
+			}
+		}
+		if _, ok := o.PQStats(); ok {
+			t.Fatalf("%s: refused enable left PQ state behind", met)
+		}
+		if err := fixerOver(unit, met).EnablePQ(PQConfig{KS: 16}); err != nil {
+			t.Fatalf("%s EnablePQ on unit rows: %v", met, err)
+		}
+		if err := fixerOver(unit, met).AttachPQ(q.CloneEmpty(), PQConfig{}); err != nil {
+			t.Fatalf("%s AttachPQ on unit rows: %v", met, err)
+		}
+	}
+	if err := fixerOver(raw, vec.L2).EnablePQ(PQConfig{KS: 16}); err != nil {
+		t.Fatalf("L2 EnablePQ on un-normalized rows: %v", err)
 	}
 }
 

@@ -73,6 +73,13 @@ type RFixStats struct {
 //
 // nn must hold the query's true NNs in ascending rank (length ≥ K).
 func RFix(g *graph.Graph, q []float32, nn []uint32, params RFixParams) RFixStats {
+	return rfix(g, graph.NewSearcher(g), q, nn, params)
+}
+
+// rfix is RFix running every search on the caller's searcher over g (its
+// O(n) visited array is the cost a per-query searcher would pay again for
+// each query and each widening round). s.CollectVisited is left as found.
+func rfix(g *graph.Graph, s *graph.Searcher, q []float32, nn []uint32, params RFixParams) RFixStats {
 	p := params.withDefaults()
 	k := p.K
 	if k > len(nn) {
@@ -88,7 +95,6 @@ func RFix(g *graph.Graph, q []float32, nn []uint32, params RFixParams) RFixStats
 		vicinity[id] = true
 	}
 
-	s := graph.NewSearcher(g)
 	reaches := func() ([]graph.Result, bool) {
 		res, _ := s.SearchFrom(q, k, p.L, g.EntryPoint)
 		for _, r := range res {
@@ -118,12 +124,13 @@ func RFix(g *graph.Graph, q []float32, nn []uint32, params RFixParams) RFixStats
 		// Extended candidate set: points visited by a wider search whose
 		// distance to the anchor is within the anchor→query radius — the
 		// ball the paper scans, approximated by search visitation.
-		wide := graph.NewSearcher(g)
-		wide.CollectVisited = true
-		wide.SearchFrom(q, p.ExpandL, p.ExpandL, g.EntryPoint)
+		collect := s.CollectVisited
+		s.CollectVisited = true
+		s.SearchFrom(q, p.ExpandL, p.ExpandL, g.EntryPoint)
+		s.CollectVisited = collect
 		aRow := g.Vectors.Row(int(anchor.ID))
 		var cands []graph.Candidate
-		for _, v := range wide.Visited {
+		for _, v := range s.Visited {
 			if v.ID == anchor.ID {
 				continue
 			}

@@ -85,9 +85,9 @@ func ReadQuantizer(r io.Reader) (*Quantizer, error) {
 		return nil, fmt.Errorf("pq: corrupt header (dim=%d m=%d ks=%d rows=%d)", dim, m, ks, rows)
 	}
 	q := &Quantizer{
-		cfg: Config{M: m, KS: ks, Iters: iters, Seed: seed},
-		dim: dim,
-		sub: dim / m,
+		cfg:  Config{M: m, KS: ks, Iters: iters, Seed: seed},
+		dim:  dim,
+		sub:  dim / m,
 		rows: rows,
 	}
 	q.centroids = make([]*vec.Matrix, m)
@@ -103,6 +103,7 @@ func ReadQuantizer(r io.Reader) (*Quantizer, error) {
 		}
 		q.centroids[i] = cents
 	}
+	q.deriveCols()
 	q.codes = make([]byte, rows*m)
 	if _, err := io.ReadFull(r, q.codes); err != nil {
 		return nil, fmt.Errorf("pq: reading codes: %w", err)

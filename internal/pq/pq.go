@@ -10,8 +10,10 @@ package pq
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"ngfix/internal/vec"
 )
@@ -63,8 +65,14 @@ type Quantizer struct {
 	cfg Config
 	dim int
 	sub int // dim / M
-	// centroids[m] is a KS×sub matrix of subspace centroids.
+	// centroids[m] is a KS×sub matrix of subspace centroids: the source of
+	// truth, what Decode reads and the sidecar codec persists.
 	centroids []*vec.Matrix
+	// cols is the derived scan copy of centroids, dimension-major per
+	// subspace — coordinate j of subspace m's centroid c is at
+	// cols[(m*sub+j)*KS+c] — the layout vec.SubspaceL2 scores KS centroids
+	// from in one call. Built once by deriveCols, immutable afterwards.
+	cols []float32
 	// codes holds M bytes per encoded row.
 	codes []byte
 	rows  int
@@ -74,7 +82,11 @@ type Quantizer struct {
 	encScratch []float32
 }
 
-// Train fits the codebooks on the dataset and encodes every row.
+// Train fits the codebooks on the dataset and encodes every row. Subspaces
+// train concurrently (up to GOMAXPROCS at a time), each from its own
+// random stream, and the encode pass splits the rows into disjoint chunks,
+// so codebooks and codes depend only on the data and cfg, never on the
+// core count.
 func Train(data *vec.Matrix, cfg Config) (*Quantizer, error) {
 	dim := data.Dim()
 	if cfg.M <= 0 || dim%cfg.M != 0 {
@@ -93,18 +105,86 @@ func Train(data *vec.Matrix, cfg Config) (*Quantizer, error) {
 	}
 	q := &Quantizer{cfg: cfg, dim: dim, sub: dim / cfg.M, rows: n}
 	q.cfg.KS = ks
-	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	q.centroids = make([]*vec.Matrix, cfg.M)
-	for m := 0; m < cfg.M; m++ {
-		q.centroids[m] = trainSubspace(data, m, q.sub, ks, cfg.Iters, rng)
-	}
+	parallel(cfg.M, 1, func(lo, hi int) {
+		for m := lo; m < hi; m++ {
+			// One stream per subspace, a function of (Seed, m) alone.
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(m)*subspaceSeedStride))
+			q.centroids[m] = trainSubspace(data, m, q.sub, ks, cfg.Iters, rng)
+		}
+	})
+	q.deriveCols()
 	q.codes = make([]byte, n*cfg.M)
-	scratch := make([]float32, ks)
-	for i := 0; i < n; i++ {
-		q.encodeInto(data.Row(i), q.codes[i*cfg.M:(i+1)*cfg.M], scratch)
-	}
+	q.encodeRows(data, 0, n, q.codes)
 	return q, nil
+}
+
+// subspaceSeedStride separates the subspaces' seeds so that configs whose
+// Seeds differ by less than M do not share a stream between subspaces.
+const subspaceSeedStride = 1_000_003
+
+// parallel covers [0, n) with fn(lo, hi) calls over disjoint chunks of
+// chunk items (the last may be shorter), handed out on demand to up to
+// GOMAXPROCS goroutines — so a chunk that finishes early (a subspace that
+// converges) does not idle its worker — and returns when all are done.
+// Which goroutine runs which chunk is unspecified; callers keep chunks
+// independent so the result is not.
+func parallel(n, chunk int, fn func(lo, hi int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if chunks := (n + chunk - 1) / chunk; workers > chunks {
+		workers = chunks
+	}
+	if workers <= 1 {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= n {
+					return
+				}
+				fn(lo, min(lo+chunk, n))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// transposeInto writes the KS×sub centroid matrix into dst dimension-major
+// (dst[j*KS+c] = coordinate j of centroid c).
+func transposeInto(dst []float32, cents *vec.Matrix) {
+	ks := cents.Rows()
+	for c := 0; c < ks; c++ {
+		for j, v := range cents.Row(c) {
+			dst[j*ks+c] = v
+		}
+	}
+}
+
+// deriveCols builds the dimension-major scan copy from the row-major
+// centroids. Every constructor calls it once, after the centroids are
+// final.
+func (q *Quantizer) deriveCols() {
+	per := q.sub * q.cfg.KS
+	q.cols = make([]float32, q.cfg.M*per)
+	for m, cents := range q.centroids {
+		transposeInto(q.cols[m*per:(m+1)*per], cents)
+	}
+}
+
+// subCols returns subspace m's block of the scan copy.
+func (q *Quantizer) subCols(m int) []float32 {
+	per := q.sub * q.cfg.KS
+	return q.cols[m*per : (m+1)*per]
 }
 
 // trainSubspace runs k-means on one coordinate block.
@@ -118,37 +198,30 @@ func trainSubspace(data *vec.Matrix, m, sub, ks, iters int, rng *rand.Rand) *vec
 	}
 	assign := make([]int, n)
 	dists := make([]float32, ks)
+	cols := make([]float32, sub*ks)
+	counts := make([]int, ks)
+	sums := make([]float64, ks*sub)
 	for it := 0; it < iters; it++ {
+		// The update below moves the row-major centroids; the assignment
+		// scan reads this iteration's dimension-major copy of them.
+		transposeInto(cols, cents)
 		changed := 0
 		for i := 0; i < n; i++ {
-			block := data.Row(i)[m*sub : (m+1)*sub]
-			// One batched scan over the centroid matrix per point: the
-			// centroids are contiguous rows, exactly the batch kernel's
-			// streaming shape.
-			vec.DistancesRows(vec.L2, block, cents, 0, ks, dists)
-			best, bestD := 0, float32(math.Inf(1))
-			for c, d := range dists {
-				if d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if assign[i] != best {
+			vec.SubspaceL2(data.Row(i)[m*sub:(m+1)*sub], cols, ks, dists)
+			if best := vec.ArgMin(dists); assign[i] != best {
 				assign[i] = best
 				changed++
 			}
 		}
 		// Recompute centroids.
-		counts := make([]int, ks)
-		sums := make([][]float64, ks)
-		for c := range sums {
-			sums[c] = make([]float64, sub)
-		}
+		clear(counts)
+		clear(sums)
 		for i := 0; i < n; i++ {
 			c := assign[i]
 			counts[c]++
-			block := data.Row(i)[m*sub : (m+1)*sub]
-			for j, v := range block {
-				sums[c][j] += float64(v)
+			sum := sums[c*sub : (c+1)*sub]
+			for j, v := range data.Row(i)[m*sub : (m+1)*sub] {
+				sum[j] += float64(v)
 			}
 		}
 		for c := 0; c < ks; c++ {
@@ -159,7 +232,7 @@ func trainSubspace(data *vec.Matrix, m, sub, ks, iters int, rng *rand.Rand) *vec
 			}
 			row := cents.Row(c)
 			for j := range row {
-				row[j] = float32(sums[c][j] / float64(counts[c]))
+				row[j] = float32(sums[c*sub+j] / float64(counts[c]))
 			}
 		}
 		if changed == 0 {
@@ -173,18 +246,24 @@ func trainSubspace(data *vec.Matrix, m, sub, ks, iters int, rng *rand.Rand) *vec
 // least KS floats; it receives each subspace's centroid distances from
 // one batched scan.
 func (q *Quantizer) encodeInto(row []float32, dst []byte, scratch []float32) {
-	dists := scratch[:q.cfg.KS]
+	ks := q.cfg.KS
+	dists := scratch[:ks]
 	for m := 0; m < q.cfg.M; m++ {
-		block := row[m*q.sub : (m+1)*q.sub]
-		vec.DistancesRows(vec.L2, block, q.centroids[m], 0, q.cfg.KS, dists)
-		best, bestD := 0, float32(math.Inf(1))
-		for c, d := range dists {
-			if d < bestD {
-				best, bestD = c, d
-			}
-		}
-		dst[m] = byte(best)
+		vec.SubspaceL2(row[m*q.sub:(m+1)*q.sub], q.subCols(m), ks, dists)
+		dst[m] = byte(vec.ArgMin(dists))
 	}
+}
+
+// encodeRows encodes rows [lo, hi) of data into dst (M bytes per row, row
+// lo first), splitting the rows into disjoint chunks across cores.
+func (q *Quantizer) encodeRows(data *vec.Matrix, lo, hi int, dst []byte) {
+	m := q.cfg.M
+	parallel(hi-lo, 256, func(a, b int) {
+		scratch := make([]float32, q.cfg.KS)
+		for i := a; i < b; i++ {
+			q.encodeInto(data.Row(lo+i), dst[i*m:(i+1)*m], scratch)
+		}
+	})
 }
 
 // AppendRow encodes one new row with the frozen codebooks and appends its
@@ -208,26 +287,35 @@ func (q *Quantizer) AppendRow(row []float32) {
 	q.rows++
 }
 
-// AppendRowsFrom encodes rows [lo, hi) of m with AppendRow — the recovery
-// path's bulk form for re-encoding WAL-replayed inserts.
+// AppendRowsFrom encodes rows [lo, hi) of m and appends their codes — the
+// bulk form of AppendRow (same bytes) that recovery uses to re-encode
+// WAL-replayed inserts and a reshard child to encode its share.
 func (q *Quantizer) AppendRowsFrom(m *vec.Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		q.AppendRow(m.Row(i))
+	if hi <= lo {
+		return
 	}
+	if m.Dim() != q.dim {
+		panic("pq: row dimension mismatch")
+	}
+	at := len(q.codes)
+	q.codes = append(q.codes, make([]byte, (hi-lo)*q.cfg.M)...)
+	q.encodeRows(m, lo, hi, q.codes[at:])
+	q.rows += hi - lo
 }
 
 // CloneEmpty returns a quantizer sharing this one's frozen codebooks but
 // holding no codes: the form a reshard child starts from, re-encoding its
 // own rows under the parent's centroids so codes stay comparable across
 // the split (row-stable within each child, same codebook everywhere).
-// The centroid matrices are shared, not copied — they are immutable after
-// Train.
+// The centroid matrices and their scan copy are shared, not copied — they
+// are immutable after Train.
 func (q *Quantizer) CloneEmpty() *Quantizer {
 	return &Quantizer{
 		cfg:       q.cfg,
 		dim:       q.dim,
 		sub:       q.sub,
 		centroids: q.centroids,
+		cols:      q.cols,
 	}
 }
 
@@ -251,10 +339,18 @@ func (q *Quantizer) Config() Config { return q.cfg }
 func (q *Quantizer) CodeBytes() int { return len(q.codes) }
 
 // CodebookBytes returns the size of the centroid tables in bytes — with
-// CodeBytes, the resident cost of serving from the compressed domain.
+// CodeBytes, the resident cost of serving from the compressed domain. It
+// counts the row-major tables, the ones the sidecar persists;
+// ScanCopyBytes reports the derived copy beside it.
 func (q *Quantizer) CodebookBytes() int {
 	return q.cfg.M * q.cfg.KS * q.sub * 4
 }
+
+// ScanCopyBytes returns the size of the derived dimension-major copy of
+// the centroid tables: as large as CodebookBytes, also in heap, and kept
+// out of that number so resident figures stay comparable with those
+// recorded before the copy existed.
+func (q *Quantizer) ScanCopyBytes() int { return len(q.cols) * 4 }
 
 // Decode reconstructs the quantized approximation of row i.
 func (q *Quantizer) Decode(i int) []float32 {
@@ -292,9 +388,9 @@ func (q *Quantizer) BuildTableInto(t Table, query []float32) Table {
 		t = t[:n]
 	}
 	for m := 0; m < q.cfg.M; m++ {
-		// The m-th codebook is a contiguous KS×sub matrix: one batched
-		// streaming scan fills the whole table row.
-		vec.DistancesRows(vec.L2, query[m*q.sub:(m+1)*q.sub], q.centroids[m], 0, ks, t[m*ks:(m+1)*ks])
+		// One kernel call scores the query's m-th block against the whole
+		// m-th codebook, filling that table row.
+		vec.SubspaceL2(query[m*q.sub:(m+1)*q.sub], q.subCols(m), ks, t[m*ks:(m+1)*ks])
 	}
 	return t
 }

@@ -395,6 +395,7 @@ func (g *Group) PQStats() (core.PQStats, []core.PQStats, bool) {
 		total.TierResidentBytes += st.TierResidentBytes
 		total.ResidentBytes += st.ResidentBytes
 		total.FullVectorBytes += st.FullVectorBytes
+		total.ScanCopyBytes += st.ScanCopyBytes
 		total.Searches += st.Searches
 		total.ADCLookups += st.ADCLookups
 		total.RerankNDC += st.RerankNDC

@@ -11,6 +11,19 @@ func l2Body8AVX2(x, y []float32) float32
 //go:noescape
 func dotBody8AVX2(x, y []float32) float32
 
+// subL2Body8AVX2 is SubspaceL2's body for the first len(out) centroids,
+// a non-zero multiple of 8; cols points at coordinate 0 of centroid 0 and
+// consecutive coordinates are ks floats apart. len(x) must be non-zero.
+//
+//go:noescape
+func subL2Body8AVX2(x []float32, cols *float32, ks int, out []float32)
+
+// argminBody8AVX2 returns the index of the first smallest entry of d, whose
+// length is a non-zero multiple of 8 (0 if d holds a NaN).
+//
+//go:noescape
+func argminBody8AVX2(d []float32) int
+
 // CPUID plumbing (cpu_amd64.s) for runtime feature detection.
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
@@ -43,7 +56,7 @@ func detectKernels() kernelSet {
 	if ebx7&avx2Bit == 0 {
 		return scalarKernels
 	}
-	return kernelSet{name: "avx2", l2: l2AVX2, dot: dotAVX2}
+	return kernelSet{name: "avx2", l2: l2AVX2, dot: dotAVX2, subL2: subL2AVX2, argmin: argminAVX2}
 }
 
 func l2AVX2(x, y []float32) float32 {
@@ -69,4 +82,37 @@ func dotAVX2(x, y []float32) float32 {
 		s += x[i] * y[i]
 	}
 	return s
+}
+
+func subL2AVX2(x, cols, out []float32) {
+	ks := len(out)
+	n := ks &^ 7
+	if len(x) == 0 {
+		n = 0
+	}
+	if n > 0 {
+		subL2Body8AVX2(x, &cols[0], ks, out[:n])
+	}
+	for c := n; c < ks; c++ {
+		var s float32
+		for j, xj := range x {
+			d := xj - cols[j*ks+c]
+			s += d * d
+		}
+		out[c] = s
+	}
+}
+
+func argminAVX2(d []float32) int {
+	n := len(d) &^ 7
+	best := 0
+	if n > 0 {
+		best = argminBody8AVX2(d[:n])
+	}
+	for c := n; c < len(d); c++ {
+		if d[c] < d[best] {
+			best = c
+		}
+	}
+	return best
 }

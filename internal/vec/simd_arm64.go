@@ -12,9 +12,11 @@ func l2Body4NEON(x, y []float32, acc *[4]float32)
 func dotBody4NEON(x, y []float32, acc *[4]float32)
 
 // detectKernels selects the NEON kernels. The Advanced SIMD extension is
-// mandatory on AArch64, so there is nothing to probe.
+// mandatory on AArch64, so there is nothing to probe. The sub-space kernel
+// and ArgMin stay on the portable loops: no NEON body ships without
+// hardware to test it on.
 func detectKernels() kernelSet {
-	return kernelSet{name: "neon", l2: l2NEON, dot: dotNEON}
+	return kernelSet{name: "neon", l2: l2NEON, dot: dotNEON, subL2: subL2Scalar, argmin: argminScalar}
 }
 
 func l2NEON(x, y []float32) float32 {

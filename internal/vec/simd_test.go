@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -256,4 +257,193 @@ func FuzzKernelEquivalence(f *testing.F) {
 			t.Fatalf("Dot dim=%d rel err %g", n, e)
 		}
 	})
+}
+
+// subspaceRef scores x against centroid c the way the per-row path did:
+// gather the centroid's coordinates out of the dimension-major layout and
+// run the scalar L2 kernel over them.
+func subspaceRef(x, cols []float32, ks, c int) float32 {
+	row := make([]float32, len(x))
+	for j := range row {
+		row[j] = cols[j*ks+c]
+	}
+	return l2Scalar(x, row)
+}
+
+// checkSubspaceKernels asserts both arms of the sub-space kernel agree
+// with the per-centroid scalar reference on every centroid, that neither
+// writes past out[ks-1], and that the SIMD ArgMin picks exactly the
+// centroid the scalar one does from each arm's scores.
+func checkSubspaceKernels(t *testing.T, x, cols []float32, ks int) {
+	t.Helper()
+	const guard = float32(-12345)
+	for _, arm := range []kernelSet{scalarKernels, best} {
+		out := make([]float32, ks+1)
+		out[ks] = guard
+		arm.subL2(x, cols, out[:ks])
+		if out[ks] != guard {
+			t.Fatalf("%s sub=%d ks=%d: wrote past out[ks-1]", arm.name, len(x), ks)
+		}
+		for c := 0; c < ks; c++ {
+			want := subspaceRef(x, cols, ks, c)
+			if e := relErr(float64(want), float64(out[c])); e > 1e-4 {
+				t.Fatalf("%s sub=%d ks=%d centroid %d: %v vs reference %v (rel err %g)",
+					arm.name, len(x), ks, c, out[c], want, e)
+			}
+		}
+		if got, want := best.argmin(out[:ks]), argminScalar(out[:ks]); got != want {
+			t.Fatalf("%s argmin over %s scores, ks=%d: %d, scalar says %d", best.name, arm.name, ks, got, want)
+		}
+	}
+}
+
+// TestArgMinExact pins ArgMin's contract on the shapes the lane logic
+// could mishandle: the first of several equal minima wins, wherever the
+// minimum sits relative to the 32-wide, 8-wide and scalar-tail regions,
+// on unaligned slices, and both arms agree exactly.
+func TestArgMinExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 31, 32, 33, 40, 63, 64, 65, 255, 256, 257} {
+		for off := 0; off < 8; off++ {
+			buf := make([]float32, off+n)
+			d := buf[off:]
+			for rep := 0; rep < 20; rep++ {
+				for i := range d {
+					d[i] = float32(rng.Intn(50)) // few distinct values: ties everywhere
+				}
+				if rep%4 == 0 {
+					d[rng.Intn(n)] = -1 // a unique minimum at a random place
+				}
+				if rep%5 == 0 {
+					d[rng.Intn(n)] = float32(math.Copysign(0, -1))
+				}
+				want := argminScalar(d)
+				for i := 0; i < want; i++ {
+					if d[i] <= d[want] {
+						t.Fatalf("argminScalar(%v) = %d is not the first minimum", d, want)
+					}
+				}
+				if got := best.argmin(d); got != want {
+					t.Fatalf("%s argmin n=%d off=%d: %d, want %d (%v)", best.name, n, off, got, want, d)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected ArgMin(nil) to panic")
+		}
+	}()
+	ArgMin(nil)
+}
+
+// TestSubspaceKernelDifferential covers every lane-group shape of the
+// sub-space kernel (32-wide main loop, 8-wide loop, scalar tail columns)
+// at the sub-vector lengths product quantization produces, on slices that
+// start at every 4-byte offset within a 32-byte line.
+func TestSubspaceKernelDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, sub := range []int{1, 2, 3, 4, 8, 12, 16, 32} {
+		for _, ks := range []int{1, 7, 8, 9, 64, 255, 256} {
+			for off := 0; off < 8; off++ {
+				xb := make([]float32, off+sub)
+				cb := make([]float32, off+sub*ks)
+				for i := range xb {
+					xb[i] = rng.Float32()*20 - 10
+				}
+				for i := range cb {
+					cb[i] = rng.Float32()*20 - 10
+				}
+				checkSubspaceKernels(t, xb[off:], cb[off:], ks)
+			}
+		}
+	}
+}
+
+// TestSubspaceL2Dispatch checks the public entry point routes through the
+// active arm, tolerates an oversized out, and rejects mismatched shapes.
+func TestSubspaceL2Dispatch(t *testing.T) {
+	x := []float32{1, 2}
+	cols := []float32{1, 0, 3 /* coordinate 0 */, 2, 0, 5 /* coordinate 1 */}
+	out := []float32{-1, -1, -1, -1}
+	SubspaceL2(x, cols, 3, out)
+	if out[0] != 0 || out[1] != 5 || out[2] != 13 || out[3] != -1 {
+		t.Fatalf("SubspaceL2 = %v, want [0 5 13 -1]", out)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on cols/ks mismatch")
+		}
+	}()
+	SubspaceL2(x, cols[:5], 3, out)
+}
+
+// FuzzSubspaceKernelEquivalence go-fuzzes the sub-space kernel's arms
+// against the per-centroid scalar reference on arbitrary finite inputs and
+// shapes.
+func FuzzSubspaceKernelEquivalence(f *testing.F) {
+	f.Add(uint8(8), uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(3), uint8(40), []byte("sub-space kernel seed"))
+	f.Add(uint8(16), uint8(9), []byte{0xff, 0x7f, 0x80, 0x00, 0x3f})
+	f.Fuzz(func(t *testing.T, subByte, ksByte uint8, data []byte) {
+		sub := int(subByte)%32 + 1
+		ks := int(ksByte) + 1
+		// Floats come from data's bytes, cycled; non-finite or huge values
+		// are replaced so the comparison is about summation, not float32
+		// overflow semantics.
+		at := 0
+		next := func() float32 {
+			var b [4]byte
+			for i := range b {
+				if len(data) > 0 {
+					b[i] = data[at%len(data)]
+					at++
+				}
+			}
+			v := math.Float32frombits(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) || math.Abs(float64(v)) > 1e6 {
+				v = float32(at % 17)
+			}
+			return v
+		}
+		x := make([]float32, sub)
+		for i := range x {
+			x[i] = next()
+		}
+		cols := make([]float32, sub*ks)
+		for i := range cols {
+			cols[i] = next()
+		}
+		checkSubspaceKernels(t, x, cols, ks)
+	})
+}
+
+var sinkInt int
+
+func BenchmarkSubspaceL2(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, shape := range [][2]int{{8, 256}, {16, 64}} {
+		sub, ks := shape[0], shape[1]
+		x := make([]float32, sub)
+		cols := make([]float32, sub*ks)
+		for i := range x {
+			x[i] = rng.Float32()
+		}
+		for i := range cols {
+			cols[i] = rng.Float32()
+		}
+		out := make([]float32, ks)
+		for _, arm := range []kernelSet{scalarKernels, best} {
+			b.Run(fmt.Sprintf("sub%d_ks%d_%s", sub, ks, arm.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					arm.subL2(x, cols, out)
+				}
+			})
+			b.Run(fmt.Sprintf("argmin_ks%d_%s", ks, arm.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sinkInt += arm.argmin(out)
+				}
+			})
+		}
+	}
 }

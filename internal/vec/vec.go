@@ -121,6 +121,50 @@ func dotScalar(x, y []float32) float32 {
 	return s0 + s1 + s2 + s3
 }
 
+// subL2Scalar is the portable reference kernel for SubspaceL2 (ks =
+// len(out)): streaming passes over the contiguous per-coordinate columns,
+// two coordinates per pass so out is read and written half as often. It
+// is also what arm64 runs.
+func subL2Scalar(x, cols, out []float32) {
+	for c := range out {
+		out[c] = 0
+	}
+	ks := len(out)
+	j := 0
+	for ; j+2 <= len(x); j += 2 {
+		x0, x1 := x[j], x[j+1]
+		col0 := cols[j*ks : (j+1)*ks]
+		// Equal lengths let the compiler drop the bounds checks below.
+		col1 := cols[(j+1)*ks : (j+2)*ks][:len(col0)]
+		acc := out[:len(col0)]
+		for c, v := range col0 {
+			d0 := x0 - v
+			d1 := x1 - col1[c]
+			acc[c] += d0*d0 + d1*d1
+		}
+	}
+	if j < len(x) {
+		xj := x[j]
+		col := cols[j*ks : (j+1)*ks]
+		acc := out[:len(col)]
+		for c, v := range col {
+			d := xj - v
+			acc[c] += d * d
+		}
+	}
+}
+
+// argminScalar is the portable reference kernel for ArgMin.
+func argminScalar(d []float32) int {
+	best, bestD := 0, d[0]
+	for c, v := range d {
+		if v < bestD {
+			best, bestD = c, v
+		}
+	}
+	return best
+}
+
 // CosineDistance returns 1 - cos(x, y). It is safe on zero vectors, for
 // which it returns 1 (treating them as orthogonal to everything).
 func CosineDistance(x, y []float32) float32 {
