@@ -9,8 +9,9 @@
 //	ngfix-bench -perf kernels|search|policy|pq [-json FILE] [-short]
 //
 // The -perf modes run the performance harness instead of a paper exhibit:
-// "kernels" micro-benchmarks the distance kernels on every dispatch arm,
-// "search" sweeps beam search end to end, "policy" measures the serving
+// "kernels" micro-benchmarks the distance kernels on every dispatch arm
+// and times whole searches per scored vertex for the beam loop against
+// the heap loop it replaced, "search" sweeps beam search end to end, "policy" measures the serving
 // policies (adaptive ef + answer cache) against a recall-matched fixed-ef
 // baseline on a repeat-heavy workload, "pq" compares memory-tiered
 // (PQ-ADC + exact rerank) serving against full precision at matched efs.
@@ -116,6 +117,9 @@ func runPerf(mode, jsonPath string, short bool) {
 		}
 		for _, s := range rep.SubspaceSpeedups {
 			fmt.Fprintf(os.Stderr, "  fused vs per-row sub=%-2d ks=%-3d %-6s %.2fx\n", s.Sub, s.KS, s.Arm, s.Speedup)
+		}
+		for _, s := range rep.BeamSpeedups {
+			fmt.Fprintf(os.Stderr, "  beam vs heaps    %-8s ef=%-3d %.2fx\n", s.Op, s.EF, s.Speedup)
 		}
 		report = rep
 	case "search":

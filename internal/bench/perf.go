@@ -47,11 +47,13 @@ func perfEnv(short bool) PerfEnv {
 
 // KernelResult is one (operation, dimension, dispatch arm) measurement.
 type KernelResult struct {
-	Op      string  `json:"op"`           // "l2" | "dot" | "batch_l2" | "subspace_per_row" | "subspace_fused"
-	Dim     int     `json:"dim"`          // vector dimension (sub-vector length for the subspace ops)
-	KS      int     `json:"ks,omitempty"` // centroids per call (subspace ops only)
-	Arm     string  `json:"arm"`          // "scalar" | "simd"
-	Kernel  string  `json:"kernel"`       // active kernel name during the run
+	Op      string  `json:"op"`             // "l2" | "dot" | "batch_l2" | "subspace_per_row" | "subspace_fused" | "beam_ndc" | "beam_adc"
+	Dim     int     `json:"dim"`            // vector dimension (sub-vector length for the subspace ops)
+	KS      int     `json:"ks,omitempty"`   // centroids per call (subspace ops only)
+	EF      int     `json:"ef,omitempty"`   // search list size (beam ops only)
+	Loop    string  `json:"loop,omitempty"` // "heaps" | "beam" (beam ops only)
+	Arm     string  `json:"arm"`            // "scalar" | "simd"
+	Kernel  string  `json:"kernel"`         // active kernel name during the run
 	NsPerOp float64 `json:"ns_per_op"`
 	OpsPerS float64 `json:"ops_per_sec"` // distance evaluations per second
 }
@@ -78,6 +80,7 @@ type KernelReport struct {
 	Results          []KernelResult    `json:"results"`
 	Speedups         []KernelSpeedup   `json:"speedups,omitempty"`
 	SubspaceSpeedups []SubspaceSpeedup `json:"subspace_speedups,omitempty"`
+	BeamSpeedups     []BeamSpeedup     `json:"beam_speedups,omitempty"`
 }
 
 // sinkF32 defeats dead-code elimination of benchmark loops.
@@ -130,7 +133,9 @@ var subspaceShapes = [][2]int{{8, 256}, {16, 64}}
 // RunKernelBench measures L2Squared, Dot, the batched row-distance kernel,
 // and product quantization's centroid scan — one call per centroid row
 // against one fused call over a dimension-major codebook — on both
-// dispatch arms with fixed-seed inputs.
+// dispatch arms with fixed-seed inputs; then, on the fastest arm, whole
+// searches per scored vertex for the beam loop against the heap loop it
+// replaced (see runBeamRows).
 func RunKernelBench(short bool) KernelReport {
 	rep := KernelReport{Env: perfEnv(short)}
 	minTime := 100 * time.Millisecond
@@ -247,6 +252,15 @@ func RunKernelBench(short bool) KernelReport {
 			})
 		}
 	}
+
+	vec.SetSIMD(true)
+	beamArm := "scalar"
+	if vec.SIMDAvailable() {
+		beamArm = "simd"
+	}
+	beam, beamSpeedups := runBeamRows(short, minTime, beamArm)
+	rep.Results = append(rep.Results, beam...)
+	rep.BeamSpeedups = beamSpeedups
 
 	rep.Speedups = kernelSpeedups(rep.Results)
 	return rep

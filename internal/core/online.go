@@ -580,8 +580,8 @@ func (o *OnlineFixer) InsertChecked(v []float32) (uint32, error) {
 	// Encode against the frozen codebooks (training never reruns online)
 	// so the compressed view stays in step with the graph row it mirrors.
 	o.pqAppendLocked(v)
-	o.searchers = sync.Pool{New: func() interface{} { return graph.NewSearcher(o.ix.G) }}
-	o.resetPQSearchersLocked()
+	// Pooled searchers stay: each grows its visited set to the graph's
+	// size (geometrically) on its next search.
 	var err error
 	snap := false
 	if o.wal != nil {
@@ -652,10 +652,8 @@ func (o *OnlineFixer) PurgeAndRepair(k, efTruth int) PurgeReport {
 	o.mu.Lock()
 	rep := o.ix.PurgeAndRepair(k, efTruth)
 	o.nvec.Store(int64(o.ix.G.Len()))
-	// Purge keeps row ids stable (no compaction), so the PQ codes remain
-	// aligned with the graph; only the pooled searchers need refreshing.
-	o.searchers = sync.Pool{New: func() interface{} { return graph.NewSearcher(o.ix.G) }}
-	o.resetPQSearchersLocked()
+	// Purge keeps row ids stable (no compaction), so the PQ codes and the
+	// pooled searchers stay valid.
 	o.mu.Unlock()
 	o.notifyMutation()
 	if o.wal != nil && rep.Purged > 0 {

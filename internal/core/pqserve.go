@@ -247,9 +247,10 @@ func (o *OnlineFixer) attachPQLocked(q *pq.Quantizer, cfg PQConfig) error {
 	return nil
 }
 
-// newPQSearcher builds a fused searcher against the current graph and
-// quantizer (invoked by the pool under the read lock, where the two are
-// always in step).
+// newPQSearcher builds a fused searcher against the graph and quantizer
+// (invoked by the pool under the read lock, where the two are always in
+// step). A pooled one stays valid across inserts: it reads the
+// quantizer's codes and the graph at search time.
 func (o *OnlineFixer) newPQSearcher() interface{} {
 	ps := o.pqs
 	s := pq.NewGraphSearcher(o.ix.G, ps.q)
@@ -270,16 +271,6 @@ func (o *OnlineFixer) pqAppendLocked(v []float32) {
 		ps.tier.AppendRow(v)
 	}
 	ps.updateResident()
-}
-
-// resetPQSearchersLocked drops pooled fused searchers after a mutation
-// that can change the vertex count (insert, purge), mirroring the
-// full-precision pool discipline.
-func (o *OnlineFixer) resetPQSearchersLocked() {
-	if o.pqs == nil {
-		return
-	}
-	o.pqs.searchers = sync.Pool{New: o.newPQSearcher}
 }
 
 // approxTruthLocked routes fix-batch preprocessing to the compressed

@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"ngfix/internal/graph"
+	"ngfix/internal/pq"
 	"ngfix/internal/vec"
 )
 
@@ -147,8 +150,10 @@ func TestOnlineFixerRecordingMatchesModel(t *testing.T) {
 
 // Pooled searchers survive inserts and fix batches: concurrent searches
 // keep drawing from the pool while the graph grows and is rewired (run
-// under -race via RACE_PKGS), and a vertex inserted before a fix batch
-// is found by a pooled searcher after it.
+// under -race via RACE_PKGS), a pooled searcher answers every query
+// between inserts exactly as a searcher built afresh on the grown graph
+// does, and a vertex inserted before a fix batch is found by a pooled
+// searcher after it.
 func TestPooledSearchersAcrossInsertAndFix(t *testing.T) {
 	t.Run("full-precision", func(t *testing.T) { pooledSearchersAcrossInsertAndFix(t, false) })
 	t.Run("pq", func(t *testing.T) { pooledSearchersAcrossInsertAndFix(t, true) })
@@ -183,9 +188,28 @@ func pooledSearchersAcrossInsertAndFix(t *testing.T, fused bool) {
 			}
 		}(w)
 	}
+	fresh := func(q []float32, k, ef int) []graph.Result {
+		o.mu.RLock()
+		defer o.mu.RUnlock()
+		if fused {
+			s := pq.NewGraphSearcher(o.ix.G, o.pqs.q)
+			s.Rerank = o.pqs.rerank * k
+			res, _ := s.Search(q, k, ef)
+			return res
+		}
+		res, _ := graph.NewSearcher(o.ix.G).Search(q, k, ef)
+		return res
+	}
 	for round := 0; round < 6; round++ {
 		v := d.TestOOD.Row(round)
 		id := o.Insert(v)
+		for j := 0; j < 8; j++ {
+			q := d.TestOOD.Row((round*8 + j + 6) % d.TestOOD.Rows())
+			got, _ := o.Search(q, 5, 20)
+			if want := fresh(q, 5, 20); !slices.Equal(got, want) {
+				t.Fatalf("round %d query %d: pooled searcher answered %v after the insert, a fresh one %v", round, j, got, want)
+			}
+		}
 		o.FixPending()
 		res, _ := o.Search(v, 1, 40)
 		if len(res) != 1 || res[0].ID != id {

@@ -46,7 +46,14 @@ type Graph struct {
 	Vectors *vec.Matrix
 	Metric  vec.Metric
 
-	base    [][]uint32
+	// adj[u] is u's whole out-list as the one contiguous id range a search
+	// hop reads: the nBase[u] base targets, then the targets of extra[u] in
+	// the same order. Every mutator below keeps it in step in place, so
+	// nothing is rebuilt per insert or per fix batch.
+	adj   [][]uint32
+	nBase []uint32
+	// extra[u] is the extra segment with its EH tags, the form the fixing
+	// algorithms, the op log and the snapshot codec read and write.
 	extra   [][]ExtraEdge
 	deleted []bool
 	nDel    int
@@ -73,7 +80,8 @@ func New(vectors *vec.Matrix, metric vec.Metric) *Graph {
 	g := &Graph{
 		Vectors: vectors,
 		Metric:  metric,
-		base:    make([][]uint32, n),
+		adj:     make([][]uint32, n),
+		nBase:   make([]uint32, n),
 		extra:   make([][]ExtraEdge, n),
 		deleted: make([]bool, n),
 	}
@@ -87,10 +95,10 @@ func New(vectors *vec.Matrix, metric vec.Metric) *Graph {
 func (g *Graph) RowNorms() []float32 { return g.norms }
 
 // Len returns the number of vertices (including deleted ones).
-func (g *Graph) Len() int { return len(g.base) }
+func (g *Graph) Len() int { return len(g.adj) }
 
 // Live returns the number of non-deleted vertices.
-func (g *Graph) Live() int { return len(g.base) - g.nDel }
+func (g *Graph) Live() int { return len(g.adj) - g.nDel }
 
 // Dim returns the vector dimensionality.
 func (g *Graph) Dim() int { return g.Vectors.Dim() }
@@ -100,14 +108,26 @@ func (g *Graph) Distance(q []float32, id uint32) float32 {
 	return g.Metric.Distance(q, g.Vectors.Row(int(id)))
 }
 
-// BaseNeighbors returns the base out-edges of u (shared storage).
-func (g *Graph) BaseNeighbors(u uint32) []uint32 { return g.base[u] }
+// BaseNeighbors returns the base out-edges of u (shared storage, capped
+// so that appending to it never writes into the graph).
+func (g *Graph) BaseNeighbors(u uint32) []uint32 {
+	nb := g.nBase[u]
+	return g.adj[u][:nb:nb]
+}
 
 // ExtraNeighbors returns the extra out-edges of u (shared storage).
 func (g *Graph) ExtraNeighbors(u uint32) []ExtraEdge { return g.extra[u] }
 
-// SetBaseNeighbors replaces the base out-edges of u.
-func (g *Graph) SetBaseNeighbors(u uint32, nbrs []uint32) { g.base[u] = nbrs }
+// SetBaseNeighbors replaces the base out-edges of u. Like every setter
+// here it may keep nbrs as the graph's storage.
+func (g *Graph) SetBaseNeighbors(u uint32, nbrs []uint32) {
+	a := nbrs[:len(nbrs):len(nbrs)]
+	for _, e := range g.extra[u] {
+		a = append(a, e.To)
+	}
+	g.adj[u] = a
+	g.nBase[u] = uint32(len(nbrs))
+}
 
 // AddBaseEdge appends a base out-edge u→v if not already present.
 // It reports whether the edge was added.
@@ -115,24 +135,24 @@ func (g *Graph) AddBaseEdge(u, v uint32) bool {
 	if u == v {
 		return false
 	}
-	for _, w := range g.base[u] {
+	for _, w := range g.BaseNeighbors(u) {
 		if w == v {
 			return false
 		}
 	}
-	g.base[u] = append(g.base[u], v)
+	nb := g.nBase[u]
+	a := append(g.adj[u], 0)
+	copy(a[nb+1:], a[nb:])
+	a[nb] = v
+	g.adj[u] = a
+	g.nBase[u]++
 	return true
 }
 
 // HasEdge reports whether u→v exists in either segment.
 func (g *Graph) HasEdge(u, v uint32) bool {
-	for _, w := range g.base[u] {
+	for _, w := range g.adj[u] {
 		if w == v {
-			return true
-		}
-	}
-	for _, e := range g.extra[u] {
-		if e.To == v {
 			return true
 		}
 	}
@@ -146,7 +166,7 @@ func (g *Graph) AddExtraEdge(u, v uint32, eh uint16) bool {
 	if u == v {
 		return false
 	}
-	for _, w := range g.base[u] {
+	for _, w := range g.BaseNeighbors(u) {
 		if w == v {
 			return false
 		}
@@ -162,6 +182,7 @@ func (g *Graph) AddExtraEdge(u, v uint32, eh uint16) bool {
 		}
 	}
 	g.extra[u] = append(g.extra[u], ExtraEdge{To: v, EH: eh})
+	g.adj[u] = append(g.adj[u], v)
 	g.markExtraDirty(u)
 	return true
 }
@@ -171,6 +192,8 @@ func (g *Graph) RemoveExtraEdge(u, v uint32) bool {
 	for i, e := range g.extra[u] {
 		if e.To == v {
 			g.extra[u] = append(g.extra[u][:i], g.extra[u][i+1:]...)
+			j := int(g.nBase[u]) + i
+			g.adj[u] = append(g.adj[u][:j], g.adj[u][j+1:]...)
 			g.markExtraDirty(u)
 			return true
 		}
@@ -181,6 +204,11 @@ func (g *Graph) RemoveExtraEdge(u, v uint32) bool {
 // SetExtraNeighbors replaces the extra out-edges of u.
 func (g *Graph) SetExtraNeighbors(u uint32, edges []ExtraEdge) {
 	g.extra[u] = edges
+	a := g.adj[u][:g.nBase[u]]
+	for _, e := range edges {
+		a = append(a, e.To)
+	}
+	g.adj[u] = a
 	g.markExtraDirty(u)
 }
 
@@ -219,7 +247,7 @@ func (g *Graph) TakeExtraMutations() []uint32 {
 func (g *Graph) ExtraDegree(u uint32) int { return len(g.extra[u]) }
 
 // Degree returns the total out-degree of u.
-func (g *Graph) Degree(u uint32) int { return len(g.base[u]) + len(g.extra[u]) }
+func (g *Graph) Degree(u uint32) int { return len(g.adj[u]) }
 
 // AvgDegree returns the mean total out-degree over live vertices.
 func (g *Graph) AvgDegree() float64 {
@@ -227,7 +255,7 @@ func (g *Graph) AvgDegree() float64 {
 		return 0
 	}
 	total := 0
-	for u := range g.base {
+	for u := range g.adj {
 		if !g.deleted[u] {
 			total += g.Degree(uint32(u))
 		}
@@ -237,8 +265,8 @@ func (g *Graph) AvgDegree() float64 {
 
 // EdgeCount returns (base, extra) directed edge totals over all vertices.
 func (g *Graph) EdgeCount() (base, extra int) {
-	for u := range g.base {
-		base += len(g.base[u])
+	for u := range g.adj {
+		base += int(g.nBase[u])
 		extra += len(g.extra[u])
 	}
 	return base, extra
@@ -273,7 +301,8 @@ func (g *Graph) DeletedCount() int { return g.nDel }
 // returning its id. The vector matrix must be the one the graph owns.
 func (g *Graph) AppendVertex(v []float32) uint32 {
 	id := g.Vectors.Append(v)
-	g.base = append(g.base, nil)
+	g.adj = append(g.adj, nil)
+	g.nBase = append(g.nBase, 0)
 	g.extra = append(g.extra, nil)
 	g.deleted = append(g.deleted, false)
 	if g.Metric == vec.Cosine {
@@ -325,13 +354,23 @@ func (g *Graph) Medoid() uint32 {
 }
 
 // Validate checks structural invariants (ids in range, no self loops, no
-// duplicate out-edges within a segment, no base/extra overlap) and returns
-// a descriptive error for the first violation found.
+// duplicate out-edges within a segment, no base/extra overlap, the search
+// range in step with both segments) and returns a descriptive error for
+// the first violation found.
 func (g *Graph) Validate() error {
 	n := uint32(g.Len())
-	for u := range g.base {
-		seen := make(map[uint32]bool, g.Degree(uint32(u)))
-		for _, v := range g.base[u] {
+	for u := range g.adj {
+		uu := uint32(u)
+		if int(g.nBase[u])+len(g.extra[u]) != len(g.adj[u]) {
+			return fmt.Errorf("graph: vertex %d search range holds %d ids for %d base + %d extra edges", u, len(g.adj[u]), g.nBase[u], len(g.extra[u]))
+		}
+		for i, e := range g.extra[u] {
+			if g.adj[u][int(g.nBase[u])+i] != e.To {
+				return fmt.Errorf("graph: vertex %d search range disagrees with extra edge %d", u, i)
+			}
+		}
+		seen := make(map[uint32]bool, g.Degree(uu))
+		for _, v := range g.BaseNeighbors(uu) {
 			if v >= n {
 				return fmt.Errorf("graph: vertex %d has base edge to out-of-range %d", u, v)
 			}
@@ -369,15 +408,16 @@ func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		Vectors:    g.Vectors.Clone(),
 		Metric:     g.Metric,
-		base:       make([][]uint32, len(g.base)),
+		adj:        make([][]uint32, len(g.adj)),
+		nBase:      append([]uint32(nil), g.nBase...),
 		extra:      make([][]ExtraEdge, len(g.extra)),
 		deleted:    append([]bool(nil), g.deleted...),
 		nDel:       g.nDel,
 		norms:      append([]float32(nil), g.norms...),
 		EntryPoint: g.EntryPoint,
 	}
-	for i := range g.base {
-		c.base[i] = append([]uint32(nil), g.base[i]...)
+	for i := range g.adj {
+		c.adj[i] = append([]uint32(nil), g.adj[i]...)
 		c.extra[i] = append([]ExtraEdge(nil), g.extra[i]...)
 	}
 	return c

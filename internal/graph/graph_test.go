@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ngfix/internal/vec"
@@ -73,23 +74,91 @@ func TestGraphEdgeOps(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := New(gridVectors(t, 3), vec.L2)
-	g.base[0] = []uint32{0}
+	g.SetBaseNeighbors(0, []uint32{0})
 	if err := g.Validate(); err == nil {
 		t.Fatal("self loop not caught")
 	}
-	g.base[0] = []uint32{1, 1}
+	g.SetBaseNeighbors(0, []uint32{1, 1})
 	if err := g.Validate(); err == nil {
 		t.Fatal("duplicate not caught")
 	}
-	g.base[0] = []uint32{7}
+	g.SetBaseNeighbors(0, []uint32{7})
 	if err := g.Validate(); err == nil {
 		t.Fatal("out of range not caught")
 	}
-	g.base[0] = []uint32{1}
-	g.extra[0] = []ExtraEdge{{To: 1, EH: 0}}
+	g.SetBaseNeighbors(0, []uint32{1})
+	g.SetExtraNeighbors(0, []ExtraEdge{{To: 1, EH: 0}})
 	if err := g.Validate(); err == nil {
 		t.Fatal("cross-segment duplicate not caught")
 	}
+	g.SetExtraNeighbors(0, []ExtraEdge{{To: 2, EH: 0}})
+	if err := g.Validate(); err != nil {
+		t.Fatalf("repaired graph: %v", err)
+	}
+	g.adj[0][1] = 1
+	if err := g.Validate(); err == nil {
+		t.Fatal("search range out of step with the extra edges not caught")
+	}
+	g.adj[0] = g.adj[0][:1]
+	if err := g.Validate(); err == nil {
+		t.Fatal("search range missing an extra edge not caught")
+	}
+}
+
+// TestSearchRangeFollowsMutations drives every adjacency mutator through
+// an interleaving and checks after each step that the range a search hop
+// reads is exactly the base edges followed by the extra edges, that
+// BaseNeighbors cannot be appended into the graph, and that Clone keeps
+// the two in step.
+func TestSearchRangeFollowsMutations(t *testing.T) {
+	g := New(gridVectors(t, 10), vec.L2)
+	check := func(step string) {
+		t.Helper()
+		for u := 0; u < g.Len(); u++ {
+			uu := uint32(u)
+			want := append([]uint32(nil), g.BaseNeighbors(uu)...)
+			for _, e := range g.ExtraNeighbors(uu) {
+				want = append(want, e.To)
+			}
+			if got := g.adj[u]; !slices.Equal(got, want) {
+				t.Fatalf("%s: vertex %d range %v, want %v", step, u, got, want)
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	g.AddExtraEdge(0, 5, 3)
+	g.AddExtraEdge(0, 6, 1)
+	check("extras first")
+	g.AddBaseEdge(0, 1)
+	g.AddBaseEdge(0, 2)
+	check("base edges inserted before the extras")
+	_ = append(g.BaseNeighbors(0), 9)
+	check("append to a BaseNeighbors result")
+	g.RemoveExtraEdge(0, 5)
+	check("extra removed")
+	base := g.BaseNeighbors(0)
+	kept := base[:0]
+	for _, v := range base {
+		if v != 1 {
+			kept = append(kept, v)
+		}
+	}
+	g.SetBaseNeighbors(0, kept)
+	check("base filtered in place")
+	g.SetExtraNeighbors(0, []ExtraEdge{{To: 7, EH: 2}, {To: 8, EH: 4}})
+	g.AddExtraEdge(0, 7, 9)
+	check("extras replaced, EH raised")
+	id := g.AppendVertex(make([]float32, g.Dim()))
+	g.AddBaseEdge(id, 0)
+	g.AddExtraEdge(0, id, 1)
+	check("appended vertex")
+	c := g.Clone()
+	c.AddExtraEdge(0, 3, 1)
+	check("clone mutated")
+	g = c
+	check("clone")
 }
 
 func TestDeleteTracking(t *testing.T) {

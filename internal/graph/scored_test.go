@@ -15,13 +15,9 @@ type exactScorer struct {
 	q []float32
 }
 
-func (s *exactScorer) ScoreID(id uint32) float32 {
-	return s.g.Metric.Distance(s.q, s.g.Vectors.Row(int(id)))
-}
-
 func (s *exactScorer) ScoreIDs(ids []uint32, out []float32) {
 	for i, id := range ids {
-		out[i] = s.ScoreID(id)
+		out[i] = s.g.Metric.Distance(s.q, s.g.Vectors.Row(int(id)))
 	}
 }
 

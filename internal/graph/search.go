@@ -40,21 +40,17 @@ const cancelCheckEvery = 32
 type Searcher struct {
 	g       *Graph
 	visited *minheap.Visited
-	cand    *minheap.Min
-	results *minheap.Bounded
+	beam    Beam
+	rows    rowScorer
 
-	// pool collects every live scored vertex during a scored search (the
-	// compressed seam's rerank candidates); nil until the first scored
-	// search asks for one.
-	pool *minheap.Bounded
-
-	// gatherIDs/gatherD are the batched-scoring scratch: per hop, the
-	// unvisited neighbors of the expanded vertex are gathered into
-	// gatherIDs and scored with one vec batch call into gatherD before
-	// heap admission. Sized to the largest out-degree seen, reused across
-	// hops and searches.
+	// gatherIDs/gatherD are the per-hop batch: the unvisited neighbours of
+	// the expanded vertex and their scores from one Scorer call. Sized to
+	// the largest out-degree seen, reused across hops and searches.
 	gatherIDs []uint32
 	gatherD   []float32
+
+	// pooled backs the slice SearchScoredPoolCtx returns.
+	pooled []Result
 
 	// CollectVisited, when true, records every vertex whose distance was
 	// evaluated during the search, in evaluation order. RFix uses this to
@@ -66,12 +62,7 @@ type Searcher struct {
 
 // NewSearcher returns a searcher bound to g.
 func NewSearcher(g *Graph) *Searcher {
-	return &Searcher{
-		g:       g,
-		visited: minheap.NewVisited(g.Len()),
-		cand:    minheap.NewMin(256),
-		results: minheap.NewBounded(16),
-	}
+	return &Searcher{g: g, visited: minheap.NewVisited(g.Len())}
 }
 
 // Search runs Algorithm 1 from the graph's default entry point and returns
@@ -92,10 +83,11 @@ func (s *Searcher) SearchFrom(q []float32, k, L int, entry uint32) ([]Result, St
 }
 
 // SearchFromCtx is the paper's Algorithm 1 (greedy / beam search) with
-// cooperative cancellation: a candidate min-heap seeded with the entry
-// point, a bounded result set of size L; each step expands the closest
-// unexpanded candidate and stops when that candidate is farther than the
-// worst result.
+// exact distances and cooperative cancellation: from entry, repeatedly
+// expand the closest unexpanded candidate among the L best seen so far,
+// and stop when none is left (see Beam). It returns the k closest live
+// vertices found, with Stats.NDC counting every distance evaluated.
+// Tombstoned vertices are navigated through but never returned.
 //
 // ctx (nil means never cancelled) is polled every cancelCheckEvery hop
 // expansions; when it is cancelled or past its deadline the search stops
@@ -110,98 +102,12 @@ func (s *Searcher) SearchFromCtx(ctx context.Context, q []float32, k, L int, ent
 	if L < k {
 		L = k
 	}
-	var st Stats
-	s.visited.Grow(g.Len())
-	s.visited.Reset()
-	s.cand.Reset()
-	s.results.Reset(L)
-	if s.CollectVisited {
-		s.Visited = s.Visited[:0]
-	}
-
-	// Tombstoned vertices follow the paper's lazy-delete semantics: they
-	// are navigated through (candidate heap) but never occupy a result
-	// slot, so heavy tombstoning cannot crowd live answers out of the
-	// search list.
-	//
 	// The distancer is prepared once per search: metric dispatch and (for
 	// cosine) the query norm are hoisted out of the loop, and the graph's
 	// row-norm cache kills the per-evaluation row-norm recomputation.
-	qd := vec.NewQueryDistancer(g.Metric, q, g.norms)
-	entryDist := qd.RowDistance(g.Vectors, entry)
-	s.visited.Visit(entry)
-	if s.CollectVisited {
-		s.Visited = append(s.Visited, Result{ID: entry, Dist: entryDist})
-	}
-	s.cand.Push(minheap.Item{ID: entry, Dist: entryDist})
-	if !g.deleted[entry] {
-		s.results.Push(minheap.Item{ID: entry, Dist: entryDist})
-	}
-
-	for s.cand.Len() > 0 {
-		if ctx != nil && st.Hops%cancelCheckEvery == 0 && ctx.Err() != nil {
-			st.Truncated = true
-			break
-		}
-		cur := s.cand.Pop()
-		if worst, ok := s.results.MaxDist(); ok && s.results.Full() && cur.Dist > worst {
-			break
-		}
-		st.Hops++
-
-		// Score in batches: gather the unvisited neighbors of the expanded
-		// vertex (base + extra edges), score them with one batch kernel
-		// call — a linear scan over row-major memory — then do heap
-		// admission in gather order. Admission order, visited semantics,
-		// and NDC are identical to evaluating one neighbor at a time: the
-		// only difference is that distances whose WouldAccept check fails
-		// are computed before the check instead of inline, and the seed
-		// loop computed those distances too.
-		ids := s.gatherIDs[:0]
-		for _, v := range g.base[cur.ID] {
-			if !s.visited.Visit(v) {
-				ids = append(ids, v)
-			}
-		}
-		for _, e := range g.extra[cur.ID] {
-			if !s.visited.Visit(e.To) {
-				ids = append(ids, e.To)
-			}
-		}
-		s.gatherIDs = ids
-		if len(ids) == 0 {
-			continue
-		}
-		if cap(s.gatherD) < len(ids) {
-			s.gatherD = make([]float32, len(ids)+16)
-		}
-		dists := s.gatherD[:len(ids)]
-		qd.RowDistances(g.Vectors, ids, dists)
-
-		for i, v := range ids {
-			d := dists[i]
-			if s.CollectVisited {
-				s.Visited = append(s.Visited, Result{ID: v, Dist: d})
-			}
-			if s.results.WouldAccept(d) {
-				s.cand.Push(minheap.Item{ID: v, Dist: d})
-				if !g.deleted[v] {
-					s.results.Push(minheap.Item{ID: v, Dist: d})
-				}
-			}
-		}
-	}
-	st.NDC = qd.Count
-
-	items := s.results.SortedAscending()
-	if len(items) > k {
-		items = items[:k]
-	}
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = Result{ID: it.ID, Dist: it.Dist}
-	}
-	return out, st
+	s.rows = rowScorer{m: g.Vectors, qd: vec.NewQueryDistancer(g.Metric, q, g.norms)}
+	st := s.search(ctx, &s.rows, L, L, entry)
+	return s.beam.appendLive(make([]Result, 0, min(k, len(s.beam.e)-s.beam.dead)), k), st
 }
 
 // IDs extracts the vertex ids from results.

@@ -23,13 +23,8 @@ func InducedSubgraph(g *Graph, nnIDs []uint32) *Subgraph {
 	}
 	sg := &Subgraph{IDs: append([]uint32(nil), nnIDs...), Adj: make([][]int, len(nnIDs))}
 	for i, id := range nnIDs {
-		for _, v := range g.base[id] {
+		for _, v := range g.adj[id] {
 			if j, ok := local[v]; ok {
-				sg.Adj[i] = append(sg.Adj[i], j)
-			}
-		}
-		for _, e := range g.extra[id] {
-			if j, ok := local[e.To]; ok {
 				sg.Adj[i] = append(sg.Adj[i], j)
 			}
 		}

@@ -1,6 +1,8 @@
 package hnsw
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -155,6 +157,56 @@ func TestBuildMatchesReference(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.links, want.links) {
 				t.Fatalf("%s/%v: adjacency differs from the reference builder", vec.KernelName(), metric)
+			}
+		}
+	}
+}
+
+// adjacencyHash is FNV-1a over the entry point, the top level and every
+// vertex's per-level out-lists in order.
+func adjacencyHash(idx *Index) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	put := func(v uint32) {
+		binary.LittleEndian.PutUint32(b[:], v)
+		h.Write(b[:])
+	}
+	put(idx.entry)
+	put(uint32(idx.maxLevel))
+	for _, levels := range idx.links {
+		put(uint32(len(levels)))
+		for _, ls := range levels {
+			put(uint32(len(ls)))
+			for _, v := range ls {
+				put(v)
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestBuildAdjacencyPinned pins the graph a seeded build produces, per
+// kernel arm (the arms round differently, so each builds its own graph).
+// The hashes were recorded from the heap-based builder; a change to the
+// search or the kernels that alters a single edge fails here.
+func TestBuildAdjacencyPinned(t *testing.T) {
+	pinned := map[string]map[vec.Metric]uint64{
+		"avx2":   {vec.L2: 0x31a887af42dd035f, vec.Cosine: 0x4acda96720ada079},
+		"scalar": {vec.L2: 0x31a887af42dd035f, vec.Cosine: 0x4acda96720ada079},
+	}
+	defer vec.SetSIMD(true)
+	m := randomMatrix(23, 3000, 32)
+	for _, simd := range []bool{false, true} {
+		vec.SetSIMD(simd)
+		want, ok := pinned[vec.KernelName()]
+		if !ok {
+			t.Logf("no pinned hash for kernel %s", vec.KernelName())
+			continue
+		}
+		for _, metric := range []vec.Metric{vec.L2, vec.Cosine} {
+			got := adjacencyHash(Build(m, Config{M: 8, EFConstruction: 64, Metric: metric, Seed: 5}))
+			if got != want[metric] {
+				t.Errorf("%s/%v: adjacency hash %#x, pinned %#x", vec.KernelName(), metric, got, want[metric])
 			}
 		}
 	}

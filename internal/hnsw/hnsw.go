@@ -57,16 +57,23 @@ type Index struct {
 // it per call would cost an O(n) visited set per level per insert.
 type levelScratch struct {
 	visited *minheap.Visited
-	cand    *minheap.Min
-	results *minheap.Bounded
+	beam    graph.Beam
+	ids     []uint32  // one hop's unvisited neighbours
+	dists   []float32 // and their distances
 }
 
-func newLevelScratch(n, ef int) levelScratch {
-	return levelScratch{
-		visited: minheap.NewVisited(n),
-		cand:    minheap.NewMin(ef),
-		results: minheap.NewBounded(ef),
+func newLevelScratch(n int) levelScratch {
+	return levelScratch{visited: minheap.NewVisited(n)}
+}
+
+// score fills sc.dists with qd's distances to ids through one gather call.
+func (idx *Index) score(qd *vec.QueryDistancer, sc *levelScratch, ids []uint32) []float32 {
+	if cap(sc.dists) < len(ids) {
+		sc.dists = make([]float32, len(ids)+16)
 	}
+	d := sc.dists[:len(ids)]
+	qd.RowDistances(idx.vectors, ids, d)
+	return d
 }
 
 // Build constructs an HNSW index over the given vectors by sequential
@@ -90,7 +97,7 @@ func Build(vectors *vec.Matrix, cfg Config) *Index {
 	if cfg.Metric == vec.Cosine {
 		idx.norms = vec.RowNorms(vectors)
 	}
-	idx.build = newLevelScratch(n, cfg.EFConstruction)
+	idx.build = newLevelScratch(n)
 	for i := 0; i < n; i++ {
 		idx.insert(uint32(i))
 	}
@@ -132,12 +139,12 @@ func (idx *Index) insert(id uint32) {
 		return
 	}
 
-	qd := vec.NewQueryDistancer(idx.cfg.Metric, idx.vectors.Row(int(id)), idx.norms)
+	qd := idx.rowDistancer(id)
 	ep := idx.entry
 	epDist := qd.RowDistance(idx.vectors, ep)
 	// Greedy descent through levels above the new node's level.
 	for l := idx.maxLevel; l > level; l-- {
-		ep, epDist = idx.greedyStep(&qd, ep, epDist, l)
+		ep, epDist = idx.greedyStep(&qd, &idx.build, ep, epDist, l)
 	}
 	// Beam search + connect on each level from min(level, maxLevel) down.
 	top := level
@@ -178,7 +185,7 @@ func (idx *Index) connect(u, v uint32, dist float32, l int) {
 	ls = append(ls, v)
 	max := idx.maxDegree(l)
 	if len(ls) > max {
-		ud := vec.NewQueryDistancer(idx.cfg.Metric, idx.vectors.Row(int(u)), idx.norms)
+		ud := idx.rowDistancer(u)
 		cands := make([]graph.Candidate, len(ls))
 		for i, w := range ls {
 			cands[i] = graph.Candidate{ID: w, Dist: ud.RowDistance(idx.vectors, w)}
@@ -194,14 +201,25 @@ func (idx *Index) connect(u, v uint32, dist float32, l int) {
 	_ = dist
 }
 
-// greedyStep walks one level greedily until no neighbor improves.
-func (idx *Index) greedyStep(qd *vec.QueryDistancer, ep uint32, epDist float32, l int) (uint32, float32) {
+// rowDistancer prepares distances from row id to other rows, taking its
+// norm from the cache instead of recomputing it.
+func (idx *Index) rowDistancer(id uint32) vec.QueryDistancer {
+	var norm float32
+	if idx.norms != nil {
+		norm = idx.norms[id]
+	}
+	return vec.NewQueryDistancerNorm(idx.cfg.Metric, idx.vectors.Row(int(id)), norm, idx.norms)
+}
+
+// greedyStep walks one level greedily until no neighbor improves, scoring
+// each visited list in one gather call.
+func (idx *Index) greedyStep(qd *vec.QueryDistancer, sc *levelScratch, ep uint32, epDist float32, l int) (uint32, float32) {
 	for {
 		improved := false
-		for _, v := range idx.neighborsAt(ep, l) {
-			d := qd.RowDistance(idx.vectors, v)
+		nbrs := idx.neighborsAt(ep, l)
+		for i, d := range idx.score(qd, sc, nbrs) {
 			if d < epDist {
-				ep, epDist = v, d
+				ep, epDist = nbrs[i], d
 				improved = true
 			}
 		}
@@ -220,37 +238,30 @@ func (idx *Index) neighborsAt(u uint32, l int) []uint32 {
 }
 
 // searchLevel is beam search restricted to one level, returning up to ef
-// candidates in ascending distance. Distances come from qd (which counts
-// them); sc is reset here and must not be shared by concurrent calls.
+// candidates in ascending distance. It runs on graph.Beam, the
+// candidate list of the graph package's beam loop, with each hop's
+// unvisited neighbours scored in one gather call. Distances come from qd
+// (which counts them); sc is reset here and must not be shared by
+// concurrent calls.
 func (idx *Index) searchLevel(qd *vec.QueryDistancer, sc *levelScratch, ep uint32, epDist float32, ef, l int) []graph.Candidate {
-	visited, cand, results := sc.visited, sc.cand, sc.results
-	visited.Reset()
-	cand.Reset()
-	results.Reset(ef)
-
-	visited.Visit(ep)
-	cand.Push(minheap.Item{ID: ep, Dist: epDist})
-	results.Push(minheap.Item{ID: ep, Dist: epDist})
-	for cand.Len() > 0 {
-		cur := cand.Pop()
-		if worst, ok := results.MaxDist(); ok && results.Full() && cur.Dist > worst {
+	sc.visited.Reset()
+	sc.visited.Visit(ep)
+	sc.beam.Reset(ef, ef)
+	sc.ids = append(sc.ids[:0], ep)
+	sc.dists = append(sc.dists[:0], epDist)
+	sc.beam.Push(sc.ids, sc.dists, nil)
+	for {
+		cur, ok := sc.beam.Next()
+		if !ok {
 			break
 		}
-		for _, v := range idx.neighborsAt(cur.ID, l) {
-			if visited.Visit(v) {
-				continue
-			}
-			d := qd.RowDistance(idx.vectors, v)
-			if results.WouldAccept(d) {
-				cand.Push(minheap.Item{ID: v, Dist: d})
-				results.Push(minheap.Item{ID: v, Dist: d})
-			}
-		}
+		sc.ids = sc.visited.AppendUnvisited(sc.ids[:0], idx.neighborsAt(cur, l))
+		sc.beam.Push(sc.ids, idx.score(qd, sc, sc.ids), nil)
 	}
-	items := results.SortedAscending()
-	out := make([]graph.Candidate, len(items))
-	for i, it := range items {
-		out[i] = graph.Candidate{ID: it.ID, Dist: it.Dist}
+	entries := sc.beam.Entries()
+	out := make([]graph.Candidate, len(entries))
+	for i, e := range entries {
+		out[i] = graph.Candidate{ID: e.ID(), Dist: e.Dist}
 	}
 	return out
 }
@@ -266,12 +277,12 @@ func (idx *Index) Search(q []float32, k, ef int) ([]graph.Result, graph.Stats) {
 		ef = k
 	}
 	qd := vec.NewQueryDistancer(idx.cfg.Metric, q, idx.norms)
+	sc := newLevelScratch(len(idx.links))
 	ep := idx.entry
 	epDist := qd.RowDistance(idx.vectors, ep)
 	for l := idx.maxLevel; l >= 1; l-- {
-		ep, epDist = idx.greedyStep(&qd, ep, epDist, l)
+		ep, epDist = idx.greedyStep(&qd, &sc, ep, epDist, l)
 	}
-	sc := newLevelScratch(len(idx.links), ef)
 	cands := idx.searchLevel(&qd, &sc, ep, epDist, ef, 0)
 	if len(cands) > k {
 		cands = cands[:k]

@@ -55,7 +55,11 @@ func linkBack(g *graph.Graph, u, v uint32, cap int) {
 	if len(nbrs) <= cap {
 		return
 	}
-	ud := vec.NewQueryDistancer(g.Metric, g.Vectors.Row(int(u)), g.RowNorms())
+	var norm float32
+	if norms := g.RowNorms(); norms != nil {
+		norm = norms[u]
+	}
+	ud := vec.NewQueryDistancerNorm(g.Metric, g.Vectors.Row(int(u)), norm, g.RowNorms())
 	cands := make([]graph.Candidate, len(nbrs))
 	for i, w := range nbrs {
 		cands[i] = graph.Candidate{ID: w, Dist: ud.RowDistance(g.Vectors, w)}

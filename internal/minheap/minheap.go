@@ -1,9 +1,12 @@
-// Package minheap provides the two priority queues that drive graph-based
-// beam search (Algorithm 1 of the paper): a min-heap candidate queue
-// ordered by distance to the query, and a bounded max-heap result set that
-// keeps the L closest points seen so far and evicts the farthest when full.
+// Package minheap provides the selection structures around graph search:
+// a bounded max-heap that keeps the k closest (id, dist) pairs seen — the
+// top-k of a brute-force scan, a kNN-graph row, or the exact rerank of a
+// compressed search — a min-heap, and the bitset visited set every beam
+// search marks its scored vertices in. The beam search itself
+// (Algorithm 1) runs on graph.Beam, one sorted candidate list, not on
+// these heaps.
 //
-// Both heaps store (id, dist) pairs inline to avoid interface boxing and
+// The heaps store (id, dist) pairs inline to avoid interface boxing and
 // per-push allocation; they are reused across searches through Reset.
 package minheap
 

@@ -2,6 +2,7 @@ package minheap
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -175,18 +176,52 @@ func TestVisited(t *testing.T) {
 	}
 }
 
-func TestVisitedEpochWrap(t *testing.T) {
-	v := NewVisited(4)
-	v.epoch = ^uint32(0) - 1
-	v.Visit(1)
-	v.Reset() // epoch -> max
-	v.Visit(2)
-	v.Reset() // wraps to 0 -> storage cleared, epoch 1
-	if v.Test(1) || v.Test(2) {
-		t.Fatal("marks survived epoch wrap")
+// TestVisitedGrowGeometric checks that growing one id at a time, as a
+// pooled searcher does behind a graph taking inserts, reallocates only
+// when the space doubles and never loses a mark.
+func TestVisitedGrowGeometric(t *testing.T) {
+	v := NewVisited(8)
+	v.Visit(7)
+	reallocs := 0
+	for n := 9; n <= 1000; n++ {
+		before := &v.bits[0]
+		v.Grow(n)
+		if &v.bits[0] != before {
+			reallocs++
+		}
+		if v.n < n || len(v.bits)*64 < n {
+			t.Fatalf("Grow(%d) left %d ids", n, v.n)
+		}
+		if v.Visit(uint32(n-1)) || !v.Test(7) {
+			t.Fatalf("Grow(%d) lost or invented a mark", n)
+		}
 	}
-	if v.Visit(0) {
-		t.Fatal("id 0 should be unvisited after wrap")
+	if reallocs > 7 { // 8 ids → 16 → … → 1024
+		t.Fatalf("%d reallocations growing 8 → 1000 one id at a time", reallocs)
+	}
+}
+
+// TestVisitedResetForgetsMarks checks that no mark survives a Reset,
+// across word boundaries and a Grow, and that AppendUnvisited agrees with
+// Visit.
+func TestVisitedResetForgetsMarks(t *testing.T) {
+	v := NewVisited(130)
+	for round := 0; round < 3; round++ {
+		for _, id := range []uint32{0, 63, 64, 127, 129} {
+			if v.Visit(id) {
+				t.Fatalf("round %d: id %d marked before its first visit", round, id)
+			}
+		}
+		if got := v.AppendUnvisited(nil, []uint32{1, 63, 1, 128, 64, 2}); !slices.Equal(got, []uint32{1, 128, 2}) {
+			t.Fatalf("round %d: AppendUnvisited = %v, want [1 128 2]", round, got)
+		}
+		v.Reset()
+		for id := uint32(0); id < 130; id++ {
+			if v.Test(id) {
+				t.Fatalf("round %d: id %d survived Reset", round, id)
+			}
+		}
+		v.Grow(200 + 100*round)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"ngfix/internal/graph"
 	"ngfix/internal/minheap"
+	"ngfix/internal/vec"
 )
 
 // GraphSearcher runs beam search over a graph index scoring candidates
@@ -13,18 +14,20 @@ import (
 // re-ranked candidate instead of per visited vertex.
 //
 // The beam is bounded at ef — exactly like the full-precision searcher,
-// so ef buys the same breadth/cost trade-off in both domains — while a
-// separate pool (of size Rerank, default 4·k) collects the ADC-best
-// vertices seen anywhere during navigation for the exact rerank. The two
-// bounds are independent: a wide rerank pool no longer widens the beam
-// (the historical bug this type shipped with), and a small ef no longer
-// starves the rerank set.
+// so ef buys the same breadth/cost trade-off in both domains — while the
+// rerank pool (of size Rerank, default 4·k) is the ADC-best live vertices
+// seen anywhere during navigation: the prefix of the beam's own candidate
+// list (graph.Beam). The two bounds are independent: a wide rerank pool
+// does not widen the beam, and a small ef does not starve the rerank set.
 type GraphSearcher struct {
 	g *graph.Graph
 	s *graph.Searcher
 	// ts scores through the per-query ADC table, rebuilt in place for each
 	// search: one M·KS buffer per searcher, not per query.
 	ts tableScorer
+	// reranked keeps the exact top-k of the rerank pool, reused across
+	// searches.
+	reranked *minheap.Bounded
 	// Rerank is how many ADC-best candidates get exact re-ranking
 	// (default 4·k at search time when zero).
 	Rerank int
@@ -40,33 +43,40 @@ func NewGraphSearcher(g *graph.Graph, q *Quantizer) *GraphSearcher {
 	if q.Rows() != g.Len() {
 		panic("pq: quantizer rows != graph size")
 	}
-	return &GraphSearcher{g: g, s: graph.NewSearcher(g), ts: tableScorer{q: q}}
+	return &GraphSearcher{g: g, s: graph.NewSearcher(g), ts: tableScorer{q: q}, reranked: minheap.NewBounded(1)}
 }
 
 // tableScorer adapts a per-query ADC table to the graph.Scorer seam.
 type tableScorer struct {
 	q *Quantizer
 	t Table
+	// wide is t with every subspace's row padded to vec.ADCStride entries
+	// (t itself when KS is that already), the layout vec.ADCRows reads.
+	wide []float32
 }
 
-func (ts *tableScorer) ScoreID(id uint32) float32 { return ts.q.ADC(ts.t, int(id)) }
-
-// ScoreIDs is the per-hop batched gather: for each gathered neighbor it
-// walks that row's M contiguous code bytes through the table — all the
-// memory traffic is the code array (M bytes/vertex) and the table (KS·M
-// floats, cache-resident for the whole query).
-func (ts *tableScorer) ScoreIDs(ids []uint32, out []float32) {
-	q, t := ts.q, ts.t
-	m, ks := q.cfg.M, q.cfg.KS
-	codes := q.codes
-	for i, id := range ids {
-		code := codes[int(id)*m : int(id)*m+m]
-		var s float32
-		for j, c := range code {
-			s += t[j*ks+int(c)]
-		}
-		out[i] = s
+// prepare builds the query's table in place, and its wide form.
+func (ts *tableScorer) prepare(query []float32) {
+	ts.t = ts.q.BuildTableInto(ts.t, query)
+	m, ks := ts.q.cfg.M, ts.q.cfg.KS
+	if ks == vec.ADCStride {
+		ts.wide = ts.t
+		return
 	}
+	if len(ts.wide) != m*vec.ADCStride {
+		ts.wide = make([]float32, m*vec.ADCStride)
+	}
+	for j := 0; j < m; j++ {
+		copy(ts.wide[j*vec.ADCStride:], ts.t[j*ks:(j+1)*ks])
+	}
+}
+
+// ScoreIDs is the per-hop batched gather: one kernel call walks every
+// gathered neighbour's M contiguous code bytes through the table — all the
+// memory traffic is the code array (M bytes/vertex) and the table (KS·M
+// floats, cache-resident for the whole query). Each score has ADC's bits.
+func (ts *tableScorer) ScoreIDs(ids []uint32, out []float32) {
+	vec.ADCRows(ts.wide, ts.q.codes, ts.q.cfg.M, ids, out)
 }
 
 // Search is SearchCtx without cancellation.
@@ -98,26 +108,29 @@ func (s *GraphSearcher) SearchCtx(ctx context.Context, query []float32, k, ef in
 	if rerank < k {
 		rerank = k
 	}
-	s.ts.t = s.ts.q.BuildTableInto(s.ts.t, query)
+	s.ts.prepare(query)
 	pool, st := s.s.SearchScoredPoolCtx(ctx, &s.ts, ef, rerank, g.EntryPoint)
 
 	// Exact re-rank of the ADC-best candidates from the full-precision
-	// tier (graph vectors unless a demoted tier is attached).
+	// tier (graph vectors unless a demoted tier is attached). The tier's
+	// rows are the graph's rows, so the graph's norm cache describes them:
+	// one dot product per cosine candidate, with Metric.Distance's bits.
 	rowOf := g.Vectors.Row
 	if s.Tier != nil {
 		rowOf = s.Tier.Row
 	}
-	reranked := minheap.NewBounded(k)
+	qd := vec.NewQueryDistancer(g.Metric, query, g.RowNorms())
+	reranked := s.reranked
+	reranked.Reset(k)
 	for _, it := range pool {
-		d := g.Metric.Distance(query, rowOf(int(it.ID)))
-		st.NDC++
-		if reranked.WouldAccept(d) {
+		if d := qd.Score(rowOf(int(it.ID)), it.ID); reranked.WouldAccept(d) {
 			reranked.Push(minheap.Item{ID: it.ID, Dist: d})
 		}
 	}
-	final := reranked.SortedAscending()
-	out := make([]graph.Result, len(final))
-	for i, it := range final {
+	st.NDC += qd.Count
+	out := make([]graph.Result, reranked.Len())
+	for i := len(out) - 1; i >= 0; i-- {
+		it := reranked.PopMax()
 		out[i] = graph.Result{ID: it.ID, Dist: it.Dist}
 	}
 	return out, st

@@ -3,8 +3,11 @@ package pq
 import (
 	"bytes"
 	"context"
+	"math"
+	"sort"
 	"testing"
 
+	"ngfix/internal/graph"
 	"ngfix/internal/hnsw"
 	"ngfix/internal/vec"
 )
@@ -152,5 +155,76 @@ func TestAppendRowMatchesBatchEncode(t *testing.T) {
 	}
 	if q.Rows() != 305 || q.CodeBytes() != 305*4 {
 		t.Fatalf("shape after appends: rows=%d bytes=%d", q.Rows(), q.CodeBytes())
+	}
+}
+
+// TestScoreIDsMatchesADC pins the batch scorer to ADC bit for bit, on
+// both kernel arms, for every batch length around the kernel's four-row
+// groups, at the serving shape's M and KS and at narrower tables.
+func TestScoreIDsMatchesADC(t *testing.T) {
+	defer vec.SetSIMD(true)
+	for _, cfg := range []Config{{M: 16, KS: 256, Iters: 2, Seed: 1}, {M: 12, KS: 7, Iters: 2, Seed: 2}, {M: 3, KS: 64, Iters: 2, Seed: 3}} {
+		m := randomMatrix(26, 600, 48)
+		q, err := Train(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := tableScorer{q: q}
+		ts.prepare(randomMatrix(27, 1, 48).Row(0))
+		for n := 0; n <= 26; n++ {
+			vec.SetSIMD(n%2 == 0)
+			ids := make([]uint32, n)
+			for i := range ids {
+				ids[i] = uint32((i*97 + n*31) % q.Rows())
+			}
+			out := make([]float32, n+1)
+			out[n] = -1
+			ts.ScoreIDs(ids, out[:n])
+			for i, id := range ids {
+				if want := q.ADC(ts.t, int(id)); math.Float32bits(out[i]) != math.Float32bits(want) {
+					t.Fatalf("M=%d n=%d: ScoreIDs[%d] = %v, ADC = %v", cfg.M, n, i, out[i], want)
+				}
+			}
+			if out[n] != -1 {
+				t.Fatalf("M=%d n=%d: wrote past out[n-1]", cfg.M, n)
+			}
+		}
+	}
+}
+
+// TestRerankMatchesMetricDistance checks that the fused search's exact
+// rerank — row norms from the graph's cache, rows from the tier — returns
+// the distances and order Metric.Distance gives on the same pool.
+func TestRerankMatchesMetricDistance(t *testing.T) {
+	m := randomMatrix(28, 1500, 32)
+	m.NormalizeRows()
+	g := hnsw.Build(m, hnsw.Config{M: 10, EFConstruction: 60, Metric: vec.Cosine, Seed: 8}).Bottom()
+	q, err := Train(m, Config{M: 8, KS: 32, Iters: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewGraphSearcher(g, q)
+	s.Tier = MatrixTier{M: m.Clone()}
+	ref := NewGraphSearcher(g, q)
+	queries := randomMatrix(29, 25, 32)
+	for qi := 0; qi < queries.Rows(); qi++ {
+		query := queries.Row(qi)
+		got, st := s.Search(query, 10, 40)
+		ref.ts.prepare(query)
+		pool, _ := ref.s.SearchScoredPoolCtx(nil, &ref.ts, 40, 40, g.EntryPoint)
+		var want []graph.Result
+		for _, c := range pool {
+			want = append(want, graph.Result{ID: c.ID, Dist: g.Metric.Distance(query, m.Row(int(c.ID)))})
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Dist < want[j].Dist })
+		want = want[:min(10, len(want))]
+		if st.NDC != int64(len(pool)) || len(got) != len(want) {
+			t.Fatalf("query %d: %d results / %d rerank NDC, want %d / %d", qi, len(got), st.NDC, len(want), len(pool))
+		}
+		for i := range got {
+			if got[i].Dist != want[i].Dist {
+				t.Fatalf("query %d rank %d: %+v, Metric.Distance gives %+v", qi, i, got[i], want[i])
+			}
+		}
 	}
 }

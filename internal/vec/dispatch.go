@@ -14,9 +14,35 @@ type kernelSet struct {
 	subL2 func(x, cols, out []float32)
 	// argmin is the kernel behind ArgMin; d is non-empty.
 	argmin func(d []float32) int
+	// l2Rows and dotRows are the gather kernels behind
+	// QueryDistancer.RowDistances: out[i] = l2/dot(q, m.Row(ids[i])), bit
+	// for bit what the single-row kernel returns, for every id in one call.
+	// len(q) == m.Dim(), every id is a row of m, len(out) >= len(ids).
+	l2Rows  func(q []float32, m *Matrix, ids []uint32, out []float32)
+	dotRows func(q []float32, m *Matrix, ids []uint32, out []float32)
+	// adc is the kernel behind ADCRows, with its arguments checked.
+	adc func(table []float32, codes []byte, m int, ids []uint32, out []float32)
 }
 
-var scalarKernels = kernelSet{name: "scalar", l2: l2Scalar, dot: dotScalar, subL2: subL2Scalar, argmin: argminScalar}
+var scalarKernels = kernelSet{
+	name: "scalar", l2: l2Scalar, dot: dotScalar, subL2: subL2Scalar, argmin: argminScalar,
+	l2Rows: l2RowsScalar, dotRows: dotRowsScalar, adc: adcScalar,
+}
+
+func l2RowsScalar(q []float32, m *Matrix, ids []uint32, out []float32) {
+	gatherRows(l2Scalar, q, m, ids, out)
+}
+
+func dotRowsScalar(q []float32, m *Matrix, ids []uint32, out []float32) {
+	gatherRows(dotScalar, q, m, ids, out)
+}
+
+// gatherRows is the portable gather: one single-row kernel call per id.
+func gatherRows(kernel func(x, y []float32) float32, q []float32, m *Matrix, ids []uint32, out []float32) {
+	for i, id := range ids {
+		out[i] = kernel(q, m.Row(int(id)))
+	}
+}
 
 // best is the fastest set the CPU supports (detected at init);
 // active is what the package currently routes through. They differ only
@@ -103,6 +129,41 @@ func SubspaceL2(x, cols []float32, ks int, out []float32) {
 		panic("vec: SubspaceL2 shape mismatch")
 	}
 	active.subL2(x, cols, out[:ks])
+}
+
+// ADCStride is the row stride of the tables ADCRows reads: one entry per
+// possible code byte, so that any byte indexes its row in bounds.
+const ADCStride = 256
+
+// ADCRows writes into out[i] the asymmetric distance of code row ids[i]:
+// the sum over its m code bytes c_j = codes[ids[i]*m+j] of
+// table[j*ADCStride+c_j], added in j order one float32 addition at a time,
+// so every arm returns a plain sequential loop's bits. A product-quantized
+// beam search scores each hop's neighbours with one call. table must hold
+// m*ADCStride floats, out at least len(ids), and every id must name a row
+// of codes.
+func ADCRows(table []float32, codes []byte, m int, ids []uint32, out []float32) {
+	if m <= 0 || len(table) < m*ADCStride || len(out) < len(ids) {
+		panic("vec: ADCRows shape mismatch")
+	}
+	rows := uint32(len(codes) / m)
+	for _, id := range ids {
+		if id >= rows {
+			panic("vec: ADCRows id out of range")
+		}
+	}
+	active.adc(table, codes, m, ids, out[:len(ids)])
+}
+
+// adcScalar is the portable reference kernel for ADCRows.
+func adcScalar(table []float32, codes []byte, m int, ids []uint32, out []float32) {
+	for i, id := range ids {
+		var s float32
+		for j, c := range codes[int(id)*m : int(id)*m+m] {
+			s += table[j*ADCStride+int(c)]
+		}
+		out[i] = s
+	}
 }
 
 // ArgMin returns the index of the first smallest entry of d, which must be

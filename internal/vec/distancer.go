@@ -31,24 +31,44 @@ type QueryDistancer struct {
 // (ids beyond its length fall back to computing the norm); it is ignored
 // for metrics other than Cosine.
 func NewQueryDistancer(met Metric, q []float32, rowNorms []float32) QueryDistancer {
+	var qNorm float32
+	if met == Cosine {
+		qNorm = Norm(q)
+	}
+	return NewQueryDistancerNorm(met, q, qNorm, rowNorms)
+}
+
+// NewQueryDistancerNorm is NewQueryDistancer for a query whose norm the
+// caller already holds — a matrix row scored against its neighbours, whose
+// norm sits in the row-norm cache. qNorm must be Norm(q) (it is only read
+// for Cosine); the distancer is then the same, bit for bit, as the one
+// NewQueryDistancer would have built.
+func NewQueryDistancerNorm(met Metric, q []float32, qNorm float32, rowNorms []float32) QueryDistancer {
 	d := QueryDistancer{Metric: met, q: q, rowNorms: rowNorms}
 	if met == Cosine {
-		d.qNorm = Norm(q)
+		d.qNorm = qNorm
 	}
 	return d
 }
 
 // RowDistance scores row id of m, counting one evaluation.
 func (d *QueryDistancer) RowDistance(m *Matrix, id uint32) float32 {
+	return d.Score(m.Row(int(id)), id)
+}
+
+// Score scores row, the contents of row id of the matrix the row-norm
+// cache describes, wherever those contents are stored (an on-disk tier,
+// say), counting one evaluation. It returns what RowDistance returns for
+// that row.
+func (d *QueryDistancer) Score(row []float32, id uint32) float32 {
 	d.Count++
-	row := m.Row(int(id))
 	switch d.Metric {
 	case L2:
 		return active.l2(d.q, row)
 	case InnerProduct:
 		return -active.dot(d.q, row)
 	case Cosine:
-		return d.cosine(row, id)
+		return d.cosine(active.dot(d.q, row), row, id)
 	default:
 		panic("vec: invalid metric")
 	}
@@ -75,7 +95,8 @@ func (d *QueryDistancer) Distance(y []float32) float32 {
 	}
 }
 
-func (d *QueryDistancer) cosine(row []float32, id uint32) float32 {
+// cosine turns dot = Dot(q, row) into the cosine distance to row id.
+func (d *QueryDistancer) cosine(dot float32, row []float32, id uint32) float32 {
 	var ny float32
 	if int(id) < len(d.rowNorms) {
 		ny = d.rowNorms[id]
@@ -85,33 +106,38 @@ func (d *QueryDistancer) cosine(row []float32, id uint32) float32 {
 	if d.qNorm == 0 || ny == 0 {
 		return 1
 	}
-	return 1 - active.dot(d.q, row)/(d.qNorm*ny)
+	return 1 - dot/(d.qNorm*ny)
 }
 
 // RowDistances scores every listed row into out[i] (which must have at
 // least len(ids) entries), counting len(ids) evaluations. This is the
-// batched kernel of the search loop: one call scores a whole gathered
-// neighbor list with the dispatch and query-side work paid once.
+// batched kernel of the search loop: one gather-kernel call scores a whole
+// hop's neighbour list — on AVX2 with the next rows prefetched while the
+// current one is reduced — and every out[i] is the bits RowDistance
+// returns for that row.
 func (d *QueryDistancer) RowDistances(m *Matrix, ids []uint32, out []float32) {
 	if len(d.q) != m.Dim() {
 		panic("vec: dimension mismatch")
 	}
 	d.Count += int64(len(ids))
-	q := d.q
+	out = out[:len(ids)]
 	switch d.Metric {
 	case L2:
-		l2 := active.l2
-		for i, id := range ids {
-			out[i] = l2(q, m.Row(int(id)))
-		}
+		active.l2Rows(d.q, m, ids, out)
 	case InnerProduct:
-		dot := active.dot
-		for i, id := range ids {
-			out[i] = -dot(q, m.Row(int(id)))
+		active.dotRows(d.q, m, ids, out)
+		for i := range out {
+			out[i] = -out[i]
 		}
 	case Cosine:
+		active.dotRows(d.q, m, ids, out)
+		norms := d.rowNorms
 		for i, id := range ids {
-			out[i] = d.cosine(m.Row(int(id)), id)
+			if int(id) < len(norms) && d.qNorm != 0 && norms[id] != 0 {
+				out[i] = 1 - out[i]/(d.qNorm*norms[id]) // cosine's expression
+			} else {
+				out[i] = d.cosine(out[i], m.Row(int(id)), id)
+			}
 		}
 	default:
 		panic("vec: invalid metric")
@@ -140,8 +166,10 @@ func (d *QueryDistancer) RowDistancesRange(m *Matrix, lo, hi int, out []float32)
 			out[i-lo] = -dot(q, m.Row(i))
 		}
 	case Cosine:
+		dot := active.dot
 		for i := lo; i < hi; i++ {
-			out[i-lo] = d.cosine(m.Row(i), uint32(i))
+			row := m.Row(i)
+			out[i-lo] = d.cosine(dot(q, row), row, uint32(i))
 		}
 	default:
 		panic("vec: invalid metric")

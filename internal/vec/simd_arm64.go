@@ -12,11 +12,23 @@ func l2Body4NEON(x, y []float32, acc *[4]float32)
 func dotBody4NEON(x, y []float32, acc *[4]float32)
 
 // detectKernels selects the NEON kernels. The Advanced SIMD extension is
-// mandatory on AArch64, so there is nothing to probe. The sub-space kernel
-// and ArgMin stay on the portable loops: no NEON body ships without
-// hardware to test it on.
+// mandatory on AArch64, so there is nothing to probe. The sub-space kernel,
+// ArgMin and ADCRows stay on the portable loops, and the gathers call the
+// NEON row kernels once per row: no NEON body ships without hardware to
+// test it on.
 func detectKernels() kernelSet {
-	return kernelSet{name: "neon", l2: l2NEON, dot: dotNEON, subL2: subL2Scalar, argmin: argminScalar}
+	return kernelSet{
+		name: "neon", l2: l2NEON, dot: dotNEON, subL2: subL2Scalar, argmin: argminScalar,
+		l2Rows: l2RowsNEON, dotRows: dotRowsNEON, adc: adcScalar,
+	}
+}
+
+func l2RowsNEON(q []float32, m *Matrix, ids []uint32, out []float32) {
+	gatherRows(l2NEON, q, m, ids, out)
+}
+
+func dotRowsNEON(q []float32, m *Matrix, ids []uint32, out []float32) {
+	gatherRows(dotNEON, q, m, ids, out)
 }
 
 func l2NEON(x, y []float32) float32 {

@@ -256,7 +256,62 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if e := dotErr(float64(dotScalar(x, y)), float64(active.dot(x, y)), x, y); e > 1e-4 {
 			t.Fatalf("Dot dim=%d rel err %g", n, e)
 		}
+		m := MatrixFromRows([][]float32{y, x, y})
+		checkGatherKernels(t, x, m, []uint32{2, 0, 1, 0, 2, 1, 1})
 	})
+}
+
+// checkGatherKernels asserts that on every arm each gathered distance has
+// exactly the bits of the arm's single-row kernel on that row, and that
+// the gathers write nothing past out[len(ids)-1].
+func checkGatherKernels(t *testing.T, q []float32, m *Matrix, ids []uint32) {
+	t.Helper()
+	const guard = float32(-12345)
+	for _, arm := range []kernelSet{scalarKernels, best} {
+		for _, k := range []struct {
+			name   string
+			rows   func(q []float32, m *Matrix, ids []uint32, out []float32)
+			single func(x, y []float32) float32
+		}{{"l2", arm.l2Rows, arm.l2}, {"dot", arm.dotRows, arm.dot}} {
+			out := make([]float32, len(ids)+1)
+			out[len(ids)] = guard
+			k.rows(q, m, ids, out[:len(ids)])
+			if out[len(ids)] != guard {
+				t.Fatalf("%s %s gather dim=%d: wrote past out[len(ids)-1]", arm.name, k.name, m.Dim())
+			}
+			for i, id := range ids {
+				if want := k.single(q, m.Row(int(id))); math.Float32bits(out[i]) != math.Float32bits(want) {
+					t.Fatalf("%s %s gather dim=%d row %d: %v, single-row kernel %v", arm.name, k.name, m.Dim(), id, out[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestGatherKernelsMatchRowKernels covers the gathers' shapes: every
+// lane-tail dimension, hops of one to many rows (fewer rows than the
+// prefetch distance, repeats, the last row of the matrix), and an empty
+// id list.
+func TestGatherKernelsMatchRowKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, dim := range testDims {
+		const rows = 40
+		m := NewMatrix(rows, dim)
+		for i := range m.Data() {
+			m.Data()[i] = rng.Float32()*20 - 10
+		}
+		q, _ := randomPair(rng, dim)
+		for _, n := range []int{0, 1, 2, 3, 17, 64} {
+			ids := make([]uint32, n)
+			for i := range ids {
+				ids[i] = uint32(rng.Intn(rows))
+			}
+			if n > 0 {
+				ids[n-1] = rows - 1
+			}
+			checkGatherKernels(t, q, m, ids)
+		}
+	}
 }
 
 // subspaceRef scores x against centroid c the way the per-row path did:
@@ -419,6 +474,86 @@ func FuzzSubspaceKernelEquivalence(f *testing.F) {
 }
 
 var sinkInt int
+
+// BenchmarkADCRows scores one search hop's worth of code rows (22 random
+// rows of M=16 codes against a 256-wide table) per iteration on both
+// arms; the scalar arm is the sequential per-row loop.
+func BenchmarkADCRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	const m, rows = 16, 10000
+	table := make([]float32, m*ADCStride)
+	for i := range table {
+		table[i] = rng.Float32()
+	}
+	codes := make([]byte, rows*m)
+	rng.Read(codes)
+	ids := make([]uint32, 22)
+	out := make([]float32, len(ids))
+	for _, arm := range []kernelSet{scalarKernels, best} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j := range ids {
+					ids[j] = uint32((i*7919 + j*104729) % rows)
+				}
+				arm.adc(table, codes, m, ids, out)
+			}
+		})
+	}
+}
+
+// TestADCRowsMatchesSequentialSum pins every arm of ADCRows to the
+// sequential float32 sum, bit for bit, for batch lengths around the
+// four-row groups and code rows of any length, and checks the argument
+// guards.
+func TestADCRowsMatchesSequentialSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []int{1, 3, 8, 16, 17} {
+		const rows = 50
+		table := make([]float32, m*ADCStride)
+		for i := range table {
+			table[i] = rng.Float32() * 4
+		}
+		codes := make([]byte, rows*m)
+		rng.Read(codes)
+		for n := 0; n <= 9; n++ {
+			ids := make([]uint32, n)
+			for i := range ids {
+				ids[i] = uint32(rng.Intn(rows))
+			}
+			for _, arm := range []kernelSet{scalarKernels, best} {
+				out := make([]float32, n+1)
+				out[n] = -1
+				arm.adc(table, codes, m, ids, out[:n])
+				for i, id := range ids {
+					var want float32
+					for j := 0; j < m; j++ {
+						want += table[j*ADCStride+int(codes[int(id)*m+j])]
+					}
+					if math.Float32bits(out[i]) != math.Float32bits(want) {
+						t.Fatalf("%s m=%d n=%d row %d: %v, sequential sum %v", arm.name, m, n, id, out[i], want)
+					}
+				}
+				if out[n] != -1 {
+					t.Fatalf("%s m=%d n=%d: wrote past out[n-1]", arm.name, m, n)
+				}
+			}
+		}
+	}
+	for _, bad := range []func(){
+		func() { ADCRows(make([]float32, 255), make([]byte, 4), 1, []uint32{0}, make([]float32, 1)) },
+		func() { ADCRows(make([]float32, 256), make([]byte, 4), 1, []uint32{4}, make([]float32, 1)) },
+		func() { ADCRows(make([]float32, 256), make([]byte, 4), 1, []uint32{0, 1}, make([]float32, 1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("ADCRows accepted a bad shape or id")
+				}
+			}()
+			bad()
+		}()
+	}
+}
 
 func BenchmarkSubspaceL2(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
