@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ngfix-server -base base.ngfx -metric cosine -addr :8080 -autofix
+//	ngfix-server -base base.ngfx -metric cosine -addr :8080 -fix-interval 30s
 //	ngfix-server -index prebuilt.ngig -addr :8080
 //	ngfix-server -index prebuilt.ngig -snapshot-dir ./state   # durable
 //	ngfix-server -snapshot-dir ./state                        # recover & serve
@@ -90,14 +90,13 @@ func run(args []string) int {
 	lex := fl.Int("lex", 48, "extra-degree budget for online fixing")
 	batch := fl.Int("fix-batch", 128, "queries per online fix batch")
 	sample := fl.Int("fix-sample", 1, "record every n-th query for fixing")
-	autofix := fl.Bool("autofix", false, "fix synchronously when the batch fills (otherwise POST /v1/fix or use -fix-interval)")
-	interval := fl.Duration("fix-interval", 0, "background fixing period (0 disables)")
-	repairMode := fl.String("repair-mode", "adaptive", "background repair policy with -fix-interval: adaptive (per-shard signal-triggered controller with hysteresis and pressure backoff) | interval (legacy fixed cadence)")
-	repairThetaHi := fl.Float64("repair-theta-hi", 0.3, "unreachable-rate EWMA that enters eager repair (adaptive mode)")
-	repairThetaLo := fl.Float64("repair-theta-lo", 0.1, "unreachable-rate EWMA below which eager repair may exit after the dwell (adaptive mode)")
-	repairDwell := fl.Duration("repair-dwell", 5*time.Second, "minimum time in eager repair before exiting (hysteresis; adaptive mode)")
+	interval := fl.Duration("fix-interval", 0, "background repair base cadence (0 disables; POST /v1/fix still works)")
+	repairMode := fl.String("repair-mode", "adaptive", "background repair policy with -fix-interval: adaptive (per-shard signal-triggered controller with hysteresis and pressure backoff), the only mode")
+	repairThetaHi := fl.Float64("repair-theta-hi", 0.3, "unreachable-rate EWMA that enters eager repair")
+	repairThetaLo := fl.Float64("repair-theta-lo", 0.1, "unreachable-rate EWMA below which eager repair may exit after the dwell")
+	repairDwell := fl.Duration("repair-dwell", 5*time.Second, "minimum time in eager repair before exiting (hysteresis)")
 	repairMaxInterval := fl.Duration("repair-max-interval", 0, "cadence ceiling repair stretches toward under admission pressure (0 means 16x -fix-interval)")
-	repairMinBatch := fl.Int("repair-min-batch", 8, "smallest fix batch the controller pays admission for before deferring a tick (adaptive mode)")
+	repairMinBatch := fl.Int("repair-min-batch", 8, "smallest fix batch the controller pays admission for before deferring a tick")
 	snapDir := fl.String("snapshot-dir", "", "directory for snapshots + op log (enables crash safety and recovery)")
 	shards := fl.Int("shards", 1, "shard count: each shard gets its own fixer, op log, and snapshot subdirectory; searches scatter-gather (a sharded -snapshot-dir pins it; grow it N→2N with /v1/reshard or -reshard)")
 	reshardFlag := fl.Bool("reshard", false, "offline maintenance: double -snapshot-dir's shard count (N→2N) and exit; the directory must hold existing state and no server may be running over it")
@@ -127,8 +126,8 @@ func run(args []string) int {
 	failoverAfter := fl.Duration("failover-after", 150*time.Millisecond, "hedge delay before a primary read is retried on its replica (with -self-replica; 0 fails over only degraded shards)")
 	replicaPoll := fl.Duration("replica-poll", 100*time.Millisecond, "replica WAL tail cadence")
 	fl.Parse(args)
-	if *repairMode != "adaptive" && *repairMode != "interval" {
-		log.Printf("-repair-mode must be adaptive or interval, got %q", *repairMode)
+	if *repairMode != "adaptive" {
+		log.Printf("-repair-mode %q: the fixed-cadence interval mode was removed; adaptive is the only repair mode", *repairMode)
 		return 1
 	}
 	shardsFlagSet := false
@@ -184,24 +183,9 @@ func run(args []string) int {
 		log.Printf("-shards must be at least 1, got %d", n)
 		return 1
 	}
-
-	// Telemetry layout: with one shard every family lives unlabeled on
-	// the global registry, byte-compatible with pre-sharding dashboards.
-	// With N shards each fixer/store registers on its own registry
-	// carrying a shard="<i>" const label; /metrics merges them.
-	var shardRegs []*obs.Registry
-	fixerReg := func(i int) *obs.Registry { return reg }
-	if reg != nil && n > 1 {
-		shardRegs = make([]*obs.Registry, n)
-		for i := range shardRegs {
-			shardRegs[i] = obs.NewRegistry(obs.Label{Name: "shard", Value: strconv.Itoa(i)})
-		}
-		fixerReg = func(i int) *obs.Registry { return shardRegs[i] }
-	}
-	for i, st := range stores {
-		if r := fixerReg(i); r != nil {
-			st.RegisterMetrics(r)
-		}
+	if *selfReplica && len(stores) == 0 {
+		log.Print("-self-replica needs -snapshot-dir (replicas tail the store's op log)")
+		return 1
 	}
 
 	// --- Index acquisition: recover per shard from the snapshot dir when
@@ -257,26 +241,41 @@ func run(args []string) int {
 		log.Print("one of -index, -base, or a non-empty -snapshot-dir is required")
 		return 1
 	}
-
-	fixCfg := fixerSettings{
-		opts: opts, batch: *batch, sample: *sample, autofix: *autofix,
-		oplog: *oplog, snapEvery: *snapEvery, snapOps: *snapOps,
-	}
-	fixers := fixCfg.build(stores, ixs, fixerReg)
 	if len(stores) > 0 && !*oplog {
 		log.Print("op log disabled (-oplog=false): mutations between snapshots will not survive a crash")
 	}
 
-	// Compressed serving: prefer the recovered sidecar (attach re-encodes
-	// only the WAL-replayed tail against the frozen codebooks — codes stay
-	// bit-identical across the crash); train only when no generation has
-	// one or the sidecar cannot describe the recovered graph.
-	pqCfg := pqSettings{on: *pqOn, m: *pqM, ks: *pqKS, rerank: *pqRerank, tier: *pqTier}
-	if pqCfg.on {
-		if err := wirePQ(fixers, stores, pqCfg, recovered); err != nil {
-			log.Print(err)
-			return 1
-		}
+	var adm *admission.Controller
+	if *maxInflight > 0 {
+		adm = admission.New(admission.Config{Capacity: *maxInflight, QueueDepth: *queueDepth})
+	}
+	asm := &assembler{
+		reg: reg, adm: adm,
+		fix: fixerSettings{
+			batch: *batch, sample: *sample,
+			oplog: *oplog, snapEvery: *snapEvery, snapOps: *snapOps,
+		},
+		pq: pqSettings{on: *pqOn, m: *pqM, ks: *pqKS, rerank: *pqRerank, tier: *pqTier},
+		repair: repair.Config{
+			Interval:    *interval,
+			MaxInterval: *repairMaxInterval,
+			ThetaHi:     *repairThetaHi,
+			ThetaLo:     *repairThetaLo,
+			Dwell:       *repairDwell,
+			MinBatch:    *repairMinBatch,
+		},
+		replicas: replicaSettings{
+			on: *selfReplica, opts: opts, lagMax: *replicaLagMax,
+			poll: *replicaPoll, failoverAfter: *failoverAfter,
+		},
+	}
+	// Compressed serving prefers the recovered sidecar: attach re-encodes
+	// only the WAL-replayed tail against the frozen codebooks, so codes
+	// stay bit-identical across the crash.
+	topo, err := asm.assemble(stores, ixs, recovered)
+	if err != nil {
+		log.Print(err)
+		return 1
 	}
 
 	// Seal startup state into a fresh generation per shard: recovery
@@ -285,70 +284,22 @@ func run(args []string) int {
 	// request. Sealing after PQ enable means the first generation already
 	// carries the quantizer sidecar.
 	if len(stores) > 0 {
-		for i, f := range fixers {
-			if err := f.Snapshot(); err != nil {
-				log.Printf("shard %d: initial snapshot: %v", i, err)
-				return 1
-			}
+		if err := topo.Group.Snapshot(); err != nil {
+			log.Printf("initial snapshot: %v", err)
+			return 1
 		}
-	}
-	group, err := shard.NewGroup(fixers)
-	if err != nil {
-		log.Printf("assemble shard group: %v", err)
-		return 1
 	}
 
-	s := server.NewSharded(group)
-	if len(stores) > 0 {
-		// Closures load the current group: a live reshard swaps it, and
-		// snapshots must land on the topology actually serving.
-		s.SnapshotFunc = func() error { return s.Group().Snapshot() }
-		// Any persisted server can feed followers: the replication
-		// endpoints read only the store, never the fixers' locks.
-		s.SetStores(stores)
-	}
-	var replicaSet *replica.Set
-	if *selfReplica {
-		if len(stores) == 0 {
-			log.Print("-self-replica needs -snapshot-dir (replicas tail the store's op log)")
-			return 1
-		}
-		reps := make([]*replica.Replica, len(stores))
-		rr := make([]shard.ReadReplica, len(stores))
-		for i, st := range stores {
-			reps[i] = replica.New(replica.StoreSource{St: st}, replica.Config{
-				Shard: i, Opts: opts, LagMax: *replicaLagMax, Poll: *replicaPoll,
-				Logf: log.Printf,
-			})
-			rr[i] = reps[i]
-			if r := fixerReg(i); r != nil {
-				reps[i].RegisterMetrics(r)
-			}
-		}
-		replicaSet, err = replica.NewSet(reps)
-		if err != nil {
-			log.Printf("assemble replica set: %v", err)
-			return 1
-		}
-		pol := shard.FailoverPolicy{
-			After: *failoverAfter,
-			// A shard whose durability already failed is known-bad: route
-			// its reads to the replica immediately, no hedge delay.
-			Unhealthy: func(sh int) bool { return group.Fixer(sh).Degraded() },
-		}
-		if err := group.SetReplicas(rr, pol); err != nil {
-			log.Printf("attach replicas: %v", err)
-			return 1
-		}
-		s.Replicas = replicaSet
-		log.Printf("self-replica enabled: %d per-shard read replicas, failover after %s, lag max %d bytes",
-			len(reps), *failoverAfter, *replicaLagMax)
-	}
-	if *maxInflight > 0 {
-		s.Admission = admission.New(admission.Config{Capacity: *maxInflight, QueueDepth: *queueDepth})
-	}
+	s := server.NewSharded(topo.Group)
+	s.Install(topo)
+	s.Admission = adm
 	s.SearchTimeout = *searchTimeout
 	s.EFFloor = *efFloor
+	if len(stores) > 0 {
+		// Snapshots must land on the topology actually serving: a live
+		// reshard may have replaced the startup one.
+		s.SnapshotFunc = func() error { return s.Topology().Group.Snapshot() }
+	}
 	if *adaptiveEF || *answerCacheSize > 0 || *augmentRate > 0 {
 		if *augmentRate < 0 || *augmentRate > 1 {
 			log.Printf("-augment-rate must be in 0..1, got %g", *augmentRate)
@@ -360,9 +311,9 @@ func run(args []string) int {
 			// Calibration searches run sequentially within a shard fan-out
 			// (parallel 1): they are background work and should not steal
 			// cores from serving, which admission gating alone can't ensure.
-			adaptive = policy.NewAdaptive(group.Dim(), policy.AdaptiveConfig{Metric: gm, Seed: 11},
+			adaptive = policy.NewAdaptive(topo.Group.Dim(), policy.AdaptiveConfig{Metric: gm, Seed: 11},
 				func(q []float32, k, ef int) []graph.Result {
-					res, _ := s.Group().SearchCtx(context.Background(), q, k, ef, 1)
+					res, _ := s.Topology().Group.SearchCtx(context.Background(), q, k, ef, 1)
 					return res
 				})
 		}
@@ -371,33 +322,26 @@ func run(args []string) int {
 			Normalize: gm == vec.Cosine, Seed: 13,
 		})
 		var acquire func() (func(), bool)
-		if s.Admission != nil {
-			adm := s.Admission
+		if adm != nil {
 			acquire = func() (func(), bool) { return adm.TryAcquire(adm.FixCost(1)) }
 		}
 		eng := policy.NewEngine(policy.NewCache(*answerCacheSize), adaptive, augmenter,
-			func(qs *vec.Matrix) int { return s.Group().RecordSynthetic(qs) }, acquire)
+			func(qs *vec.Matrix) int { return s.Topology().Group.RecordSynthetic(qs) }, acquire)
 		s.EnablePolicy(eng)
 		log.Printf("policy layer enabled: adaptive-ef=%v answer-cache-size=%d augment-rate=%g",
 			*adaptiveEF, *answerCacheSize, *augmentRate)
 	}
 
+	// --- Lifecycle: signal-driven graceful shutdown cancels ctx, which
+	// stops background repair and aborts any live reshard.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	// Background repair runs behind a restartable wrapper so the reshard
 	// cutover can quiesce it and restart it on the post-split topology.
-	maint := &maintenance{
-		s: s, interval: *interval, legacy: *repairMode == "interval",
-		repairCfg: repair.Config{
-			Interval:    *interval,
-			MaxInterval: *repairMaxInterval,
-			ThetaHi:     *repairThetaHi,
-			ThetaLo:     *repairThetaLo,
-			Dwell:       *repairDwell,
-			MinBatch:    *repairMinBatch,
-		},
-	}
+	maint := &maintenance{s: s, base: ctx}
 
 	// Live resharding needs the stores (the split is durable-first) and
-	// owns the whole serving-stack swap; wire before EnableMetrics so the
+	// replaces the whole serving stack; wire before EnableMetrics so the
 	// ngfix_reshard_* families register.
 	var mgr *reshardManager
 	if len(stores) > 0 {
@@ -408,20 +352,19 @@ func run(args []string) int {
 				return 0, 0, errors.New("live resharding with -self-replica is not supported; restart without it to reshard")
 			}
 		} else {
-			asm := &assembler{s: s, maint: maint, adm: s.Admission, reg: reg, fix: fixCfg, pq: pqCfg}
 			mgr = &reshardManager{
-				s: s, asm: asm, maint: maint,
+				s: s, asm: asm, maint: maint, base: ctx,
 				root: *snapDir, opts: opts, layout: layout, stores: stores,
 			}
-			if s.Admission != nil {
-				mgr.acquire = s.Admission.TryAcquire
+			if adm != nil {
+				mgr.acquire = adm.TryAcquire
 			}
 			s.ReshardFunc = mgr.Start
 			s.ReshardProgress = mgr.Progress
 		}
 	}
 	if reg != nil {
-		s.EnableMetrics(reg, shardRegs...) // also wires the admission controller's families
+		s.EnableMetrics(reg) // also wires the admission controller's families
 	}
 	if *slowQueryMS > 0 {
 		s.SlowQueries = &obs.SlowQueryLog{
@@ -445,27 +388,10 @@ func run(args []string) int {
 		log.Print("pprof enabled on /debug/pprof/")
 	}
 
-	// --- Lifecycle: configured http.Server, signal-driven graceful
-	// shutdown, context-stopped background fixer.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	maint.base = ctx
-	if mgr != nil {
-		mgr.base = ctx // shutdown cancels ctx, aborting any live reshard
+	if topo.Replicas != nil {
+		go topo.Replicas.Run(ctx)
 	}
-
-	if replicaSet != nil {
-		go replicaSet.Run(ctx)
-	}
-
-	if *interval > 0 {
-		if !maint.legacy {
-			fleet := maint.buildFleet(group, s.Admission, fixerReg)
-			s.SetRepair(fleet)
-			maint.fleet = fleet
-		}
-		maint.start()
-	}
+	maint.start()
 
 	srv := &http.Server{
 		Addr:              *addr,
@@ -480,8 +406,8 @@ func run(args []string) int {
 		log.Printf("listen: %v", err)
 		return 1
 	}
-	log.Printf("serving on %s (shards %d, fix batch %d, autofix %v, interval %s, snapshots %v)",
-		ln.Addr(), n, *batch, *autofix, *interval, len(stores) > 0)
+	log.Printf("serving on %s (shards %d, fix batch %d, interval %s, snapshots %v)",
+		ln.Addr(), n, *batch, *interval, len(stores) > 0)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	s.SetReady(true)
@@ -508,22 +434,21 @@ func run(args []string) int {
 	}
 
 	// Fold any still-pending recorded queries into the graph, then make
-	// the final state durable. Re-read group and stores: a reshard may
-	// have swapped both since startup.
-	finalGroup := s.Group()
-	finalStores := s.Stores()
-	if rep, err := finalGroup.FixPendingChecked(); err != nil {
+	// the final state durable — on the topology serving now: a reshard
+	// may have replaced the startup one.
+	final := s.Topology()
+	if rep, err := final.Group.FixPendingChecked(); err != nil {
 		log.Printf("final fix: %v", err)
 	} else if rep.Queries > 0 {
 		log.Printf("final fix: %d queries, +%d edges", rep.Queries, rep.NGFixEdges+rep.RFixEdges)
 	}
-	if len(finalStores) > 0 {
-		if err := finalGroup.Snapshot(); err != nil {
+	if len(final.Stores) > 0 {
+		if err := final.Group.Snapshot(); err != nil {
 			log.Printf("final snapshot: %v", err)
 			return 1
 		}
-		gens := make([]string, len(finalStores))
-		for i, st := range finalStores {
+		gens := make([]string, len(final.Stores))
+		for i, st := range final.Stores {
 			if err := st.Close(); err != nil {
 				log.Printf("close store shard %d: %v", i, err)
 				return 1
@@ -539,38 +464,11 @@ func run(args []string) int {
 	return 0
 }
 
-// fixerSettings is the flag-derived online-fixer wiring, kept as a value
-// because the reshard assembler replays it for every post-split child.
+// fixerSettings is the flag-derived online-fixer wiring.
 type fixerSettings struct {
-	opts               core.Options
 	batch, sample      int
-	autofix            bool
 	oplog              bool
 	snapEvery, snapOps int
-}
-
-// build wraps each index in an online fixer wired to its store's WAL
-// (or the snapshot-only shim with -oplog=false) and its shard's metric
-// registry. stores may be empty (in-memory serving).
-func (c fixerSettings) build(stores []*persist.Store, ixs []*core.Index, regAt func(int) *obs.Registry) []*core.OnlineFixer {
-	fixers := make([]*core.OnlineFixer, len(ixs))
-	for i, ix := range ixs {
-		var wal core.WAL
-		if len(stores) > 0 {
-			if c.oplog {
-				wal = stores[i]
-			} else {
-				wal = snapshotOnly{stores[i]}
-			}
-		}
-		fixers[i] = core.NewOnlineFixer(ix, core.OnlineConfig{
-			BatchSize: c.batch, SampleEvery: c.sample, AutoFix: c.autofix,
-			WAL:                  wal,
-			SnapshotEveryBatches: c.snapEvery, SnapshotEveryMutations: c.snapOps,
-			Metrics: regAt(i),
-		})
-	}
-	return fixers
 }
 
 // pqSettings is the flag-derived compressed-serving wiring.
@@ -578,6 +476,117 @@ type pqSettings struct {
 	on            bool
 	m, ks, rerank int
 	tier          bool
+}
+
+// replicaSettings is the flag-derived -self-replica wiring.
+type replicaSettings struct {
+	on                  bool
+	opts                core.Options
+	lagMax              int64
+	poll, failoverAfter time.Duration
+}
+
+// assembler is the one place a serving topology is built. Startup runs
+// it over the recovered or freshly built indexes, and a live reshard
+// runs it over the caught-up children before the commit, so the two can
+// never wire a shard differently.
+type assembler struct {
+	reg      *obs.Registry // global registry; nil with -metrics=false
+	adm      *admission.Controller
+	fix      fixerSettings
+	pq       pqSettings
+	repair   repair.Config // Interval 0: no background repair
+	replicas replicaSettings
+}
+
+// assemble turns per-shard stores (empty for in-memory serving) and
+// indexes into a ready topology: a shard="<i>" registry per shard (at
+// every shard count, so dashboards need one query shape), online fixers
+// journaling to their stores, compressed serving (preferring the
+// stores' sealed sidecars when preferSidecar), the group, one repair
+// controller per shard, and with -self-replica one read replica per
+// shard.
+func (a *assembler) assemble(stores []*persist.Store, ixs []*core.Index, preferSidecar bool) (server.Topology, error) {
+	topo := server.Topology{Stores: stores}
+	regAt := func(int) *obs.Registry { return nil }
+	if a.reg != nil {
+		topo.Registries = make([]*obs.Registry, len(ixs))
+		for i := range topo.Registries {
+			topo.Registries[i] = obs.NewRegistry(obs.Label{Name: "shard", Value: strconv.Itoa(i)})
+		}
+		regAt = func(i int) *obs.Registry { return topo.Registries[i] }
+	}
+
+	fixers := make([]*core.OnlineFixer, len(ixs))
+	for i, ix := range ixs {
+		var wal core.WAL
+		if len(stores) > 0 {
+			wal = stores[i]
+			if !a.fix.oplog {
+				wal = snapshotOnly{stores[i]}
+			}
+			if r := regAt(i); r != nil {
+				stores[i].RegisterMetrics(r)
+			}
+		}
+		fixers[i] = core.NewOnlineFixer(ix, core.OnlineConfig{
+			BatchSize: a.fix.batch, SampleEvery: a.fix.sample,
+			WAL:                  wal,
+			SnapshotEveryBatches: a.fix.snapEvery, SnapshotEveryMutations: a.fix.snapOps,
+			Metrics: regAt(i),
+		})
+	}
+	if a.pq.on {
+		if err := wirePQ(fixers, stores, a.pq, preferSidecar); err != nil {
+			return server.Topology{}, err
+		}
+	}
+	g, err := shard.NewGroup(fixers)
+	if err != nil {
+		return server.Topology{}, fmt.Errorf("assemble shard group: %w", err)
+	}
+	topo.Group = g
+
+	if a.repair.Interval > 0 {
+		ctls := make([]*repair.Controller, len(fixers))
+		for i, f := range fixers {
+			ctls[i] = repair.New(i, f, a.adm, a.repair)
+			if r := regAt(i); r != nil {
+				ctls[i].RegisterMetrics(r)
+			}
+		}
+		topo.Repair = repair.NewFleet(ctls...)
+	}
+
+	if a.replicas.on {
+		reps := make([]*replica.Replica, len(stores))
+		rr := make([]shard.ReadReplica, len(stores))
+		for i, st := range stores {
+			reps[i] = replica.New(replica.StoreSource{St: st}, replica.Config{
+				Shard: i, Opts: a.replicas.opts, LagMax: a.replicas.lagMax, Poll: a.replicas.poll,
+				Logf: log.Printf,
+			})
+			rr[i] = reps[i]
+			if r := regAt(i); r != nil {
+				reps[i].RegisterMetrics(r)
+			}
+		}
+		if topo.Replicas, err = replica.NewSet(reps); err != nil {
+			return server.Topology{}, fmt.Errorf("assemble replica set: %w", err)
+		}
+		pol := shard.FailoverPolicy{
+			After: a.replicas.failoverAfter,
+			// A shard whose durability already failed is known-bad: route
+			// its reads to the replica immediately, no hedge delay.
+			Unhealthy: func(sh int) bool { return g.Fixer(sh).Degraded() },
+		}
+		if err := g.SetReplicas(rr, pol); err != nil {
+			return server.Topology{}, fmt.Errorf("attach replicas: %w", err)
+		}
+		log.Printf("self-replica enabled: %d per-shard read replicas, failover after %s, lag max %d bytes",
+			len(reps), a.replicas.failoverAfter, a.replicas.lagMax)
+	}
+	return topo, nil
 }
 
 // wirePQ enables compressed serving on every fixer, preferring the
@@ -618,52 +627,23 @@ func wirePQ(fixers []*core.OnlineFixer, stores []*persist.Store, cfg pqSettings,
 	return nil
 }
 
-// maintenance owns the background repair lifecycle so a reshard can
-// quiesce it for the cutover window and restart it — on whatever group
-// is serving by then. Adaptive mode runs the controller fleet (swapped
-// per topology via setFleet); legacy interval mode runs the group's
-// fixed cadence loop.
+// maintenance starts and stops the repair fleet of the topology serving
+// at the time, so a reshard can quiesce repair for the cutover window
+// and restart it on the post-split fleet.
 type maintenance struct {
-	s         *server.Server
-	interval  time.Duration
-	legacy    bool // -repair-mode=interval
-	repairCfg repair.Config
-	base      context.Context
+	s    *server.Server
+	base context.Context
 
 	mu     sync.Mutex
-	fleet  *repair.Fleet
 	cancel context.CancelFunc
 	done   chan struct{}
 }
 
-// buildFleet creates one adaptive controller per shard of grp, metrics
-// registered on its shard's registry. Nil in legacy mode or when
-// background repair is off.
-func (m *maintenance) buildFleet(grp *shard.Group, adm *admission.Controller, regAt func(int) *obs.Registry) *repair.Fleet {
-	if m.interval <= 0 || m.legacy {
-		return nil
-	}
-	ctls := make([]*repair.Controller, grp.Shards())
-	for i := range ctls {
-		ctls[i] = repair.New(i, grp.Fixer(i), adm, m.repairCfg)
-		if r := regAt(i); r != nil {
-			ctls[i].RegisterMetrics(r)
-		}
-	}
-	return repair.NewFleet(ctls...)
-}
-
-// setFleet swaps in the post-reshard fleet the next start will run.
-func (m *maintenance) setFleet(f *repair.Fleet) {
-	m.mu.Lock()
-	m.fleet = f
-	m.mu.Unlock()
-}
-
-// start launches background repair for the current serving group; a
-// no-op when repair is off or already running.
+// start runs the current topology's repair fleet; a no-op when it has
+// none or it is already running.
 func (m *maintenance) start() {
-	if m.interval <= 0 {
+	fleet := m.s.Topology().Repair
+	if fleet == nil {
 		return
 	}
 	m.mu.Lock()
@@ -673,22 +653,10 @@ func (m *maintenance) start() {
 	}
 	ctx, cancel := context.WithCancel(m.base)
 	done := make(chan struct{})
-	if m.legacy {
-		grp := m.s.Group()
-		go func() {
-			defer close(done)
-			grp.RunBackground(ctx, m.interval, log.Printf)
-		}()
-	} else if m.fleet != nil {
-		fleet := m.fleet
-		go func() {
-			defer close(done)
-			fleet.Run(ctx, log.Printf)
-		}()
-	} else {
-		cancel()
-		return
-	}
+	go func() {
+		defer close(done)
+		fleet.Run(ctx, log.Printf)
+	}()
 	m.cancel, m.done = cancel, done
 }
 
@@ -704,64 +672,6 @@ func (m *maintenance) stop() {
 	}
 	cancel()
 	<-done
-}
-
-// assembler rebuilds the serving layer for a post-split topology — the
-// same wiring startup does, replayed over the child stores and indexes:
-// fixers with WAL and snapshot cadence, per-shard telemetry registries,
-// PQ attach from the sidecars the coordinator sealed, and a fresh repair
-// fleet. Assemble runs pre-commit (a failure aborts the reshard);
-// Install runs post-commit and flips every serving-path pointer.
-type assembler struct {
-	s     *server.Server
-	maint *maintenance
-	adm   *admission.Controller
-	reg   *obs.Registry // global registry; nil with -metrics=false
-	fix   fixerSettings
-	pq    pqSettings
-
-	// Staged between Assemble and Install by the single reshard run.
-	regs  []*obs.Registry
-	fleet *repair.Fleet
-}
-
-func (a *assembler) Assemble(stores []*persist.Store, ixs []*core.Index) (*shard.Group, error) {
-	n := len(stores)
-	var regs []*obs.Registry
-	regAt := func(int) *obs.Registry { return nil }
-	if a.reg != nil {
-		// Post-split is always multi-shard, so children get labeled
-		// registries even when the parent ran unlabeled single-shard.
-		regs = make([]*obs.Registry, n)
-		for i := range regs {
-			regs[i] = obs.NewRegistry(obs.Label{Name: "shard", Value: strconv.Itoa(i)})
-		}
-		regAt = func(i int) *obs.Registry { return regs[i] }
-		for i, st := range stores {
-			st.RegisterMetrics(regs[i])
-		}
-	}
-	fixers := a.fix.build(stores, ixs, regAt)
-	if a.pq.on {
-		if err := wirePQ(fixers, stores, a.pq, true); err != nil {
-			return nil, err
-		}
-	}
-	grp, err := shard.NewGroup(fixers)
-	if err != nil {
-		return nil, err
-	}
-	a.regs = regs
-	a.fleet = a.maint.buildFleet(grp, a.adm, regAt)
-	return grp, nil
-}
-
-func (a *assembler) Install(g *shard.Group, stores []*persist.Store) {
-	a.s.SwapGroup(g)
-	a.s.SetStores(stores)
-	a.s.SetShardRegistries(a.regs...)
-	a.s.SetRepair(a.fleet)
-	a.maint.setFleet(a.fleet)
 }
 
 // reshardManager serializes live resharding behind POST /v1/reshard:
@@ -813,15 +723,20 @@ func (m *reshardManager) Start() (from, to int, err error) {
 	r, err := reshard.New(reshard.Config{
 		Root: m.root, Stores: stores, Layout: layout,
 		Opts:    m.opts,
-		Group:   m.s.Group(),
+		Group:   m.s.Topology().Group,
 		Acquire: m.acquire,
 		Quiesce: func() func() {
 			m.maint.stop()
 			return m.maint.start
 		},
-		Assemble: m.asm.Assemble,
-		Install:  m.asm.Install,
-		Logf:     log.Printf,
+		Assemble: func(stores []*persist.Store, ixs []*core.Index) (func(), error) {
+			topo, err := m.asm.assemble(stores, ixs, true)
+			if err != nil {
+				return nil, err
+			}
+			return func() { m.s.Install(topo) }, nil
+		},
+		Logf: log.Printf,
 	})
 	if err != nil {
 		return 0, 0, err
@@ -841,7 +756,7 @@ func (m *reshardManager) drive(r *reshard.Resharder, old persist.Layout, oldStor
 		return
 	}
 	m.layout = persist.Layout{Shards: 2 * old.Shards, Epoch: old.Epoch + 1}
-	m.stores = m.s.Stores() // Install swapped these to the children
+	m.stores = m.s.Topology().Stores // the install swapped in the children
 	m.retired = append(m.retired, oldStores...)
 }
 
@@ -983,10 +898,7 @@ func runFollower(cfg followerConfig) int {
 	}
 
 	reps := make([]*replica.Replica, n)
-	regs := make([]*obs.Registry, 0, n+1)
-	if cfg.reg != nil {
-		regs = append(regs, cfg.reg)
-	}
+	regs := []*obs.Registry{cfg.reg}
 	for i := range reps {
 		var src replica.Source
 		if overHTTP {
@@ -1001,12 +913,9 @@ func runFollower(cfg followerConfig) int {
 			Logf: log.Printf,
 		})
 		if cfg.reg != nil {
-			r := cfg.reg
-			if n > 1 {
-				r = obs.NewRegistry(obs.Label{Name: "shard", Value: strconv.Itoa(i)})
-				regs = append(regs, r)
-			}
+			r := obs.NewRegistry(obs.Label{Name: "shard", Value: strconv.Itoa(i)})
 			reps[i].RegisterMetrics(r)
+			regs = append(regs, r)
 		}
 	}
 	set, err := replica.NewSet(reps)

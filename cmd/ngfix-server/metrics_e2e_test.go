@@ -79,13 +79,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 		min float64
 	}{
 		{`ngfix_search_duration_seconds_count{outcome="ok"}`, searches},
-		{"ngfix_search_ndc_count", searches},
-		{"ngfix_fix_batches_total", 1},
-		{"ngfix_fix_queries_total", float64(fr.Queries)},
-		{"ngfix_wal_append_seconds_count", 2}, // insert + fix batch
-		{"ngfix_wal_snapshot_seconds_count", 1},
+		{`ngfix_search_ndc_count{shard="0"}`, searches},
+		{`ngfix_fix_batches_total{shard="0"}`, 1},
+		{`ngfix_fix_queries_total{shard="0"}`, float64(fr.Queries)},
+		{`ngfix_wal_append_seconds_count{shard="0"}`, 2}, // insert + fix batch
+		{`ngfix_wal_snapshot_seconds_count{shard="0"}`, 1},
 		{`ngfix_admission_admitted_total{shard="all"}`, searches + 2},
-		{"ngfix_vectors", 401},
+		{`ngfix_vectors{shard="0"}`, 401},
 		{"go_goroutines", 1},
 	}
 	for _, c := range checks {
@@ -99,11 +99,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// At -shards 1 the exposition stays byte-compatible with pre-sharding
-	// dashboards: fixer and store families carry no shard label.
+	// One labelling rule at every shard count: at -shards 1 the fixer and
+	// store families still name their shard, so no family comes unlabeled.
 	for _, key := range []string{"ngfix_fix_batches_total", "ngfix_vectors", "ngfix_wal_snapshot_seconds_count"} {
-		if _, ok := samples[key]; !ok {
-			t.Errorf("single-shard exposition lost unlabeled family %s", key)
+		if _, ok := samples[key]; ok {
+			t.Errorf("single-shard exposition has unlabeled family %s", key)
 		}
 	}
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,14 +10,14 @@ import (
 	"ngfix/internal/graph"
 	"ngfix/internal/obs"
 	"ngfix/internal/vec"
-	"ngfix/internal/xrand"
 )
 
 // OnlineFixer is the production shape of the paper's core idea: "leverage
 // online queries to dynamically fix defects of the graph". It wraps an
 // Index behind a read-write lock, records a sample of served queries, and
-// repairs the graph with them in batches — either on demand (FixPending)
-// or automatically whenever the buffer reaches its batch size.
+// repairs the graph with them in batches — on demand (FixPending) or
+// from a repair controller (internal/repair) watching the fixer's
+// Signals.
 //
 // Searches take the read lock and run concurrently; a fix batch takes the
 // write lock, so reads see either the old or the repaired graph, never a
@@ -55,7 +54,6 @@ type OnlineFixer struct {
 
 	batchSize int
 	sampleN   int // record 1 of every sampleN queries
-	autoFix   bool
 	prepEF    int
 	truthK    int
 
@@ -151,10 +149,6 @@ type OnlineConfig struct {
 	BatchSize int
 	// SampleEvery records every n-th query (default 1: all queries).
 	SampleEvery int
-	// AutoFix runs a fix batch synchronously inside the search call that
-	// fills the buffer. Off by default: callers usually prefer to invoke
-	// FixPending from a maintenance goroutine.
-	AutoFix bool
 	// PrepEF is the search-list size for approximate-truth preprocessing
 	// of recorded queries (default 200).
 	PrepEF int
@@ -197,7 +191,6 @@ func NewOnlineFixer(ix *Index, cfg OnlineConfig) *OnlineFixer {
 		pending:     queryRing{dim: ix.G.Dim(), capRows: cfg.BatchSize},
 		batchSize:   cfg.BatchSize,
 		sampleN:     cfg.SampleEvery,
-		autoFix:     cfg.AutoFix,
 		prepEF:      cfg.PrepEF,
 		truthK:      cfg.TruthK,
 		wal:         cfg.WAL,
@@ -298,11 +291,7 @@ func (o *OnlineFixer) SearchCtx(ctx context.Context, q []float32, k, ef int) ([]
 		}
 		o.pending.push(q)
 	}
-	runNow := o.autoFix && o.pending.full()
 	o.qmu.Unlock()
-	if runNow {
-		o.FixPending()
-	}
 	return res, st
 }
 
@@ -727,64 +716,6 @@ func (o *OnlineFixer) noteWALErr(err error) {
 		o.walErrs++
 		o.lastWALErr = err
 	}
-}
-
-// RunBackground drains and fixes recorded queries every interval until
-// ctx is cancelled. A failed batch — a panic inside the fix, or a
-// durability error — does not kill the loop: it retries with exponential
-// backoff plus jitter, and returns to the regular cadence after the
-// first success. logf (nil to discard) receives progress and failure
-// lines. This replaces the bare time.Tick loop, which leaked its ticker
-// and died with its goroutine on the first panic.
-//
-// Cancellation is honored even mid-backoff: the cadence sleep and the
-// retry sleep share the one select below, so a shutdown signal during a
-// minute-long backoff returns promptly instead of after the sleep.
-func (o *OnlineFixer) RunBackground(ctx context.Context, interval time.Duration, logf func(format string, args ...interface{})) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	if logf == nil {
-		logf = func(string, ...interface{}) {}
-	}
-	rng := xrand.New()
-	fails := 0
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
-		rep, err := o.fixSafely()
-		if err != nil {
-			fails++
-			d := BackoffDelay(interval, fails, rng.Float64())
-			logf("online fix failed (attempt %d, retrying in %s): %v", fails, d.Round(time.Millisecond), err)
-			timer.Reset(d)
-			continue
-		}
-		if fails > 0 {
-			logf("online fix recovered after %d failed attempt(s)", fails)
-			fails = 0
-		}
-		if rep.Queries > 0 {
-			logf("online fix: %d queries, +%d edges", rep.Queries, rep.NGFixEdges+rep.RFixEdges)
-		}
-		timer.Reset(interval)
-	}
-}
-
-// fixSafely converts a panicking fix batch into an error so the
-// background loop degrades instead of crashing the process.
-func (o *OnlineFixer) fixSafely() (rep FixReport, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("fix batch panicked: %v", r)
-		}
-	}()
-	return o.FixPendingChecked()
 }
 
 // BackoffDelay returns the retry delay after `fails` consecutive

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,19 +42,6 @@ func TestOnlineFixerBatching(t *testing.T) {
 	// Empty drain is a no-op.
 	if rep := o.FixPending(); rep.Queries != 0 {
 		t.Fatal("empty FixPending did work")
-	}
-}
-
-func TestOnlineFixerAutoFix(t *testing.T) {
-	d, g := testWorkload(t)
-	ix := New(g, Options{Rounds: []Round{{K: 15}}, LEx: 32})
-	o := NewOnlineFixer(ix, OnlineConfig{BatchSize: 8, AutoFix: true})
-	for qi := 0; qi < 8; qi++ {
-		o.Search(d.History.Row(qi), 10, 20)
-	}
-	fixed, batches := o.Stats()
-	if fixed != 8 || batches != 1 {
-		t.Fatalf("auto fix did not trigger: fixed=%d batches=%d", fixed, batches)
 	}
 }
 
@@ -457,103 +442,5 @@ func TestOnlineFixerSearchCtxTruncates(t *testing.T) {
 	res, st = o.SearchCtx(context.Background(), d.History.Row(1), 10, 100)
 	if st.Truncated || len(res) != 10 {
 		t.Fatalf("live-context search: truncated=%v results=%d", st.Truncated, len(res))
-	}
-}
-
-// Cancellation during a backoff sleep must return promptly — a shutdown
-// signal cannot wait out a minute-long retry delay.
-func TestRunBackgroundCancelDuringBackoff(t *testing.T) {
-	d, g := testWorkload(t)
-	ix := New(g, Options{Rounds: []Round{{K: 15}}, LEx: 32})
-	wal := &recordingWAL{fail: errTestWAL}
-	o := NewOnlineFixer(ix, OnlineConfig{BatchSize: 10, WAL: wal})
-	for qi := 0; qi < 10; qi++ {
-		o.Search(d.History.Row(qi), 5, 15)
-	}
-
-	// With a 1s cadence the first (failing) attempt schedules a backoff
-	// sleep of at least 750ms; cancelling right after the failure line
-	// must not wait it out.
-	failed := make(chan struct{})
-	var once sync.Once
-	logf := func(format string, args ...interface{}) {
-		if strings.Contains(format, "online fix failed") {
-			once.Do(func() { close(failed) })
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		o.RunBackground(ctx, time.Second, logf)
-		close(done)
-	}()
-	select {
-	case <-failed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("fix failure never happened")
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(500 * time.Millisecond):
-		t.Fatal("RunBackground did not return promptly from a backoff sleep")
-	}
-}
-
-// The background loop must survive a failing fix attempt: back off, log,
-// retry, and report recovery — not die like the old time.Tick goroutine.
-func TestRunBackgroundRetriesAfterFailure(t *testing.T) {
-	d, g := testWorkload(t)
-	ix := New(g, Options{Rounds: []Round{{K: 15}}, LEx: 32})
-	wal := &recordingWAL{fail: errTestWAL}
-	o := NewOnlineFixer(ix, OnlineConfig{BatchSize: 10, WAL: wal})
-
-	for qi := 0; qi < 10; qi++ {
-		o.Search(d.History.Row(qi), 5, 15)
-	}
-
-	var logMu sync.Mutex
-	var lines []string
-	logf := func(format string, args ...interface{}) {
-		logMu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		logMu.Unlock()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		o.RunBackground(ctx, 2*time.Millisecond, logf)
-		close(done)
-	}()
-
-	deadline := time.Now().Add(5 * time.Second)
-	seen := func(substr string) bool {
-		logMu.Lock()
-		defer logMu.Unlock()
-		for _, l := range lines {
-			if strings.Contains(l, substr) {
-				return true
-			}
-		}
-		return false
-	}
-	for !(seen("online fix failed") && seen("recovered")) {
-		if time.Now().After(deadline) {
-			logMu.Lock()
-			t.Fatalf("backoff/recovery never logged; lines: %q", lines)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	cancel()
-	<-done
-
-	// The batch itself was applied (repair is not rolled back when only
-	// journaling fails) and the failure is on the counters.
-	if fixed, batches := o.Stats(); fixed != 10 || batches != 1 {
-		t.Fatalf("Stats = %d,%d, want 10,1", fixed, batches)
-	}
-	if st := o.OnlineStats(); st.WALErrors == 0 {
-		t.Fatal("WAL failure not counted")
 	}
 }

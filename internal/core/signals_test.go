@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -193,39 +192,5 @@ func TestBackoffDelayZeroFails(t *testing.T) {
 	}
 	if d := BackoffDelay(base, -3, 0.5); d != base {
 		t.Fatalf("negative fails delay %s, want %s", d, base)
-	}
-}
-
-// panicSnapshotWAL panics inside Snapshot — a stand-in for a buggy
-// serializer or storage driver blowing up mid-batch.
-type panicSnapshotWAL struct{}
-
-func (panicSnapshotWAL) LogInsert(v []float32) error                   { return nil }
-func (panicSnapshotWAL) LogDelete(id uint32) error                     { return nil }
-func (panicSnapshotWAL) LogFixEdges(updates []graph.ExtraUpdate) error { return nil }
-func (panicSnapshotWAL) Snapshot(g *graph.Graph) error                 { panic("serializer bug") }
-
-// fixSafely must convert a panicking fix batch into an error so the
-// background loop backs off instead of dying with the goroutine.
-func TestFixSafelyConvertsPanicToError(t *testing.T) {
-	d, g := testWorkload(t)
-	ix := New(g, Options{Rounds: []Round{{K: 15}}, LEx: 32})
-	// SnapshotEveryBatches=1 routes the first fix batch into the
-	// panicking snapshot path.
-	o := NewOnlineFixer(ix, OnlineConfig{BatchSize: 10, WAL: panicSnapshotWAL{}, SnapshotEveryBatches: 1})
-	for qi := 0; qi < 10; qi++ {
-		o.Search(d.History.Row(qi), 5, 15)
-	}
-	rep, err := o.fixSafely()
-	if err == nil {
-		t.Fatal("fixSafely swallowed the panic without an error")
-	}
-	if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "serializer bug") {
-		t.Fatalf("panic not surfaced in the error: %v", err)
-	}
-	_ = rep
-	// The panic unwound outside the graph locks: the fixer still serves.
-	if res, _ := o.Search(d.History.Row(0), 5, 15); len(res) == 0 {
-		t.Fatal("fixer unusable after a recovered fix panic")
 	}
 }

@@ -93,10 +93,10 @@ func trapFixer(traps, batch int, wal core.WAL) (*core.OnlineFixer, [][]float32) 
 //
 // Both sides run the identical workload on identical graphs in virtual
 // time: queries arrive every 5 (virtual) ms for 2 s into a 16-slot
-// buffer. The baseline drains on a blind 200 ms cadence (what
-// RunBackground did); the adaptive side paces itself from each tick's
-// plan, so once the first batch seeds the EWMA at ~0.4 it repairs at
-// Interval/4 and stops overflowing the buffer.
+// buffer. The baseline drains on a blind 200 ms cadence; the adaptive
+// side paces itself from each tick's plan, so once the first batch seeds
+// the EWMA at ~0.4 it repairs at Interval/4 and stops overflowing the
+// buffer.
 func TestAdaptiveOutpacesFixedCadenceUnderChurn(t *testing.T) {
 	const (
 		traps        = 6

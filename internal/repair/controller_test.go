@@ -3,6 +3,7 @@ package repair
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -256,6 +257,62 @@ func TestTickWALErrorBackoffWedgeRecovery(t *testing.T) {
 	}
 	if st.BatchesRun != 1 || st.Mode != "steady" {
 		t.Fatalf("recovered tick: %+v", st)
+	}
+}
+
+// fixSafely must convert a panicking fix batch into an error so the
+// controller backs off instead of dying with its goroutine, and the
+// panic must unwind outside the graph locks.
+func TestFixSafelyConvertsPanicToError(t *testing.T) {
+	f, d := testFixerCfg(t, core.OnlineConfig{BatchSize: 10, WAL: &panicSnapWAL{fail: true}, SnapshotEveryBatches: 1})
+	c := New(0, f, nil, Config{Interval: time.Second})
+	record(f, d, 0, 10)
+	_, err := c.fixSafely(0)
+	if err == nil {
+		t.Fatal("fixSafely swallowed the panic without an error")
+	}
+	if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "journal volume gone") {
+		t.Fatalf("panic not surfaced in the error: %v", err)
+	}
+	if res, _ := f.Search(d.History.Row(0), 5, 15); len(res) == 0 {
+		t.Fatal("fixer unusable after a recovered fix panic")
+	}
+}
+
+// Cancellation during a backoff sleep must return promptly — a shutdown
+// signal cannot wait out a long retry delay.
+func TestControllerRunCancelDuringBackoff(t *testing.T) {
+	f, d := testFixerCfg(t, core.OnlineConfig{BatchSize: 10, WAL: &panicSnapWAL{fail: true}, SnapshotEveryBatches: 1})
+	c := New(0, f, nil, Config{Interval: time.Second})
+	record(f, d, 0, 10)
+
+	// With a 1s interval the first (failing) batch schedules a backoff of
+	// at least 750ms; cancelling right after the failure line must not
+	// wait it out.
+	failed := make(chan struct{})
+	var once sync.Once
+	logf := func(format string, args ...interface{}) {
+		if strings.Contains(format, "repair fix failed") {
+			once.Do(func() { close(failed) })
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		c.Run(ctx, 0, logf)
+		close(done)
+	}()
+	select {
+	case <-failed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("fix failure never happened")
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(500 * time.Millisecond):
+		t.Fatal("Run did not return promptly from a backoff sleep")
 	}
 }
 

@@ -270,8 +270,7 @@ type Controller struct {
 }
 
 // New builds a controller for one shard's fixer. adm may be nil (no
-// admission control configured); then batches run un-costed, like the
-// legacy interval loop.
+// admission control configured); then batches run un-costed.
 func New(shard int, fixer *core.OnlineFixer, adm *admission.Controller, cfg Config) *Controller {
 	c := &Controller{
 		shard:    shard,
@@ -435,9 +434,9 @@ func (c *Controller) tick(rng *rand.Rand, logf func(format string, args ...inter
 	return pl.next
 }
 
-// fixSafely converts a panicking fix batch into an error, mirroring the
-// legacy background loop: one poisoned batch degrades the controller to
-// the retry schedule instead of killing its goroutine.
+// fixSafely converts a panicking fix batch into an error: one poisoned
+// batch degrades the controller to the retry schedule instead of killing
+// its goroutine.
 func (c *Controller) fixSafely(limit int) (rep core.FixReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -264,7 +264,7 @@ func TestPooledBodiesNeverAliasRetainedState(t *testing.T) {
 			bodyPool.Put(buf)
 		}
 
-		if got := s.grp().Pending(); got != 50 {
+		if got := s.Topology().Group.Pending(); got != 50 {
 			t.Fatalf("adaptive=%v: %d queries pending, want the full batch of 50", adaptive, got)
 		}
 		if adaptive {

@@ -29,16 +29,17 @@ type serverMetrics struct {
 
 // EnableMetrics registers the server's families with reg, wires the
 // admission controller's metrics when one is configured, and makes
-// GET /metrics serve the merged exposition of reg plus any per-shard
-// registries. Call once, before serving traffic (and after EnablePolicy
-// and any ReshardFunc/ReshardProgress wiring, whose families it
-// registers).
+// GET /metrics serve the merged exposition of reg plus the topology's
+// per-shard registries. shardRegs, when given, become the current
+// topology's Registries (a caller that Installs a whole Topology sets
+// them there instead). Call once, before serving traffic (and after
+// EnablePolicy and any ReshardFunc/ReshardProgress wiring, whose
+// families it registers).
 //
 // Label scheme: HTTP-layer and process families live unlabeled on reg;
 // each shard's fixer and store families live on its own registry
-// carrying a shard="<i>" const label (the caller builds those and
-// passes them here — replaceable later via SetShardRegistries, because
-// a reshard doubles the shard line-up); the admission controller, the
+// carrying a shard="<i>" const label (part of the topology, because a
+// reshard doubles the shard line-up); the admission controller, the
 // policy engine, and the reshard coordinator — process-global, not
 // per-shard — register under shard="all" so the e2e label gate can
 // assert every core/persist/admission family names its shard.
@@ -72,15 +73,11 @@ func (s *Server) EnableMetrics(reg *obs.Registry, shardRegs ...*obs.Registry) {
 	}
 	s.metrics = m
 	s.baseRegs = regs
-	s.SetShardRegistries(shardRegs...)
-}
-
-// SetShardRegistries replaces the per-shard registry set /metrics merges
-// in — the reshard cutover swaps it together with the group and stores,
-// so the exposition immediately carries every child shard's families and
-// stops repeating the retired parents'.
-func (s *Server) SetShardRegistries(shardRegs ...*obs.Registry) {
-	s.shardRegs.Store(&shardRegs)
+	if len(shardRegs) > 0 {
+		t := s.Topology()
+		t.Registries = shardRegs
+		s.Install(t)
+	}
 }
 
 // registerReshardMetrics publishes the ngfix_reshard_* families over the
@@ -133,10 +130,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "metrics not enabled", http.StatusNotFound)
 		return
 	}
-	regs := s.baseRegs
-	if p := s.shardRegs.Load(); p != nil {
-		regs = append(append([]*obs.Registry(nil), regs...), *p...)
-	}
+	regs := append(append([]*obs.Registry(nil), s.baseRegs...), s.topo.Load().Registries...)
 	obs.MergedHandler(regs...).ServeHTTP(w, r)
 }
 

@@ -206,7 +206,7 @@ func (f *staleReplica) NoteFailover() {}
 func TestStaleReplicaAnswerNotCached(t *testing.T) {
 	ts, s, eng, d := newPolicyServer(t, nil, 128, false)
 	rep := &staleReplica{res: []graph.Result{{ID: 1, Dist: 0.5}, {ID: 2, Dist: 0.6}}}
-	if err := s.Group().SetReplicas([]shard.ReadReplica{rep}, shard.FailoverPolicy{
+	if err := s.Topology().Group.SetReplicas([]shard.ReadReplica{rep}, shard.FailoverPolicy{
 		Unhealthy: func(int) bool { return true }, // primary always failed over
 	}); err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestConcurrentPolicyNoStaleHits(t *testing.T) {
 		if got.Policy == policy.AttrCacheHit {
 			t.Fatalf("query %d hit across the final invalidation", i)
 		}
-		want, _ := s.Group().SearchCtx(context.Background(), q, 5, 40, 1)
+		want, _ := s.Topology().Group.SearchCtx(context.Background(), q, 5, 40, 1)
 		if len(got.Results) != len(want) {
 			t.Fatalf("query %d: %d results, direct search %d", i, len(got.Results), len(want))
 		}

@@ -43,13 +43,20 @@ func repairTestServer(t *testing.T, wal core.WAL, snapshotEvery int) (*httptest.
 	return ts, s, fixer, d
 }
 
+// setRepair installs the current topology with fleet as its repair fleet.
+func setRepair(s *Server, fleet *repair.Fleet) {
+	t := s.Topology()
+	t.Repair = fleet
+	s.Install(t)
+}
+
 // With a repair fleet attached, /v1/stats carries the aggregate mode
 // plus per-shard controller status, and every slow-query line is
 // attributed with the repair mode active while the search ran.
 func TestStatsAndSlowQueriesSurfaceRepair(t *testing.T) {
 	ts, s, fixer, d := repairTestServer(t, nil, 0)
 	ctl := repair.New(0, fixer, nil, repair.Config{Interval: time.Hour})
-	s.SetRepair(repair.NewFleet(ctl))
+	setRepair(s, repair.NewFleet(ctl))
 
 	var mu sync.Mutex
 	var lines []string
@@ -92,7 +99,7 @@ func TestStatsAndSlowQueriesSurfaceRepair(t *testing.T) {
 
 	// Without a fleet the fields stay omitted — pre-adaptive dashboards
 	// see an unchanged payload.
-	s.SetRepair(nil)
+	setRepair(s, nil)
 	body := getBody(t, ts.URL+"/v1/stats")
 	if strings.Contains(body, "repairMode") || strings.Contains(body, `"repair"`) {
 		t.Fatalf("repair fields leaked without a fleet: %s", body)
@@ -129,7 +136,7 @@ func TestReadyzWedgedRepairLifecycle(t *testing.T) {
 	ts, s, fixer, d := repairTestServer(t, wal, 1)
 	ctl := repair.New(0, fixer, nil, repair.Config{Interval: time.Millisecond})
 	fleet := repair.NewFleet(ctl)
-	s.SetRepair(fleet)
+	setRepair(s, fleet)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go fleet.Run(ctx, nil)

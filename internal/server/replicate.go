@@ -32,7 +32,7 @@ import (
 // replicateStore resolves the shard query parameter to its store,
 // answering the error itself when it cannot.
 func (s *Server) replicateStore(w http.ResponseWriter, r *http.Request) *persist.Store {
-	stores := s.getStores()
+	stores := s.topo.Load().Stores
 	if len(stores) == 0 {
 		s.httpError(w, http.StatusNotImplemented,
 			errors.New("replication not available (start with -snapshot-dir)"))

@@ -153,9 +153,8 @@ func newReplicatedTestServer(t *testing.T, after time.Duration) *replicatedServe
 
 	s := NewSharded(g)
 	s.SnapshotFunc = g.Snapshot
-	s.SetStores(stores)
-	s.Replicas = set
-	s.EnableMetrics(obs.NewRegistry(), shardRegs...)
+	s.Install(Topology{Group: g, Stores: stores, Registries: shardRegs, Replicas: set})
+	s.EnableMetrics(obs.NewRegistry())
 	s.SetReady(true)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)

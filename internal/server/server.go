@@ -78,19 +78,46 @@ const (
 	maintenanceCost = 4
 )
 
+// Topology is one complete serving stack: everything whose shape
+// follows the shard count. A live reshard replaces all of it at once, so
+// it is built whole (by the caller's assembler) and swapped whole (by
+// Install); nothing in it is mutated after installation.
+type Topology struct {
+	// Group fronts the shard fixers: searches scatter-gather, mutations
+	// route by id.
+	Group *shard.Group
+	// Stores are the per-shard persistence stores, which make this server
+	// a replication leader: followers pull snapshots and WAL segments over
+	// /v1/replicate/*. Nil leaves those endpoints answering 501.
+	Stores []*persist.Store
+	// Repair is the adaptive repair fleet: /v1/stats gains per-shard
+	// controller status, slow-query lines carry the repair mode a query
+	// contended with, and /readyz reports controllers wedged on
+	// consecutive fix failures. Nil when background repair is off.
+	Repair *repair.Fleet
+	// Registries are the per-shard metric registries (const-labeled
+	// shard="<i>") that /metrics merges in after the server's own.
+	Registries []*obs.Registry
+	// Replicas are this server's own per-shard read replicas (the group
+	// must have them attached via SetReplicas too): /v1/stats gains a
+	// per-shard replica block, and /readyz downgrades "shard dark" to
+	// "degraded, serving from replica" when a wedged shard's reads are
+	// covered.
+	Replicas *replica.Set
+}
+
 // Server wires a shard group (one or many online fixers) to an
 // http.Handler. Searches scatter to every shard and gather a global
 // top-k; mutations route to the owning shard; /v1/stats reports both
 // the aggregate and the per-shard breakdown.
 type Server struct {
-	// group is the serving topology. It is a swappable pointer because a
-	// live reshard replaces the whole group (N fixers → 2N fixers) in one
-	// atomic store at cutover; every handler loads it once per request,
-	// so a request sees one coherent topology end to end. Mutations that
-	// raced the swap get shard.ErrResharding from the retired (forever
-	// paused) group and retry against the fresh pointer.
-	group atomic.Pointer[shard.Group]
-	mux   *http.ServeMux
+	// topo is the serving topology, swapped whole by Install. Every
+	// handler loads it once per request, so a request sees one coherent
+	// stack end to end. Mutations that raced a reshard's swap get
+	// shard.ErrResharding from the retired (forever paused) group and
+	// retry against the fresh pointer.
+	topo atomic.Pointer[Topology]
+	mux  *http.ServeMux
 	// DefaultK / DefaultEF apply when a search request omits them.
 	DefaultK, DefaultEF int
 	// Logger receives malformed-response incidents and handler panics.
@@ -126,26 +153,6 @@ type Server struct {
 	// families.
 	ReshardProgress func() reshard.Progress
 
-	// repairFleet is the adaptive repair fleet (see SetRepair): /v1/stats
-	// gains per-shard controller status, slow-query lines carry the
-	// repair mode the query contended with, and /readyz reports
-	// controllers wedged on consecutive fix failures. Swappable because a
-	// reshard retires the fleet with its group and starts one per child
-	// shard on the new topology.
-	repairFleet atomic.Pointer[repair.Fleet]
-	// stores are the per-shard persistence stores (see SetStores), which
-	// make this server a replication leader: followers pull snapshots
-	// and WAL segments over /v1/replicate/*. Unset leaves those
-	// endpoints answering 501. Swapped together with the group at
-	// reshard cutover.
-	stores atomic.Pointer[[]*persist.Store]
-	// Replicas, when non-nil, are this server's own per-shard read
-	// replicas (the group must have them attached via SetReplicas too):
-	// /v1/stats gains a per-shard replica block, and /readyz downgrades
-	// "shard dark" to "degraded, serving from replica" when a wedged
-	// shard's reads are covered.
-	Replicas *replica.Set
-
 	// policyEngine, when non-nil (set via EnablePolicy), applies the §7
 	// serving-path policies per search: answer-cache lookup before
 	// admission, adaptive per-query ef before costing, and query
@@ -160,14 +167,11 @@ type Server struct {
 
 	// metrics/baseRegs are set once by EnableMetrics before serving; nil
 	// means uninstrumented (observers are nil-safe). /metrics serves the
-	// merged exposition of every registry: the server's own and the
-	// process-global shard="all" ones in baseRegs, plus the per-shard
-	// registries (const-labeled shard="<i>") in shardRegs — a separate
-	// swappable set because a reshard replaces the shard line-up (see
-	// SetShardRegistries).
-	metrics   *serverMetrics
-	baseRegs  []*obs.Registry
-	shardRegs atomic.Pointer[[]*obs.Registry]
+	// merged exposition of the server's own and the process-global
+	// shard="all" registries in baseRegs plus the topology's per-shard
+	// Registries.
+	metrics  *serverMetrics
+	baseRegs []*obs.Registry
 }
 
 // ErrReshardInProgress is what ReshardFunc returns while a split is
@@ -185,7 +189,7 @@ func New(fixer *core.OnlineFixer) *Server {
 // and the listener is up, so /readyz tells load balancers the truth.
 func NewSharded(group *shard.Group) *Server {
 	s := &Server{mux: http.NewServeMux(), DefaultK: 10, DefaultEF: 100}
-	s.group.Store(group)
+	s.topo.Store(&Topology{Group: group})
 	// Search governs itself (its admission cost depends on the decoded
 	// ef); fixed-work endpoints go through the governed middleware.
 	s.mux.HandleFunc("/v1/search", s.method(http.MethodPost, s.handleSearch))
@@ -217,62 +221,38 @@ func (s *Server) EnablePolicy(eng *policy.Engine) {
 	}
 	s.policyEngine = eng
 	if c := eng.Cache(); c != nil {
-		s.grp().SetMutationHook(c.Invalidate)
+		s.topo.Load().Group.SetMutationHook(c.Invalidate)
 	}
 }
 
-// grp loads the current serving group. Handlers load once per request
-// so each request sees one coherent topology.
-func (s *Server) grp() *shard.Group { return s.group.Load() }
+// Topology returns the serving stack currently installed (wiring and
+// shutdown read it; a live reshard may have replaced it since startup).
+func (s *Server) Topology() Topology { return *s.topo.Load() }
 
-// Group returns the current serving group (wiring and shutdown read it;
-// a live reshard may have swapped it since startup).
-func (s *Server) Group() *shard.Group { return s.group.Load() }
-
-// SwapGroup installs a new serving group — the reshard cutover's
-// serving-path flip. The policy answer cache (if any) is re-hooked onto
-// the new shards' mutation paths and invalidated once: entries verified
-// against the old topology stay correct in content, but the swap is the
-// natural barrier to drop them at.
-func (s *Server) SwapGroup(g *shard.Group) {
-	if eng := s.policyEngine; eng != nil {
-		if c := eng.Cache(); c != nil {
-			g.SetMutationHook(c.Invalidate)
-			defer c.Invalidate()
-		}
+// Install makes t the serving topology with one atomic store — the
+// startup wiring and the reshard cutover's serving-path flip alike.
+// From the moment it returns, every request sees t's group, stores,
+// repair fleet, registries and replicas, never a mix with the previous
+// stack's. The policy answer cache (if any) is hooked onto t's mutation
+// paths before the store and invalidated once after it: entries
+// verified against the old topology stay correct in content, but the
+// swap is the natural barrier to drop them at.
+func (s *Server) Install(t Topology) {
+	c := s.policyEngine.Cache()
+	if c != nil {
+		t.Group.SetMutationHook(c.Invalidate)
 	}
-	s.group.Store(g)
+	s.topo.Store(&t)
+	c.Invalidate()
 }
 
-// SetRepair installs (or, with nil, detaches) the adaptive repair fleet.
-func (s *Server) SetRepair(f *repair.Fleet) { s.repairFleet.Store(f) }
-
-// getRepair returns the current repair fleet, nil when none is running
-// (including the reshard cutover window, when the fleet is quiesced).
-func (s *Server) getRepair() *repair.Fleet { return s.repairFleet.Load() }
-
-// SetStores installs the per-shard persistence stores the replication
-// endpoints serve from. Swapped together with the group at reshard
-// cutover so followers immediately see the new topology's shard count.
+// SetStores installs stores as the current topology's per-shard stores,
+// the ones the replication endpoints serve from. A wiring-time shorthand
+// for Install with only Stores changed.
 func (s *Server) SetStores(stores []*persist.Store) {
-	if stores == nil {
-		s.stores.Store(nil)
-		return
-	}
-	s.stores.Store(&stores)
-}
-
-// Stores returns the current per-shard stores (nil when persistence is
-// not wired); a live reshard may have swapped them since startup.
-func (s *Server) Stores() []*persist.Store { return s.getStores() }
-
-// getStores returns the current per-shard stores (nil when persistence
-// is not wired).
-func (s *Server) getStores() []*persist.Store {
-	if p := s.stores.Load(); p != nil {
-		return *p
-	}
-	return nil
+	t := s.Topology()
+	t.Stores = stores
+	s.Install(t)
 }
 
 // SetReady flips what /readyz reports. Serving handlers are unaffected:
@@ -663,15 +643,16 @@ type StatsResponse struct {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	topo := s.topo.Load()
 	var req SearchRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, topo, &req) {
 		return
 	}
-	if err := s.checkVector(req.Vector); err != nil {
+	if err := checkVector(topo, req.Vector); err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	k, ef, err := s.searchParams(req)
+	k, ef, err := s.searchParams(topo, req)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
@@ -704,7 +685,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if s.SlowQueries.Observe(obs.SlowQuery{
 			ID: s.SlowQueries.NextID(), K: k, EF: requestedEF, EFUsed: ef,
 			NDC: int64(probeNDC), Policy: policy.AttrCacheHit,
-			Repair: s.repairMode(), Reshard: s.reshardAttr(), Duration: dur,
+			Repair: topo.repairMode(), Reshard: s.reshardAttr(), Duration: dur,
 		}) {
 			s.metrics.observeSlowQuery()
 		}
@@ -719,7 +700,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	group := s.grp()
+	group := topo.Group
 	shards := group.Shards()
 	parallel := shards
 	clamped := false
@@ -788,7 +769,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		ID: s.SlowQueries.NextID(), K: k, EF: requestedEF, EFUsed: ef,
 		NDC: st.NDC, ADC: st.ADCLookups, Hops: st.Hops,
 		Truncated: st.Truncated, Clamped: clamped, ClampedBy: clampedBy,
-		Repair: s.repairMode(), Policy: policyAttr, Reshard: s.reshardAttr(),
+		Repair: topo.repairMode(), Policy: policyAttr, Reshard: s.reshardAttr(),
 		Duration: dur,
 	}) {
 		s.metrics.observeSlowQuery()
@@ -811,7 +792,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // take the server defaults; explicit values must make sense — k ≥ 1,
 // ef ≥ k, and ef no larger than the graph itself (a bigger list cannot
 // improve recall, it only burns a bounded-capacity admission slot).
-func (s *Server) searchParams(req SearchRequest) (k, ef int, err error) {
+func (s *Server) searchParams(topo *Topology, req SearchRequest) (k, ef int, err error) {
 	k = s.DefaultK
 	if req.K != nil {
 		if *req.K <= 0 {
@@ -830,7 +811,7 @@ func (s *Server) searchParams(req SearchRequest) (k, ef int, err error) {
 		if *req.EF < k {
 			return 0, 0, fmt.Errorf("ef (%d) must be at least k (%d)", *req.EF, k)
 		}
-		if n := s.grp().Len(); n > 0 && *req.EF > n {
+		if n := topo.Group.Len(); n > 0 && *req.EF > n {
 			return 0, 0, fmt.Errorf("ef (%d) exceeds the graph size (%d vectors)", *req.EF, n)
 		}
 		ef = *req.EF
@@ -839,16 +820,17 @@ func (s *Server) searchParams(req SearchRequest) (k, ef int, err error) {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
+	topo := s.topo.Load()
 	var req InsertRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, topo, &req) {
 		return
 	}
-	if err := s.checkVector(req.Vector); err != nil {
+	if err := checkVector(topo, req.Vector); err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	var id uint32
-	err := s.retryResharding(r.Context(), func(g *shard.Group) error {
+	err := s.retryResharding(r.Context(), topo, func(g *shard.Group) error {
 		var err error
 		id, err = g.InsertChecked(req.Vector)
 		return err
@@ -869,15 +851,15 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, InsertResponse{ID: id})
 }
 
-// retryResharding runs fn against the current group, retrying while the
-// reshard cutover gate refuses mutations. The gate closes for one
+// retryResharding runs fn against the request's topology, retrying while
+// the reshard cutover gate refuses mutations. The gate closes for one
 // bounded drain window; a retired group keeps refusing forever, so each
-// retry re-loads the group pointer and lands on the freshly installed
-// topology the moment the cutover commits. Bounded by the request
-// context — a client that gives up mid-window gets the refusal.
-func (s *Server) retryResharding(ctx context.Context, fn func(g *shard.Group) error) error {
+// retry re-loads the topology and lands on the freshly installed one the
+// moment the cutover commits. Bounded by the request context — a client
+// that gives up mid-window gets the refusal.
+func (s *Server) retryResharding(ctx context.Context, topo *Topology, fn func(g *shard.Group) error) error {
 	for {
-		err := fn(s.grp())
+		err := fn(topo.Group)
 		if !errors.Is(err, shard.ErrResharding) {
 			return err
 		}
@@ -886,6 +868,7 @@ func (s *Server) retryResharding(ctx context.Context, fn func(g *shard.Group) er
 			return err
 		case <-time.After(2 * time.Millisecond):
 		}
+		topo = s.topo.Load()
 	}
 }
 
@@ -898,12 +881,13 @@ func (s *Server) reshardBusy(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
+	topo := s.topo.Load()
 	var req DeleteRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, topo, &req) {
 		return
 	}
 	var deleted bool
-	err := s.retryResharding(r.Context(), func(g *shard.Group) error {
+	err := s.retryResharding(r.Context(), topo, func(g *shard.Group) error {
 		var err error
 		deleted, err = g.DeleteChecked(req.ID)
 		return err
@@ -926,7 +910,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 	var rep core.FixReport
-	err := s.retryResharding(r.Context(), func(g *shard.Group) error {
+	err := s.retryResharding(r.Context(), s.topo.Load(), func(g *shard.Group) error {
 		var err error
 		rep, err = g.FixPendingChecked()
 		return err
@@ -944,12 +928,13 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePurge(w http.ResponseWriter, r *http.Request) {
+	topo := s.topo.Load()
 	var req PurgeRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, topo, &req) {
 		return
 	}
 	var rep core.PurgeReport
-	err := s.retryResharding(r.Context(), func(g *shard.Group) error {
+	err := s.retryResharding(r.Context(), topo, func(g *shard.Group) error {
 		var err error
 		rep, err = g.PurgeAndRepair(req.K, req.EF)
 		return err
@@ -1024,7 +1009,8 @@ func (s *Server) reshardAttr() string {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// One OnlineStats call per shard: graph numbers must come from under
 	// each fixer's lock, never from unlocked reads through Index().
-	group := s.grp()
+	topo := s.topo.Load()
+	group := topo.Group
 	ost, per := group.OnlineStats()
 	var perShard []ShardStatsResponse
 	if len(per) > 1 {
@@ -1050,13 +1036,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	var repairMode string
 	var repairStatus []repair.Status
-	if fleet := s.getRepair(); fleet != nil {
+	if fleet := topo.Repair; fleet != nil {
 		repairMode = fleet.Mode()
 		repairStatus = fleet.Status()
 	}
 	var replicaStatus []replica.Status
-	if s.Replicas != nil {
-		replicaStatus = s.Replicas.Statuses()
+	if topo.Replicas != nil {
+		replicaStatus = topo.Replicas.Statuses()
 	}
 	var pol *PolicyStatsResponse
 	if eng := s.policyEngine; eng != nil {
@@ -1149,9 +1135,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// caught-up read replica covers it — then the server still answers
 	// every read, just possibly stale, and readyz reports 200 with the
 	// detail so operators see the degradation without losing the node.
-	group := s.grp()
+	topo := s.topo.Load()
+	group := topo.Group
 	if bad := group.DegradedShards(); len(bad) > 0 {
-		if uncovered := s.uncoveredShards(group, bad); len(uncovered) > 0 {
+		if uncovered := uncoveredShards(group, bad); len(uncovered) > 0 {
 			// Searches still work, but acknowledged writes may not survive a
 			// crash until a snapshot succeeds — stop routing traffic here.
 			msg := "durability degraded (WAL failing; snapshot to recover)"
@@ -1165,9 +1152,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "degraded, serving from replica: durability failing on shard(s) %v\n", bad)
 		return
 	}
-	if fleet := s.getRepair(); fleet != nil {
+	if fleet := topo.Repair; fleet != nil {
 		if bad := fleet.WedgedShards(); len(bad) > 0 {
-			if uncovered := s.uncoveredShards(group, bad); len(uncovered) > 0 {
+			if uncovered := uncoveredShards(group, bad); len(uncovered) > 0 {
 				// The index still answers, but repair signal is accumulating
 				// unapplied: the controller has failed several consecutive fix
 				// batches and is wedged on its retry schedule.
@@ -1189,17 +1176,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // repairMode returns the repair fleet's aggregate mode for slow-query
 // attribution, or "" without a controller (rendered as "none").
-func (s *Server) repairMode() string {
-	fleet := s.getRepair()
-	if fleet == nil {
+func (t *Topology) repairMode() string {
+	if t.Repair == nil {
 		return ""
 	}
-	return fleet.Mode()
+	return t.Repair.Mode()
 }
 
 // uncoveredShards filters a list of troubled shards down to those no
 // ready read replica can serve — the ones that make the node dark.
-func (s *Server) uncoveredShards(group *shard.Group, bad []int) []int {
+func uncoveredShards(group *shard.Group, bad []int) []int {
 	var uncovered []int
 	for _, sh := range bad {
 		if !group.ReplicaCovers(sh) {
@@ -1209,18 +1195,18 @@ func (s *Server) uncoveredShards(group *shard.Group, bad []int) []int {
 	return uncovered
 }
 
-func (s *Server) checkVector(v []float32) error {
+func checkVector(topo *Topology, v []float32) error {
 	if len(v) == 0 {
 		return fmt.Errorf("vector is required")
 	}
-	if dim := s.grp().Dim(); len(v) != dim {
+	if dim := topo.Group.Dim(); len(v) != dim {
 		return fmt.Errorf("vector dim %d != index dim %d", len(v), dim)
 	}
 	return nil
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
-	if status, err := decodeRequest(r, s.grp().Dim(), dst); err != nil {
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, topo *Topology, dst interface{}) bool {
+	if status, err := decodeRequest(r, topo.Group.Dim(), dst); err != nil {
 		s.httpError(w, status, err)
 		return false
 	}

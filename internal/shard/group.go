@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ngfix/internal/core"
 	"ngfix/internal/graph"
 	"ngfix/internal/vec"
-	"ngfix/internal/xrand"
 )
 
 // Group fronts N shard-local fixers with the single-fixer surface the
@@ -424,45 +422,4 @@ func (g *Group) DegradedShards() []int {
 		}
 	}
 	return bad
-}
-
-// RunBackground runs every shard's maintenance loop until ctx ends, each
-// in its own goroutine with its log lines prefixed "shard <i>: " — a
-// shard backing off after a journal failure is identifiable, and does
-// not delay the others' cadence. Start times are staggered with jitter
-// across one interval (shard i sleeps (i+u)·interval/N first), so N
-// shards never take their write locks and fire their fix batches in
-// lockstep — synchronized batches would spike tail latency every
-// interval, which staggering turns into N small, spread-out bumps.
-// Blocks until all loops exit.
-func (g *Group) RunBackground(ctx context.Context, interval time.Duration, logf func(format string, args ...interface{})) {
-	if len(g.fixers) == 1 {
-		g.fixers[0].RunBackground(ctx, interval, logf)
-		return
-	}
-	rng := xrand.New()
-	n := len(g.fixers)
-	var wg sync.WaitGroup
-	for s, f := range g.fixers {
-		delay := time.Duration((float64(s) + rng.Float64()) * float64(interval) / float64(n))
-		wg.Add(1)
-		go func(s int, f *core.OnlineFixer, delay time.Duration) {
-			defer wg.Done()
-			timer := time.NewTimer(delay)
-			defer timer.Stop()
-			select {
-			case <-ctx.Done():
-				return
-			case <-timer.C:
-			}
-			shardLogf := logf
-			if logf != nil {
-				shardLogf = func(format string, args ...interface{}) {
-					logf("shard %d: "+format, append([]interface{}{s}, args...)...)
-				}
-			}
-			f.RunBackground(ctx, interval, shardLogf)
-		}(s, f, delay)
-	}
-	wg.Wait()
 }

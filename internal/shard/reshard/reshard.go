@@ -20,10 +20,10 @@
 //     parents serve mutations.
 //  4. cutover   — mutations pause (searches never do), the children
 //     drain the last WAL bytes, PQ sidecars are re-encoded per child
-//     under the frozen codebooks, the new serving group is assembled,
+//     under the frozen codebooks, the new serving stack is assembled,
 //     and persist.CommitReshard flips the MANIFEST. A drain that cannot
 //     converge within CutoverTimeout resumes mutations and retries.
-//  5. done      — the new group is installed, the retired group stays
+//  5. done      — the new stack is installed, the retired group stays
 //     paused forever (stragglers retry onto the new one), and
 //     persist.FinishReshard reclaims the old topology's files.
 //
@@ -76,15 +76,14 @@ type Config struct {
 	// fleet) for the cutover window; the returned resume is called after
 	// the cutover commits or the attempt fails.
 	Quiesce func() (resume func())
-	// Assemble, when non-nil, builds the post-split serving group from
-	// the caught-up child stores and indexes (fixers, metrics, PQ
-	// attach). Required when Group is set.
-	Assemble func(stores []*persist.Store, ixs []*core.Index) (*shard.Group, error)
-	// Install, when non-nil, swaps the assembled group into the serving
-	// path (server group/stores/metric registries). Runs after the
-	// MANIFEST commit: the moment it returns, requests land on the new
-	// topology.
-	Install func(g *shard.Group, stores []*persist.Store)
+	// Assemble, when non-nil, builds the post-split serving stack from
+	// the caught-up child stores and indexes (fixers, metrics, PQ attach,
+	// group, repair fleet) and returns the install that swaps it into the
+	// serving path. Assemble runs before the MANIFEST commit, so its
+	// failure aborts the reshard; install runs after it, and the moment
+	// install returns, requests land on the new topology. Required when
+	// Group is set.
+	Assemble func(stores []*persist.Store, ixs []*core.Index) (install func(), err error)
 
 	// CatchupBytes is the most WAL lag (per parent) tolerated before
 	// attempting cutover (default 4096).
@@ -385,8 +384,9 @@ func (r *Resharder) Run(ctx context.Context) error {
 	}
 
 	// Children have applied everything the parents will ever journal
-	// (fix-edge appends from read-path autofix may still trickle in, but
-	// children skip those). Freeze them and take their indexes.
+	// (mutations are paused and repair quiesced; a fix-edge append from an
+	// unquiesced repair batch would be skipped by the children anyway).
+	// Freeze them and take their indexes.
 	stopKids()
 	ixs := make([]*core.Index, in.ToShards)
 	for c, kid := range kids {
@@ -407,9 +407,9 @@ func (r *Resharder) Run(ctx context.Context) error {
 		return abort(err)
 	}
 
-	var newGroup *shard.Group
+	var install func()
 	if r.cfg.Assemble != nil {
-		newGroup, err = r.cfg.Assemble(childStores, ixs)
+		install, err = r.cfg.Assemble(childStores, ixs)
 		if err != nil {
 			resumeServing()
 			closeChildren()
@@ -431,10 +431,10 @@ func (r *Resharder) Run(ctx context.Context) error {
 
 	// Committed. The old group is retired paused — mutation stragglers
 	// that raced the swap get ErrResharding and retry onto the new
-	// group. Install flips the serving path; then maintenance resumes on
+	// group. install flips the serving path; then maintenance resumes on
 	// the new topology.
-	if r.cfg.Install != nil {
-		r.cfg.Install(newGroup, childStores)
+	if install != nil {
+		install()
 	}
 	r.cutoverMillis.Store(time.Since(cutoverStart).Milliseconds())
 	if quiesceResume != nil {
@@ -466,9 +466,9 @@ func (r *Resharder) caughtUp(kids []*replica.Replica, n int, lagMax int64) bool 
 }
 
 // drained waits (bounded by CutoverTimeout) until every child has
-// applied its parent's entire WAL as of entry. Mutations are paused, so
-// the targets are final: the only appends that can land after them are
-// fix-edge records from read-path autofix, which children discard —
+// applied its parent's entire WAL as of entry. Mutations are paused and
+// repair quiesced, so the targets are final: the only appends that could
+// land after them are fix-edge records, which children discard —
 // content-irrelevant to the split.
 func (r *Resharder) drained(kids []*replica.Replica, n int) bool {
 	targets := make([]persist.ReplicationStatus, n)

@@ -307,16 +307,19 @@ func TestReshardOnline2to4(t *testing.T) {
 			quiesces.Add(1)
 			return func() { resumes.Add(1) }
 		},
-		Assemble: func(stores []*persist.Store, ixs []*core.Index) (*shard.Group, error) {
+		Assemble: func(stores []*persist.Store, ixs []*core.Index) (func(), error) {
 			fixers := make([]*core.OnlineFixer, len(ixs))
 			for c, ix := range ixs {
 				fixers[c] = core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 1 << 20, WAL: stores[c]})
 			}
-			return shard.NewGroup(fixers)
-		},
-		Install: func(g *shard.Group, stores []*persist.Store) {
-			installedStores = stores
-			cur.Store(g)
+			g, err := shard.NewGroup(fixers)
+			if err != nil {
+				return nil, err
+			}
+			return func() {
+				installedStores = stores
+				cur.Store(g)
+			}, nil
 		},
 		Logf: t.Logf,
 	})
