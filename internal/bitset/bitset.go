@@ -70,11 +70,12 @@ func (s *Set) Count() int {
 }
 
 // Reset clears all bits.
-func (s *Set) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
+func (s *Set) Reset() { clear(s.words) }
+
+// Words exposes the backing words, shared: bit i is bit i%64 of word
+// i/64, and bits at or past Len must stay clear. Loops that combine
+// several rows a word at a time read and write them directly.
+func (s *Set) Words() []uint64 { return s.words }
 
 // Clone returns a deep copy.
 func (s *Set) Clone() *Set {
@@ -120,17 +121,28 @@ type Matrix struct {
 	scratch *Set
 }
 
-// NewMatrix returns an n×n all-false matrix.
+// NewMatrix returns an n×n all-false matrix. Its rows share one backing
+// array.
 func NewMatrix(n int) *Matrix {
+	w := (n + wordBits - 1) / wordBits
+	words, sets := make([]uint64, n*w), make([]Set, n)
 	m := &Matrix{rows: make([]*Set, n), scratch: New(n)}
-	for i := range m.rows {
-		m.rows[i] = New(n)
+	for i := range sets {
+		sets[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+		m.rows[i] = &sets[i]
 	}
 	return m
 }
 
 // Size returns n for an n×n matrix.
 func (m *Matrix) Size() int { return len(m.rows) }
+
+// Reset clears every entry.
+func (m *Matrix) Reset() {
+	for _, r := range m.rows {
+		r.Reset()
+	}
+}
 
 // Set marks (i, j) true.
 func (m *Matrix) Set(i, j int) { m.rows[i].Set(j) }

@@ -66,7 +66,7 @@ func (ix *Index) FixPlus(queries *vec.Matrix, nEnum int, eps float64, efTruth in
 	rep.Perturbed = perturbed.Rows()
 	truth := ix.ApproxTruth(perturbed, kmax, efTruth)
 	for i := 0; i < perturbed.Rows(); i++ {
-		st := NGFix(ix.G, bruteforce.IDs(truth[i]), NGFixParams{
+		st := ix.fix.ngfix(ix.G, bruteforce.IDs(truth[i]), NGFixParams{
 			K: k, KMax: kmax, LEx: ix.opts.LEx, Prune: ix.opts.Prune, Rng: ix.rng,
 		})
 		rep.EdgesAdded += st.EdgesAdded

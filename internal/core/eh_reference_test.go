@@ -52,11 +52,19 @@ func referenceEH(g *graph.Graph, nn []uint32, k int) [][]uint16 {
 }
 
 // Property: Algorithm 2 equals the definitional oracle on random graphs,
-// including graphs with extra edges and varying density.
+// including graphs with extra edges and varying density, and on
+// neighbourhoods past 64 points, whose bit rows span several words —
+// through ComputeEH and through one scratch reused across trials.
 func TestComputeEHMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 40; trial++ {
+	var s fixScratch
+	for trial := 0; trial < 52; trial++ {
 		n := 8 + rng.Intn(16)
+		p := 0.05 + rng.Float64()*0.25
+		if trial >= 40 {
+			n = 65 + rng.Intn(75) // multi-word rows
+			p = (1 + rng.Float64()*3) / float64(n)
+		}
 		dim := 2 + rng.Intn(3)
 		m := vec.NewMatrix(n, dim)
 		for i := 0; i < n; i++ {
@@ -65,7 +73,6 @@ func TestComputeEHMatchesReference(t *testing.T) {
 			}
 		}
 		g := graph.New(m, vec.L2)
-		p := 0.05 + rng.Float64()*0.25
 		for u := uint32(0); u < uint32(n); u++ {
 			for v := uint32(0); v < uint32(n); v++ {
 				if u != v && rng.Float64() < p {
@@ -83,13 +90,14 @@ func TestComputeEHMatchesReference(t *testing.T) {
 			nn[i] = uint32(x)
 		}
 		k := 2 + rng.Intn(n-2)
-		got := ComputeEH(g, nn, k)
 		want := referenceEH(g, nn, k)
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				if got.At(i, j) != want[i][j] {
-					t.Fatalf("trial %d (n=%d k=%d p=%.2f): EH(%d,%d) = %d, reference %d",
-						trial, n, k, p, i, j, got.At(i, j), want[i][j])
+		for _, got := range []*EHResult{ComputeEH(g, nn, k), s.computeEH(g, nn, k)} {
+			for i := 0; i < k; i++ {
+				for j := 0; j < k; j++ {
+					if got.At(i, j) != want[i][j] {
+						t.Fatalf("trial %d (n=%d k=%d p=%.2f): EH(%d,%d) = %d, reference %d",
+							trial, n, k, p, i, j, got.At(i, j), want[i][j])
+					}
 				}
 			}
 		}

@@ -2,13 +2,12 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"ngfix/internal/bruteforce"
 	"ngfix/internal/graph"
 	"ngfix/internal/hnsw"
+	"ngfix/internal/parallel"
 	"ngfix/internal/vec"
 )
 
@@ -82,6 +81,8 @@ type Index struct {
 	opts Options
 	rng  *rand.Rand
 	s    *graph.Searcher
+	// fix is the EH/NGFix scratch every fix pass of this index reuses.
+	fix fixScratch
 	// purged records tombstones whose edges were already removed by
 	// PurgeAndRepair, so repeated purges do not redo their repair work.
 	purged map[uint32]bool
@@ -130,39 +131,21 @@ func ExactTruth(base, queries *vec.Matrix, metric vec.Metric, k int) [][]brutefo
 func (ix *Index) ApproxTruth(queries *vec.Matrix, k, ef int) [][]bruteforce.Neighbor {
 	nq := queries.Rows()
 	out := make([][]bruteforce.Neighbor, nq)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nq {
-		workers = nq
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (nq + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nq {
-			hi = nq
+	nw := parallel.Workers(0, nq, 1)
+	searchers := make([]*graph.Searcher, nw)
+	parallel.For(nw, nq, 1, func(w, lo, hi int) {
+		if searchers[w] == nil {
+			searchers[w] = graph.NewSearcher(ix.G)
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s := graph.NewSearcher(ix.G)
-			for i := lo; i < hi; i++ {
-				res, _ := s.SearchFrom(queries.Row(i), k, ef, ix.G.EntryPoint)
-				ns := make([]bruteforce.Neighbor, len(res))
-				for j, r := range res {
-					ns[j] = bruteforce.Neighbor{ID: r.ID, Dist: r.Dist}
-				}
-				out[i] = ns
+		for i := lo; i < hi; i++ {
+			res, _ := searchers[w].SearchFrom(queries.Row(i), k, ef, ix.G.EntryPoint)
+			ns := make([]bruteforce.Neighbor, len(res))
+			for j, r := range res {
+				ns[j] = bruteforce.Neighbor{ID: r.ID, Dist: r.Dist}
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			out[i] = ns
+		}
+	})
 	return out
 }
 
@@ -187,10 +170,13 @@ type FixReport struct {
 func (ix *Index) Fix(queries *vec.Matrix, truth [][]bruteforce.Neighbor) FixReport {
 	start := time.Now()
 	rep := FixReport{Queries: queries.Rows(), PerQueryEdges: make([]int, queries.Rows())}
+	var nn []uint32
 	for qi := 0; qi < queries.Rows(); qi++ {
-		q := queries.Row(qi)
-		nn := bruteforce.IDs(truth[qi])
-		qr := ix.FixQuery(q, nn)
+		nn = nn[:0]
+		for _, x := range truth[qi] {
+			nn = append(nn, x.ID)
+		}
+		qr := ix.FixQuery(queries.Row(qi), nn)
 		rep.NGFixEdges += qr.NGFixEdges
 		rep.NGFixPruned += qr.NGFixPruned
 		rep.RFixEdges += qr.RFixEdges
@@ -227,12 +213,12 @@ func (ix *Index) FixQuery(q []float32, nn []uint32) QueryFixReport {
 			K: r.K, KMax: r.KMax, Delta: r.Delta,
 			LEx: ix.opts.LEx, Prune: ix.opts.Prune, Rng: ix.rng,
 		}
-		st := NGFix(ix.G, nn, np)
+		st := ix.fix.ngfix(ix.G, nn, np)
 		out.NGFixEdges += st.EdgesAdded
 		out.NGFixPruned += st.EdgesPruned
 		out.DefectivePairs += st.PairsAboveDelta
 		if r.RFix {
-			rst := rfix(ix.G, ix.s, q, nn, RFixParams{
+			rst := rfix(ix.G, ix.s, &ix.fix, q, nn, RFixParams{
 				K: r.K, L: ix.opts.RFixL, LEx: ix.opts.LEx,
 			})
 			out.RFixEdges += rst.EdgesAdded

@@ -160,7 +160,7 @@ func (ix *Index) PurgeAndRepair(k, efTruth int) PurgeReport {
 		if len(nn) < 2 {
 			continue
 		}
-		st := NGFix(g, nn, NGFixParams{K: k, KMax: kmax, LEx: ix.opts.LEx, Prune: ix.opts.Prune, Rng: ix.rng})
+		st := ix.fix.ngfix(g, nn, NGFixParams{K: k, KMax: kmax, LEx: ix.opts.LEx, Prune: ix.opts.Prune, Rng: ix.rng})
 		rep.RepairEdges += st.EdgesAdded
 	}
 	ix.s = graph.NewSearcher(g)

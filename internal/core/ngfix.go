@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ngfix/internal/graph"
+	"ngfix/internal/vec"
 )
 
 // PruneMode selects which extra edge is evicted when a vertex's extra
@@ -79,6 +81,14 @@ type NGFixStats struct {
 // increasing length order (the minimum-spanning-tree idea: MST ⊂ RNG), and
 // respecting the per-vertex extra-degree budget with Prune-mode eviction.
 func NGFix(g *graph.Graph, nn []uint32, params NGFixParams) NGFixStats {
+	var s fixScratch
+	return s.ngfix(g, nn, params)
+}
+
+// ngfix is NGFix on s's storage. The δ-reachable matrix D is bit rows, so
+// closing over a new edge ORs whole rows, and the candidate pairs live in
+// one reused slice.
+func (s *fixScratch) ngfix(g *graph.Graph, nn []uint32, params NGFixParams) NGFixStats {
 	p := params.withDefaults()
 	if len(nn) > p.KMax {
 		nn = nn[:p.KMax]
@@ -93,17 +103,18 @@ func NGFix(g *graph.Graph, nn []uint32, params NGFixParams) NGFixStats {
 		return st
 	}
 
-	eh := ComputeEH(g, nn, k)
+	eh := s.computeEH(g, nn, k)
 	st.PairsAboveDelta = eh.CountAbove(p.Delta)
 
 	// δ-reachable matrix D over the top-k neighborhood.
-	D := make([][]bool, k)
+	s.d = square(s.d, k)
+	D := s.d
 	remaining := 0
-	for i := range D {
-		D[i] = make([]bool, k)
-		for j := range D[i] {
-			D[i][j] = i == j || eh.EH[i][j] <= p.Delta
-			if !D[i][j] {
+	for i, row := range eh.EH {
+		for j, v := range row {
+			if i == j || v <= p.Delta {
+				D.Set(i, j)
+			} else {
 				remaining++
 			}
 		}
@@ -113,63 +124,70 @@ func NGFix(g *graph.Graph, nn []uint32, params NGFixParams) NGFixStats {
 		return st
 	}
 
-	// Candidate edges: unordered pairs by ascending distance.
-	type pair struct {
-		i, j int
-		d    float32
-	}
-	cands := make([]pair, 0, k*(k-1)/2)
-	for i := 0; i < k; i++ {
-		ri := g.Vectors.Row(int(nn[i]))
-		for j := i + 1; j < k; j++ {
-			cands = append(cands, pair{i, j, g.Metric.Distance(ri, g.Vectors.Row(int(nn[j])))})
+	// Candidate edges: unordered pairs by ascending distance. Each row's
+	// distances come from one gather call of a distancer prepared with the
+	// graph's norm cache, which returns Metric.Distance's bits.
+	pairs := grow(s.pairs, k*(k-1)/2)
+	s.pairs = pairs
+	s.dist = grow(s.dist, k)
+	norms := g.RowNorms()
+	at := 0
+	for i := 0; i < k-1; i++ {
+		var norm float32
+		if norms != nil {
+			norm = norms[nn[i]]
+		}
+		qd := vec.NewQueryDistancerNorm(g.Metric, g.Vectors.Row(int(nn[i])), norm, norms)
+		dists := s.dist[:k-1-i]
+		qd.RowDistances(g.Vectors, nn[i+1:k], dists)
+		for x, d := range dists {
+			pairs[at] = candidatePair{i, i + 1 + x, d}
+			at++
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d != cands[b].d {
-			return cands[a].d < cands[b].d
+	slices.SortFunc(pairs, func(a, b candidatePair) int {
+		if a.d != b.d {
+			if a.d < b.d {
+				return -1
+			}
+			return 1
 		}
-		if cands[a].i != cands[b].i {
-			return cands[a].i < cands[b].i
+		if a.i != b.i {
+			return cmp.Compare(a.i, b.i)
 		}
-		return cands[a].j < cands[b].j
+		return cmp.Compare(a.j, b.j)
 	})
 
 	// propagate marks (i,j) reachable and closes over it:
 	// ∀ x,y: D[x][i] ∧ D[j][y] ⇒ D[x][y]  (Algorithm 3 lines 17-19).
 	propagate := func(i, j int) {
+		dj := D.Row(j)
 		for x := 0; x < k; x++ {
-			if !D[x][i] {
-				continue
-			}
-			dj := D[j]
-			for y := 0; y < k; y++ {
-				if dj[y] && !D[x][y] {
-					D[x][y] = true
-					remaining--
-				}
+			if D.Test(x, i) {
+				dx := D.Row(x)
+				before := dx.Count()
+				dx.Or(dj)
+				remaining -= dx.Count() - before
 			}
 		}
 	}
 
-	for _, c := range cands {
+	// Edge tag: the hardness this edge fixes (clamped finite max+1 for
+	// InfEH would lose the "unfixable without me" signal, so keep Inf
+	// edges just below RFix's reserved InfEH).
+	tag := func(i, j int) uint16 {
+		if v := eh.EH[i][j]; v != InfEH {
+			return v
+		}
+		return InfEH - 1
+	}
+	for _, c := range pairs {
 		if remaining == 0 {
 			break
 		}
-		needFwd := !D[c.i][c.j]
-		needBwd := !D[c.j][c.i]
+		needFwd, needBwd := !D.Test(c.i, c.j), !D.Test(c.j, c.i)
 		if !needFwd && !needBwd {
 			continue
-		}
-		// Edge tag: the hardness this edge fixes (clamped finite max+1 for
-		// InfEH would lose the "unfixable without me" signal, so keep Inf
-		// edges just below RFix's reserved InfEH).
-		tag := func(i, j int) uint16 {
-			v := eh.EH[i][j]
-			if v == InfEH {
-				return InfEH - 1
-			}
-			return v
 		}
 		if needFwd && addExtraWithBudget(g, nn[c.i], nn[c.j], tag(c.i, c.j), p, &st) {
 			propagate(c.i, c.j)
@@ -177,7 +195,7 @@ func NGFix(g *graph.Graph, nn []uint32, params NGFixParams) NGFixStats {
 		if remaining == 0 {
 			break
 		}
-		if needBwd && !D[c.j][c.i] && addExtraWithBudget(g, nn[c.j], nn[c.i], tag(c.j, c.i), p, &st) {
+		if needBwd && !D.Test(c.j, c.i) && addExtraWithBudget(g, nn[c.j], nn[c.i], tag(c.j, c.i), p, &st) {
 			propagate(c.j, c.i)
 		}
 	}

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"ngfix/internal/bruteforce"
 	"ngfix/internal/graph"
 	"ngfix/internal/obs"
+	"ngfix/internal/parallel"
 	"ngfix/internal/pq"
 	"ngfix/internal/vec"
 )
@@ -291,45 +291,29 @@ func (o *OnlineFixer) approxTruthPQLocked(queries *vec.Matrix, k, ef int) [][]br
 	ps := o.pqs
 	nq := queries.Rows()
 	out := make([][]bruteforce.Neighbor, nq)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nq {
-		workers = nq
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (nq + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nq {
-			hi = nq
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s := pq.NewGraphSearcher(o.ix.G, ps.q)
+	nw := parallel.Workers(0, nq, 1)
+	searchers := make([]*pq.GraphSearcher, nw)
+	parallel.For(nw, nq, 1, func(w, lo, hi int) {
+		s := searchers[w]
+		if s == nil {
+			s = pq.NewGraphSearcher(o.ix.G, ps.q)
 			if ps.tier != nil {
 				s.Tier = ps.tier
 			}
 			s.Rerank = ps.rerank * k
-			for i := lo; i < hi; i++ {
-				res, st := s.Search(queries.Row(i), k, ef)
-				ps.adcLookups.Add(st.ADCLookups)
-				ps.rerankNDC.Add(st.NDC)
-				ns := make([]bruteforce.Neighbor, len(res))
-				for j, r := range res {
-					ns[j] = bruteforce.Neighbor{ID: r.ID, Dist: r.Dist}
-				}
-				out[i] = ns
+			searchers[w] = s
+		}
+		for i := lo; i < hi; i++ {
+			res, st := s.Search(queries.Row(i), k, ef)
+			ps.adcLookups.Add(st.ADCLookups)
+			ps.rerankNDC.Add(st.NDC)
+			ns := make([]bruteforce.Neighbor, len(res))
+			for j, r := range res {
+				ns[j] = bruteforce.Neighbor{ID: r.ID, Dist: r.Dist}
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			out[i] = ns
+		}
+	})
 	return out
 }
 

@@ -73,13 +73,14 @@ type RFixStats struct {
 //
 // nn must hold the query's true NNs in ascending rank (length ≥ K).
 func RFix(g *graph.Graph, q []float32, nn []uint32, params RFixParams) RFixStats {
-	return rfix(g, graph.NewSearcher(g), q, nn, params)
+	return rfix(g, graph.NewSearcher(g), new(fixScratch), q, nn, params)
 }
 
 // rfix is RFix running every search on the caller's searcher over g (its
 // O(n) visited array is the cost a per-query searcher would pay again for
-// each query and each widening round). s.CollectVisited is left as found.
-func rfix(g *graph.Graph, s *graph.Searcher, q []float32, nn []uint32, params RFixParams) RFixStats {
+// each query and each widening round) and marking the vicinity in fs's
+// rank map. s.CollectVisited is left as found.
+func rfix(g *graph.Graph, s *graph.Searcher, fs *fixScratch, q []float32, nn []uint32, params RFixParams) RFixStats {
 	p := params.withDefaults()
 	k := p.K
 	if k > len(nn) {
@@ -90,15 +91,12 @@ func rfix(g *graph.Graph, s *graph.Searcher, q []float32, nn []uint32, params RF
 		st.Reached = true
 		return st
 	}
-	vicinity := make(map[uint32]bool, k)
-	for _, id := range nn[:k] {
-		vicinity[id] = true
-	}
+	fs.rankNeighbors(g.Len(), nn[:k]) // the vicinity
 
 	reaches := func() ([]graph.Result, bool) {
 		res, _ := s.SearchFrom(q, k, p.L, g.EntryPoint)
 		for _, r := range res {
-			if vicinity[r.ID] {
+			if fs.rankOf(r.ID) >= 0 {
 				return res, true
 			}
 		}

@@ -115,6 +115,10 @@ func (g *Graph) BaseNeighbors(u uint32) []uint32 {
 	return g.adj[u][:nb:nb]
 }
 
+// Neighbors returns every out-edge target of u, base then extra, as the
+// one range a search hop reads (shared storage; do not modify).
+func (g *Graph) Neighbors(u uint32) []uint32 { return g.adj[u] }
+
 // ExtraNeighbors returns the extra out-edges of u (shared storage).
 func (g *Graph) ExtraNeighbors(u uint32) []ExtraEdge { return g.extra[u] }
 

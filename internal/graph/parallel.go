@@ -1,55 +1,34 @@
 package graph
 
 import (
-	"runtime"
-	"sync"
-
+	"ngfix/internal/parallel"
 	"ngfix/internal/vec"
 )
 
 // SearchBatch answers all queries with a worker pool (one Searcher per
-// worker) and returns per-query results plus aggregate stats. The paper
-// benchmarks single-threaded, but a served index wants the parallel path;
+// worker, queries handed out one at a time as workers free up) and
+// returns per-query results plus aggregate stats. The paper benchmarks
+// single-threaded, but a served index wants the parallel path;
 // correctness matches sequential search exactly since workers only read.
 //
 // workers ≤ 0 selects GOMAXPROCS.
 func SearchBatch(g *Graph, queries *vec.Matrix, k, ef, workers int) ([][]Result, Stats) {
 	nq := queries.Rows()
 	out := make([][]Result, nq)
-	if nq == 0 {
-		return out, Stats{}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nq {
-		workers = nq
-	}
-	stats := make([]Stats, workers)
-	var wg sync.WaitGroup
-	chunk := (nq + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nq {
-			hi = nq
+	nw := parallel.Workers(workers, nq, 1)
+	searchers := make([]*Searcher, nw)
+	stats := make([]Stats, nw)
+	parallel.For(nw, nq, 1, func(w, lo, hi int) {
+		if searchers[w] == nil {
+			searchers[w] = NewSearcher(g)
 		}
-		if lo >= hi {
-			break
+		for i := lo; i < hi; i++ {
+			res, st := searchers[w].SearchFrom(queries.Row(i), k, ef, g.EntryPoint)
+			out[i] = res
+			stats[w].NDC += st.NDC
+			stats[w].Hops += st.Hops
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := NewSearcher(g)
-			for i := lo; i < hi; i++ {
-				res, st := s.SearchFrom(queries.Row(i), k, ef, g.EntryPoint)
-				out[i] = res
-				stats[w].NDC += st.NDC
-				stats[w].Hops += st.Hops
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	})
 	var total Stats
 	for _, st := range stats {
 		total.NDC += st.NDC

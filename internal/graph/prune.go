@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"ngfix/internal/vec"
 )
@@ -15,13 +16,16 @@ type Candidate struct {
 }
 
 // SortCandidates orders candidates by increasing distance (stable on id so
-// construction is deterministic).
+// construction is deterministic). It allocates nothing.
 func SortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Dist != cs[j].Dist {
-			return cs[i].Dist < cs[j].Dist
+	slices.SortFunc(cs, func(a, b Candidate) int {
+		if a.Dist != b.Dist {
+			if a.Dist < b.Dist {
+				return -1
+			}
+			return 1
 		}
-		return cs[i].ID < cs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

@@ -10,9 +10,11 @@ package hnsw
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"ngfix/internal/graph"
 	"ngfix/internal/minheap"
+	"ngfix/internal/parallel"
 	"ngfix/internal/vec"
 )
 
@@ -44,26 +46,24 @@ type Index struct {
 	links    [][][]uint32
 	entry    uint32
 	maxLevel int
-	rng      *rand.Rand
-	levelMul float64
 	// norms caches every row's norm for cosine (nil otherwise), so scoring
 	// pays one dot product per evaluation instead of three.
 	norms []float32
-	// build is the sequential builder's beam-search scratch.
-	build levelScratch
 }
 
-// levelScratch is the reusable state of one searchLevel call: allocating
-// it per call would cost an O(n) visited set per level per insert.
+// levelScratch is one build worker's (or one query's) reusable search
+// state: allocating it per call would cost an O(n) visited set per level
+// per insert.
 type levelScratch struct {
 	visited *minheap.Visited
 	beam    graph.Beam
 	ids     []uint32  // one hop's unvisited neighbours
 	dists   []float32 // and their distances
+	cands   []graph.Candidate
 }
 
-func newLevelScratch(n int) levelScratch {
-	return levelScratch{visited: minheap.NewVisited(n)}
+func newLevelScratch(n int) *levelScratch {
+	return &levelScratch{visited: minheap.NewVisited(n)}
 }
 
 // score fills sc.dists with qd's distances to ids through one gather call.
@@ -76,32 +76,86 @@ func (idx *Index) score(qd *vec.QueryDistancer, sc *levelScratch, ids []uint32) 
 	return d
 }
 
-// Build constructs an HNSW index over the given vectors by sequential
-// insertion.
+// Build constructs an HNSW index over the given vectors. Rows are inserted
+// in id order, in batches whose members search the graph as it stood
+// before the batch, concurrently; the graph is a function of the vectors
+// and cfg alone, whatever the core count. See batchSize and DESIGN.md,
+// "Building on all cores".
 func Build(vectors *vec.Matrix, cfg Config) *Index {
+	return build(vectors, cfg, batchSize)
+}
+
+// batchSize is the prefix-doubling schedule: the batch inserted after the
+// first lo rows holds lo/32 rows, at least 1 and at most 256. A batch is
+// small next to the graph its members search, so each member misses few
+// of the neighbours a one-at-a-time insert would have seen; the graph
+// doubles every 22 batches or so until batches reach 256 rows at 8 192.
+func batchSize(lo int) int { return min(max(lo/32, 1), 256) }
+
+// build is Build under an arbitrary batch schedule; schedule(lo) ≤ 1 at
+// every lo is sequential insertion.
+func build(vectors *vec.Matrix, cfg Config, schedule func(lo int) int) *Index {
 	if cfg.M < 2 {
 		panic("hnsw: M must be >= 2")
 	}
 	if cfg.EFConstruction < cfg.M {
 		cfg.EFConstruction = cfg.M
 	}
-	idx := &Index{
-		cfg:      cfg,
-		vectors:  vectors,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		levelMul: 1 / math.Log(float64(cfg.M)),
-		maxLevel: -1,
-	}
 	n := vectors.Rows()
-	idx.links = make([][][]uint32, 0, n)
+	idx := &Index{cfg: cfg, vectors: vectors, maxLevel: -1}
 	if cfg.Metric == vec.Cosine {
 		idx.norms = vec.RowNorms(vectors)
 	}
-	idx.build = newLevelScratch(n)
-	for i := 0; i < n; i++ {
-		idx.insert(uint32(i))
+	idx.links = make([][][]uint32, n)
+	for i, level := range drawLevels(n, cfg) {
+		idx.links[i] = make([][]uint32, level+1)
+	}
+	var (
+		scratch []*levelScratch // one per worker
+		reqs    []linkRequest
+		keys    []uint64
+	)
+	for lo := 0; lo < n; {
+		hi := min(lo+max(schedule(lo), 1), n)
+		// A row that opens a new top level closes its batch, so the rows
+		// after it descend from it, as they would inserted one at a time.
+		for i := lo; i < hi; i++ {
+			if len(idx.links[i])-1 > idx.maxLevel {
+				hi = i + 1
+				break
+			}
+		}
+		nw := parallel.Workers(0, hi-lo, 1)
+		for len(scratch) < nw {
+			scratch = append(scratch, newLevelScratch(n))
+		}
+		parallel.For(nw, hi-lo, 1, func(w, a, b int) {
+			for i := a; i < b; i++ {
+				idx.selectNeighbors(uint32(lo+i), scratch[w])
+			}
+		})
+		reqs, keys = idx.linkBack(lo, hi, scratch, reqs, keys)
+		for i := lo; i < hi; i++ {
+			if level := len(idx.links[i]) - 1; level > idx.maxLevel {
+				idx.maxLevel, idx.entry = level, uint32(i)
+			}
+		}
+		lo = hi
 	}
 	return idx
+}
+
+// drawLevels assigns every row its top level from cfg.Seed's stream, in id
+// order: level ⌊−ln(U)·mL⌋ with mL = 1/ln M, so a row reaches level l with
+// probability M^−l.
+func drawLevels(n int, cfg Config) []int {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	levelMul := 1 / math.Log(float64(cfg.M))
+	levels := make([]int, n)
+	for i := range levels {
+		levels[i] = int(-math.Log(1-rng.Float64()) * levelMul)
+	}
+	return levels
 }
 
 // Len returns the number of indexed vectors.
@@ -116,10 +170,6 @@ func (idx *Index) MaxLevel() int { return idx.maxLevel }
 // Config returns the build configuration.
 func (idx *Index) Config() Config { return idx.cfg }
 
-func (idx *Index) randomLevel() int {
-	return int(-math.Log(1-idx.rng.Float64()) * idx.levelMul)
-}
-
 func (idx *Index) maxDegree(level int) int {
 	if level == 0 {
 		return 2 * idx.cfg.M
@@ -127,32 +177,26 @@ func (idx *Index) maxDegree(level int) int {
 	return idx.cfg.M
 }
 
-// insert adds vector id (which must equal len(links)) to the index.
-func (idx *Index) insert(id uint32) {
-	level := idx.randomLevel()
-	nodeLinks := make([][]uint32, level+1)
-	idx.links = append(idx.links, nodeLinks)
-
-	if len(idx.links) == 1 {
-		idx.entry = id
-		idx.maxLevel = level
-		return
+// selectNeighbors fills row id's out-lists against the graph of the rows
+// inserted before its batch: greedy descent through the levels above id's
+// own, then at each level from min(its level, the top level) down an
+// efConstruction beam search and an RNG prune to M neighbours. It writes
+// only links[id] and reads only rows no batch member is linked from yet,
+// so a batch's members run it concurrently, each on its own scratch.
+func (idx *Index) selectNeighbors(id uint32, sc *levelScratch) {
+	if idx.maxLevel < 0 {
+		return // the first row: nothing to link to
 	}
-
+	nodeLinks := idx.links[id]
+	level := len(nodeLinks) - 1
 	qd := idx.rowDistancer(id)
 	ep := idx.entry
 	epDist := qd.RowDistance(idx.vectors, ep)
-	// Greedy descent through levels above the new node's level.
 	for l := idx.maxLevel; l > level; l-- {
-		ep, epDist = idx.greedyStep(&qd, &idx.build, ep, epDist, l)
+		ep, epDist = idx.greedyStep(&qd, sc, ep, epDist, l)
 	}
-	// Beam search + connect on each level from min(level, maxLevel) down.
-	top := level
-	if top > idx.maxLevel {
-		top = idx.maxLevel
-	}
-	for l := top; l >= 0; l-- {
-		cands := idx.searchLevel(&qd, &idx.build, ep, epDist, idx.cfg.EFConstruction, l)
+	for l := min(level, idx.maxLevel); l >= 0; l-- {
+		cands := idx.searchLevel(&qd, sc, ep, epDist, idx.cfg.EFConstruction, l)
 		graph.SortCandidates(cands)
 		selected := graph.RNGPruneNorms(idx.vectors, idx.cfg.Metric, idx.norms, cands, idx.cfg.M)
 		nbrs := make([]uint32, len(selected))
@@ -160,36 +204,72 @@ func (idx *Index) insert(id uint32) {
 			nbrs[i] = c.ID
 		}
 		nodeLinks[l] = nbrs
-		for _, c := range selected {
-			idx.connect(c.ID, id, c.Dist, l)
-		}
 		if len(cands) > 0 {
 			ep, epDist = cands[0].ID, cands[0].Dist
 		}
 	}
-	if level > idx.maxLevel {
-		idx.maxLevel = level
-		idx.entry = id
+}
+
+// linkRequest is one reverse link of a batch: add v to u's level-l list.
+type linkRequest struct {
+	u, v uint32
+	l    int
+}
+
+// linkBack adds the reverse links of batch [lo, hi). Sequential insertion
+// would call connect for each member in id order, for each of its levels
+// top-down, for each chosen neighbour in order. connect(u, …) reads and
+// writes only u's lists, so what a target's lists end as depends only on
+// the order of the calls aimed at that target: the requests are grouped
+// by target, keeping that order within each group, and each group runs on
+// one worker. reqs and keys are reused buffers, returned for the next
+// batch.
+func (idx *Index) linkBack(lo, hi int, scratch []*levelScratch, reqs []linkRequest, keys []uint64) ([]linkRequest, []uint64) {
+	reqs, keys = reqs[:0], keys[:0]
+	for i := lo; i < hi; i++ {
+		ls := idx.links[i]
+		for l := len(ls) - 1; l >= 0; l-- {
+			for _, u := range ls[l] {
+				// Target in the high half, call order in the low half.
+				keys = append(keys, uint64(u)<<32|uint64(len(reqs)))
+				reqs = append(reqs, linkRequest{u: u, v: uint32(i), l: l})
+			}
+		}
 	}
+	slices.Sort(keys)
+	// Cut the sorted requests into per-target groups, and hand the groups
+	// out to the workers in chunks.
+	var groups []int
+	for i, k := range keys {
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			groups = append(groups, i)
+		}
+	}
+	groups = append(groups, len(keys))
+	parallel.For(len(scratch), len(groups)-1, 16, func(w, a, b int) {
+		for _, k := range keys[groups[a]:groups[b]] {
+			r := reqs[uint32(k)]
+			idx.connect(r.u, r.v, r.l, scratch[w])
+		}
+	})
+	return reqs, keys
 }
 
 // connect adds edge u→v at level l, shrinking u's list with the RNG
 // heuristic when it exceeds the level's degree cap.
-func (idx *Index) connect(u, v uint32, dist float32, l int) {
+func (idx *Index) connect(u, v uint32, l int, sc *levelScratch) {
 	ls := idx.links[u][l]
-	for _, w := range ls {
-		if w == v {
-			return
-		}
+	if slices.Contains(ls, v) {
+		return
 	}
 	ls = append(ls, v)
-	max := idx.maxDegree(l)
-	if len(ls) > max {
+	if max := idx.maxDegree(l); len(ls) > max {
 		ud := idx.rowDistancer(u)
-		cands := make([]graph.Candidate, len(ls))
-		for i, w := range ls {
-			cands[i] = graph.Candidate{ID: w, Dist: ud.RowDistance(idx.vectors, w)}
+		cands := sc.cands[:0]
+		for i, d := range idx.score(&ud, sc, ls) {
+			cands = append(cands, graph.Candidate{ID: ls[i], Dist: d})
 		}
+		sc.cands = cands
 		graph.SortCandidates(cands)
 		kept := graph.RNGPruneNorms(idx.vectors, idx.cfg.Metric, idx.norms, cands, max)
 		ls = ls[:0]
@@ -198,7 +278,6 @@ func (idx *Index) connect(u, v uint32, dist float32, l int) {
 		}
 	}
 	idx.links[u][l] = ls
-	_ = dist
 }
 
 // rowDistancer prepares distances from row id to other rows, taking its
@@ -242,7 +321,7 @@ func (idx *Index) neighborsAt(u uint32, l int) []uint32 {
 // candidate list of the graph package's beam loop, with each hop's
 // unvisited neighbours scored in one gather call. Distances come from qd
 // (which counts them); sc is reset here and must not be shared by
-// concurrent calls.
+// concurrent calls. The result aliases sc until its next use.
 func (idx *Index) searchLevel(qd *vec.QueryDistancer, sc *levelScratch, ep uint32, epDist float32, ef, l int) []graph.Candidate {
 	sc.visited.Reset()
 	sc.visited.Visit(ep)
@@ -258,11 +337,11 @@ func (idx *Index) searchLevel(qd *vec.QueryDistancer, sc *levelScratch, ep uint3
 		sc.ids = sc.visited.AppendUnvisited(sc.ids[:0], idx.neighborsAt(cur, l))
 		sc.beam.Push(sc.ids, idx.score(qd, sc, sc.ids), nil)
 	}
-	entries := sc.beam.Entries()
-	out := make([]graph.Candidate, len(entries))
-	for i, e := range entries {
-		out[i] = graph.Candidate{ID: e.ID(), Dist: e.Dist}
+	out := sc.cands[:0]
+	for _, e := range sc.beam.Entries() {
+		out = append(out, graph.Candidate{ID: e.ID(), Dist: e.Dist})
 	}
+	sc.cands = out
 	return out
 }
 
@@ -281,9 +360,9 @@ func (idx *Index) Search(q []float32, k, ef int) ([]graph.Result, graph.Stats) {
 	ep := idx.entry
 	epDist := qd.RowDistance(idx.vectors, ep)
 	for l := idx.maxLevel; l >= 1; l-- {
-		ep, epDist = idx.greedyStep(&qd, &sc, ep, epDist, l)
+		ep, epDist = idx.greedyStep(&qd, sc, ep, epDist, l)
 	}
-	cands := idx.searchLevel(&qd, &sc, ep, epDist, ef, 0)
+	cands := idx.searchLevel(&qd, sc, ep, epDist, ef, 0)
 	if len(cands) > k {
 		cands = cands[:k]
 	}

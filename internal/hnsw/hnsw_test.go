@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ngfix/internal/bruteforce"
+	"ngfix/internal/dataset"
 	"ngfix/internal/graph"
 	"ngfix/internal/metrics"
 	"ngfix/internal/vec"
@@ -194,5 +195,22 @@ func TestHierarchicalSweepWorks(t *testing.T) {
 	})
 	if len(curve) != 3 || curve[2].Recall < curve[0].Recall-1e-9 {
 		t.Fatalf("sweep curve malformed: %+v", curve)
+	}
+}
+
+// BenchmarkBuild builds the serving benchmark's shape: 10 000 unit-norm
+// cosine rows of dim 128 in 64 clusters, M 16, efConstruction 100.
+func BenchmarkBuild(b *testing.B) {
+	d := dataset.Generate(dataset.Config{
+		Name: "hnsw-build", N: 10000, NHist: 1, NTest: 1,
+		Dim: 128, Clusters: 64, Metric: vec.Cosine,
+		GapMagnitude: 2.0, ClusterStd: 0.2, QueryStdScale: 1.8,
+		Normalize: true, Seed: 8021,
+	})
+	cfg := Config{M: 16, EFConstruction: 100, Metric: vec.Cosine, Seed: 7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Build(d.Base, cfg)
 	}
 }

@@ -11,10 +11,8 @@ package pq
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"ngfix/internal/parallel"
 	"ngfix/internal/vec"
 )
 
@@ -107,7 +105,7 @@ func Train(data *vec.Matrix, cfg Config) (*Quantizer, error) {
 	q.cfg.KS = ks
 
 	q.centroids = make([]*vec.Matrix, cfg.M)
-	parallel(cfg.M, 1, func(lo, hi int) {
+	parallel.For(0, cfg.M, 1, func(_, lo, hi int) {
 		for m := lo; m < hi; m++ {
 			// One stream per subspace, a function of (Seed, m) alone.
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(m)*subspaceSeedStride))
@@ -123,41 +121,6 @@ func Train(data *vec.Matrix, cfg Config) (*Quantizer, error) {
 // subspaceSeedStride separates the subspaces' seeds so that configs whose
 // Seeds differ by less than M do not share a stream between subspaces.
 const subspaceSeedStride = 1_000_003
-
-// parallel covers [0, n) with fn(lo, hi) calls over disjoint chunks of
-// chunk items (the last may be shorter), handed out on demand to up to
-// GOMAXPROCS goroutines — so a chunk that finishes early (a subspace that
-// converges) does not idle its worker — and returns when all are done.
-// Which goroutine runs which chunk is unspecified; callers keep chunks
-// independent so the result is not.
-func parallel(n, chunk int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if chunks := (n + chunk - 1) / chunk; workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				fn(lo, min(lo+chunk, n))
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // transposeInto writes the KS×sub centroid matrix into dst dimension-major
 // (dst[j*KS+c] = coordinate j of centroid c).
@@ -258,10 +221,14 @@ func (q *Quantizer) encodeInto(row []float32, dst []byte, scratch []float32) {
 // lo first), splitting the rows into disjoint chunks across cores.
 func (q *Quantizer) encodeRows(data *vec.Matrix, lo, hi int, dst []byte) {
 	m := q.cfg.M
-	parallel(hi-lo, 256, func(a, b int) {
-		scratch := make([]float32, q.cfg.KS)
+	nw := parallel.Workers(0, hi-lo, 256)
+	scratch := make([][]float32, nw)
+	parallel.For(nw, hi-lo, 256, func(w, a, b int) {
+		if scratch[w] == nil {
+			scratch[w] = make([]float32, q.cfg.KS)
+		}
 		for i := a; i < b; i++ {
-			q.encodeInto(data.Row(lo+i), dst[i*m:(i+1)*m], scratch)
+			q.encodeInto(data.Row(lo+i), dst[i*m:(i+1)*m], scratch[w])
 		}
 	})
 }
