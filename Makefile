@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages with real concurrency (locks, goroutines, HTTP handlers) that
 # must stay clean under the race detector.
-RACE_PKGS = ./internal/core ./internal/server ./internal/persist ./internal/admission ./internal/obs ./internal/shard ./internal/shard/reshard ./internal/repair ./internal/replica ./internal/policy ./internal/pq ./internal/hnsw ./internal/parallel
+RACE_PKGS = ./internal/core ./internal/server ./internal/persist ./internal/admission ./internal/obs ./internal/shard ./internal/shard/reshard ./internal/repair ./internal/replica ./internal/policy ./internal/pq ./internal/hnsw ./internal/parallel ./internal/graph
 
 .PHONY: check vet build test race bench bench-go bench-serve
 

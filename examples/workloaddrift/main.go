@@ -2,7 +2,7 @@
 // shifts after the index was fixed; the example shows (1) re-fixing with a
 // handful of drifted queries after trimming old extra edges, and (2) the
 // Gaussian query-augmentation trick that stretches a tiny real history,
-// plus the MD5 answer cache for exactly-repeated queries.
+// plus the serving path's answer cache for exactly-repeated queries.
 package main
 
 import (
@@ -14,6 +14,7 @@ import (
 	"ngfix/internal/graph"
 	"ngfix/internal/hnsw"
 	"ngfix/internal/metrics"
+	"ngfix/internal/policy"
 	"ngfix/internal/vec"
 )
 
@@ -63,10 +64,11 @@ func main() {
 	fmt.Printf("cold-start fix: 30 real + %d synthetic queries:        %.3f\n",
 		synth.Rows(), recallOn(cold, drifted, driftGT))
 
-	// Bonus: repeated queries served from the MD5 answer cache.
-	cache := core.NewAnswerCache()
+	// Bonus: a repeated query is answered from the answer cache.
+	cache := policy.NewCache(64)
 	q := drifted.Row(0)
-	ix.SearchCached(cache, q, 10, 25, true)
-	_, st, hit := ix.SearchCached(cache, q, 10, 25, true)
-	fmt.Printf("repeated query: cache hit=%v, distance computations=%d\n", hit, st.NDC)
+	res, _ := ix.Search(q, 10, 25)
+	cache.Put(q, 10, 25, res, cache.Generation())
+	_, hit := cache.Get(q, 10, 25)
+	fmt.Printf("repeated query: cache hit=%v, answered without a graph search\n", hit)
 }

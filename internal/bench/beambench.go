@@ -78,11 +78,8 @@ func (h *heapBeam) search(score func(id uint32) float32, L, pool int) int64 {
 		if worst, ok := h.results.MaxDist(); ok && h.results.Full() && cur.Dist > worst {
 			break
 		}
-		for _, v := range g.BaseNeighbors(cur.ID) {
+		for _, v := range g.Neighbors(cur.ID) {
 			admit(v)
-		}
-		for _, e := range g.ExtraNeighbors(cur.ID) {
-			admit(e.To)
 		}
 	}
 	return scored

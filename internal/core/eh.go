@@ -2,8 +2,8 @@
 // the δ-reachable closure, NGFix (Neighboring Graph Defects Fixing), RFix
 // (Reachability Fixing), and the maintained index that applies them —
 // including insertion with partial rebuild, deletion with NGFix repair,
-// Gaussian query augmentation, NGFix+, and the MD5 answer cache from the
-// discussion section.
+// and Gaussian query augmentation (NGFix+) from the discussion section.
+// The answer cache for repeated queries lives in internal/policy.
 package core
 
 import (

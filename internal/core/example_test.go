@@ -51,20 +51,3 @@ func ExampleNGFix() {
 	// fully reachable: true
 	// bridge exists: true
 }
-
-// ExampleAnswerCache shows the §7 hash-table shortcut for repeated
-// queries.
-func ExampleAnswerCache() {
-	cache := core.NewAnswerCache()
-	q := []float32{0.25, -1.5}
-	cache.Put(q, []graph.Result{{ID: 7, Dist: 0.1}})
-	if res, ok := cache.Get(q); ok {
-		fmt.Println("hit:", res[0].ID)
-	}
-	if _, ok := cache.Get([]float32{0.25, -1.5000001}); !ok {
-		fmt.Println("near-miss queries do not hit")
-	}
-	// Output:
-	// hit: 7
-	// near-miss queries do not hit
-}

@@ -269,45 +269,6 @@ func TestDeleteAndPurge(t *testing.T) {
 	}
 }
 
-func TestAnswerCache(t *testing.T) {
-	d, g := testWorkload(t)
-	ix := New(g, Options{Rounds: []Round{{K: 10}}, LEx: 16})
-	c := NewAnswerCache()
-	q := d.TestOOD.Row(0)
-
-	res1, st1, hit := ix.SearchCached(c, q, 5, 20, true)
-	if hit || st1.NDC == 0 {
-		t.Fatal("first lookup should miss and search")
-	}
-	res2, st2, hit := ix.SearchCached(c, q, 5, 20, true)
-	if !hit || st2.NDC != 0 {
-		t.Fatal("second lookup should hit without distance work")
-	}
-	if len(res1) != len(res2) {
-		t.Fatal("cached answer differs")
-	}
-	for i := range res1 {
-		if res1[i].ID != res2[i].ID {
-			t.Fatal("cached ids differ")
-		}
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 || c.Len() != 1 {
-		t.Fatalf("stats = %d/%d len=%d", hits, misses, c.Len())
-	}
-	// Truncation to smaller k.
-	res3, _, hit := ix.SearchCached(c, q, 2, 20, true)
-	if !hit || len(res3) != 2 {
-		t.Fatalf("truncated cached answer = %v (hit=%v)", res3, hit)
-	}
-	// A perturbed query must miss (hash sensitivity).
-	q2 := append([]float32(nil), q...)
-	q2[0] += 1e-6
-	if _, _, hit := ix.SearchCached(c, q2, 5, 20, false); hit {
-		t.Fatal("different query hit the cache")
-	}
-}
-
 func TestAugmentQueries(t *testing.T) {
 	d, _ := testWorkload(t)
 	src := d.History.Slice(0, 10)

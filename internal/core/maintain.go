@@ -22,7 +22,7 @@ func (ix *Index) PartialRebuild(removeFrac float64, queries *vec.Matrix, truth [
 		if len(edges) == 0 {
 			continue
 		}
-		kept := make([]graph.ExtraEdge, 0, len(edges))
+		kept := edges[:0]
 		for _, e := range edges {
 			if ix.rng.Float64() < removeFrac {
 				continue
@@ -41,8 +41,8 @@ func (ix *Index) PartialRebuild(removeFrac float64, queries *vec.Matrix, truth [
 func (ix *Index) Delete(id uint32) bool { return ix.G.MarkDeleted(id) }
 
 // ApplyExtraUpdates replays journaled extra-adjacency replacements (the
-// op log's fix-batch records) onto the graph. Edges are copied, so the
-// caller may keep the updates.
+// op log's fix-batch records) onto the graph. The graph copies the edges,
+// so the caller may keep the updates.
 func (ix *Index) ApplyExtraUpdates(updates []graph.ExtraUpdate) error {
 	n := uint32(ix.G.Len())
 	for _, up := range updates {
@@ -54,7 +54,7 @@ func (ix *Index) ApplyExtraUpdates(updates []graph.ExtraUpdate) error {
 				return fmt.Errorf("core: extra update %d→%d out of range (graph has %d)", up.U, e.To, n)
 			}
 		}
-		ix.G.SetExtraNeighbors(up.U, append([]graph.ExtraEdge(nil), up.Edges...))
+		ix.G.SetExtraNeighbors(up.U, up.Edges)
 	}
 	return nil
 }
@@ -120,10 +120,9 @@ func (ix *Index) PurgeAndRepair(k, efTruth int) PurgeReport {
 	for u := 0; u < g.Len(); u++ {
 		uu := uint32(u)
 		if g.IsDeleted(uu) {
-			b := len(g.BaseNeighbors(uu)) + len(g.ExtraNeighbors(uu))
+			rep.EdgesRemoved += g.Degree(uu)
 			g.SetBaseNeighbors(uu, nil)
 			g.SetExtraNeighbors(uu, nil)
-			rep.EdgesRemoved += b
 			continue
 		}
 		base := g.BaseNeighbors(uu)

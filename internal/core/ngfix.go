@@ -229,34 +229,45 @@ func addExtraWithBudget(g *graph.Graph, u, v uint32, eh uint16, p NGFixParams, s
 // for a new edge with hardness newEH. RFix edges (InfEH) are never
 // evicted. ok=false means the new edge loses and is not added.
 func pickVictim(g *graph.Graph, u uint32, newEH uint16, p NGFixParams) (victim uint32, ok bool) {
-	edges := g.ExtraNeighbors(u)
+	nbrs, tags := g.Neighbors(u), g.ExtraTags(u)
+	ids := nbrs[len(nbrs)-len(tags):] // ids[i] carries tags[i]
 	switch p.Prune {
 	case PruneRandom:
-		idxs := make([]int, 0, len(edges))
-		for i, e := range edges {
-			if e.EH != InfEH {
-				idxs = append(idxs, i)
+		evictable := 0
+		for _, t := range tags {
+			if t != InfEH {
+				evictable++
 			}
 		}
-		if len(idxs) == 0 {
+		if evictable == 0 {
 			return 0, false
 		}
 		r := p.Rng
 		if r == nil {
 			r = rand.New(rand.NewSource(int64(u)))
 		}
-		return edges[idxs[r.Intn(len(idxs))]].To, true
+		pick := r.Intn(evictable)
+		for i, t := range tags {
+			if t == InfEH {
+				continue
+			}
+			if pick == 0 {
+				return ids[i], true
+			}
+			pick--
+		}
+		panic("unreachable")
 	case PruneMRNG:
 		// Evict the longest edge unless it is protected — the "prune long
 		// edges" behavior the paper shows is harmful for hard queries.
 		uRow := g.Vectors.Row(int(u))
 		best := -1
 		var bestD float32
-		for i, e := range edges {
-			if e.EH == InfEH {
+		for i, t := range tags {
+			if t == InfEH {
 				continue
 			}
-			d := g.Metric.Distance(uRow, g.Vectors.Row(int(e.To)))
+			d := g.Metric.Distance(uRow, g.Vectors.Row(int(ids[i])))
 			if best == -1 || d > bestD {
 				best, bestD = i, d
 			}
@@ -264,21 +275,21 @@ func pickVictim(g *graph.Graph, u uint32, newEH uint16, p NGFixParams) (victim u
 		if best == -1 {
 			return 0, false
 		}
-		return edges[best].To, true
+		return ids[best], true
 	default: // PruneEH
 		best := -1
 		var bestEH uint16
-		for i, e := range edges {
-			if e.EH == InfEH {
+		for i, t := range tags {
+			if t == InfEH {
 				continue
 			}
-			if best == -1 || e.EH < bestEH {
-				best, bestEH = i, e.EH
+			if best == -1 || t < bestEH {
+				best, bestEH = i, t
 			}
 		}
 		if best == -1 || bestEH >= newEH {
 			return 0, false // existing edges are all at least as valuable
 		}
-		return edges[best].To, true
+		return ids[best], true
 	}
 }

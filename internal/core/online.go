@@ -529,10 +529,7 @@ func (o *OnlineFixer) FixPendingLimitChecked(max int) (FixReport, error) {
 		if len(dirty) > 0 {
 			updates := make([]graph.ExtraUpdate, len(dirty))
 			for i, u := range dirty {
-				updates[i] = graph.ExtraUpdate{
-					U:     u,
-					Edges: append([]graph.ExtraEdge(nil), o.ix.G.ExtraNeighbors(u)...),
-				}
+				updates[i] = graph.ExtraUpdate{U: u, Edges: o.ix.G.ExtraNeighbors(u)}
 			}
 			err = o.wal.LogFixEdges(updates)
 			o.noteWALErr(err)

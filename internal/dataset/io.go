@@ -36,7 +36,8 @@ func WriteMatrix(w io.Writer, m *vec.Matrix) error {
 	return bw.Flush()
 }
 
-// ReadMatrix deserializes a matrix written by WriteMatrix.
+// ReadMatrix deserializes a matrix written by WriteMatrix. Memory grows
+// only with the payload actually present, whatever the header claims.
 func ReadMatrix(r io.Reader) (*vec.Matrix, error) {
 	br := bufio.NewReader(r)
 	var magic, rows, dim uint32
@@ -51,8 +52,8 @@ func ReadMatrix(r io.Reader) (*vec.Matrix, error) {
 	if dim == 0 || dim > 1<<16 || rows > 1<<28 {
 		return nil, fmt.Errorf("dataset: implausible shape %dx%d", rows, dim)
 	}
-	m := vec.NewMatrix(int(rows), int(dim))
-	if err := binary.Read(br, binary.LittleEndian, m.Data()); err != nil {
+	m, err := vec.ReadRows(br, int(rows), int(dim))
+	if err != nil {
 		return nil, fmt.Errorf("dataset: read data: %w", err)
 	}
 	return m, nil

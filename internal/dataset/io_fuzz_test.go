@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"ngfix/internal/vec"
@@ -18,6 +19,7 @@ func FuzzReadMatrix(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:7])
 	f.Add([]byte{})
+	f.Add(oversizedMatrix())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadMatrix(bytes.NewReader(data))
 		if err == nil && (got.Dim() <= 0 || got.Rows() < 0) {
@@ -37,5 +39,23 @@ func TestReadMatrixTruncation(t *testing.T) {
 		if _, err := ReadMatrix(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(full))
 		}
+	}
+}
+
+// oversizedMatrix is a 28-byte file whose header claims 2^28 rows of
+// dimension 2^16, the largest shape the reader accepts, followed by four
+// floats of payload.
+func oversizedMatrix() []byte {
+	b := binary.LittleEndian.AppendUint32(nil, vecMagic)
+	b = binary.LittleEndian.AppendUint32(b, 1<<28)
+	b = binary.LittleEndian.AppendUint32(b, 1<<16)
+	return append(b, make([]byte, 16)...)
+}
+
+// A header's claimed shape must not be allocated before the payload backs
+// it: a whole-matrix allocation here (64 TiB) kills the process.
+func TestReadMatrixOversizedHeader(t *testing.T) {
+	if _, err := ReadMatrix(bytes.NewReader(oversizedMatrix())); err == nil {
+		t.Fatal("28-byte file claiming 2^28 x 2^16 accepted")
 	}
 }

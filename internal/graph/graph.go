@@ -1,7 +1,8 @@
 // Package graph provides the shared substrate for every graph index in
-// this repository: adjacency storage that separates base edges from the
-// extra edges added by NGFix/RFix (extra edges carry the 16-bit Escape
-// Hardness tag the paper stores for pruning), the greedy beam search of
+// this repository: adjacency storage holding each vertex's out-edges as
+// one id list, base edges first and then the extra edges added by
+// NGFix/RFix, with the 16-bit Escape Hardness tag the paper stores for
+// pruning kept beside each extra edge, the greedy beam search of
 // Algorithm 1 with exact NDC accounting, neighbor-selection (pruning)
 // rules, brute-force kNN-graph construction, and the G_k(q) neighborhood
 // subgraph analysis used by the Escape Hardness machinery.
@@ -10,8 +11,8 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 
+	"ngfix/internal/bitset"
 	"ngfix/internal/vec"
 )
 
@@ -21,7 +22,9 @@ const InfEH uint16 = math.MaxUint16
 
 // ExtraEdge is an NGFix/RFix-added out-edge tagged with the Escape
 // Hardness recorded when it was added; pruning prefers to drop low-EH
-// edges first (they were the easiest to do without).
+// edges first (they were the easiest to do without). It is the form the
+// op log and the snapshot codec carry; the graph stores ids and tags in
+// separate columns.
 type ExtraEdge struct {
 	To uint32
 	EH uint16
@@ -46,15 +49,13 @@ type Graph struct {
 	Vectors *vec.Matrix
 	Metric  vec.Metric
 
-	// adj[u] is u's whole out-list as the one contiguous id range a search
-	// hop reads: the nBase[u] base targets, then the targets of extra[u] in
-	// the same order. Every mutator below keeps it in step in place, so
-	// nothing is rebuilt per insert or per fix batch.
-	adj   [][]uint32
-	nBase []uint32
-	// extra[u] is the extra segment with its EH tags, the form the fixing
-	// algorithms, the op log and the snapshot codec read and write.
-	extra   [][]ExtraEdge
+	// adj[u] is u's whole out-list, the one contiguous id range a search
+	// hop reads: base targets, then extra targets. eh[u] holds the EH tags
+	// of the last len(eh[u]) entries of adj[u], which are u's extra edges,
+	// so u has len(adj[u])-len(eh[u]) base edges. Each id is stored once,
+	// and every mutator edits the two columns in place together.
+	adj     [][]uint32
+	eh      [][]uint16
 	deleted []bool
 	nDel    int
 
@@ -65,9 +66,9 @@ type Graph struct {
 	// cache cannot go stale. Nil for other metrics.
 	norms []float32
 
-	// extraDirty, while non-nil, accumulates the ids of vertices whose
-	// extra adjacency changed. See TrackExtraMutations.
-	extraDirty map[uint32]struct{}
+	// dirty, while non-nil, marks the vertices whose extra adjacency
+	// changed. See TrackExtraMutations.
+	dirty *bitset.Set
 
 	// EntryPoint is the default search entry. The fixing algorithms pin it
 	// to the medoid (nearest base point to the centroid), per §5.4.
@@ -81,8 +82,7 @@ func New(vectors *vec.Matrix, metric vec.Metric) *Graph {
 		Vectors: vectors,
 		Metric:  metric,
 		adj:     make([][]uint32, n),
-		nBase:   make([]uint32, n),
-		extra:   make([][]ExtraEdge, n),
+		eh:      make([][]uint16, n),
 		deleted: make([]bool, n),
 	}
 	if metric == vec.Cosine {
@@ -108,10 +108,13 @@ func (g *Graph) Distance(q []float32, id uint32) float32 {
 	return g.Metric.Distance(q, g.Vectors.Row(int(id)))
 }
 
+// baseLen returns how many of u's out-edges are base edges.
+func (g *Graph) baseLen(u uint32) int { return len(g.adj[u]) - len(g.eh[u]) }
+
 // BaseNeighbors returns the base out-edges of u (shared storage, capped
 // so that appending to it never writes into the graph).
 func (g *Graph) BaseNeighbors(u uint32) []uint32 {
-	nb := g.nBase[u]
+	nb := g.baseLen(u)
 	return g.adj[u][:nb:nb]
 }
 
@@ -119,18 +122,30 @@ func (g *Graph) BaseNeighbors(u uint32) []uint32 {
 // one range a search hop reads (shared storage; do not modify).
 func (g *Graph) Neighbors(u uint32) []uint32 { return g.adj[u] }
 
-// ExtraNeighbors returns the extra out-edges of u (shared storage).
-func (g *Graph) ExtraNeighbors(u uint32) []ExtraEdge { return g.extra[u] }
+// ExtraTags returns the EH tags of u's extra out-edges, which are the last
+// len(ExtraTags(u)) entries of Neighbors(u), in the same order (shared
+// storage; do not modify).
+func (g *Graph) ExtraTags(u uint32) []uint16 { return g.eh[u] }
 
-// SetBaseNeighbors replaces the base out-edges of u. Like every setter
-// here it may keep nbrs as the graph's storage.
-func (g *Graph) SetBaseNeighbors(u uint32, nbrs []uint32) {
-	a := nbrs[:len(nbrs):len(nbrs)]
-	for _, e := range g.extra[u] {
-		a = append(a, e.To)
+// ExtraNeighbors returns a fresh copy of u's extra out-edges with their
+// tags, or nil when u has none.
+func (g *Graph) ExtraNeighbors(u uint32) []ExtraEdge {
+	tags := g.eh[u]
+	if len(tags) == 0 {
+		return nil
 	}
-	g.adj[u] = a
-	g.nBase[u] = uint32(len(nbrs))
+	ids := g.adj[u][g.baseLen(u):]
+	out := make([]ExtraEdge, len(tags))
+	for i, t := range tags {
+		out[i] = ExtraEdge{To: ids[i], EH: t}
+	}
+	return out
+}
+
+// SetBaseNeighbors replaces the base out-edges of u. It may keep nbrs as
+// the graph's storage.
+func (g *Graph) SetBaseNeighbors(u uint32, nbrs []uint32) {
+	g.adj[u] = append(nbrs[:len(nbrs):len(nbrs)], g.adj[u][g.baseLen(u):]...)
 }
 
 // AddBaseEdge appends a base out-edge u→v if not already present.
@@ -144,12 +159,11 @@ func (g *Graph) AddBaseEdge(u, v uint32) bool {
 			return false
 		}
 	}
-	nb := g.nBase[u]
+	nb := g.baseLen(u)
 	a := append(g.adj[u], 0)
 	copy(a[nb+1:], a[nb:])
 	a[nb] = v
 	g.adj[u] = a
-	g.nBase[u]++
 	return true
 }
 
@@ -170,34 +184,31 @@ func (g *Graph) AddExtraEdge(u, v uint32, eh uint16) bool {
 	if u == v {
 		return false
 	}
-	for _, w := range g.BaseNeighbors(u) {
-		if w == v {
+	nb := g.baseLen(u)
+	for i, w := range g.adj[u] {
+		if w != v {
+			continue
+		}
+		if i < nb || g.eh[u][i-nb] >= eh {
 			return false
 		}
+		g.eh[u][i-nb] = eh
+		g.markExtraDirty(u)
+		return true
 	}
-	for i := range g.extra[u] {
-		if g.extra[u][i].To == v {
-			if g.extra[u][i].EH < eh {
-				g.extra[u][i].EH = eh
-				g.markExtraDirty(u)
-				return true
-			}
-			return false
-		}
-	}
-	g.extra[u] = append(g.extra[u], ExtraEdge{To: v, EH: eh})
 	g.adj[u] = append(g.adj[u], v)
+	g.eh[u] = append(g.eh[u], eh)
 	g.markExtraDirty(u)
 	return true
 }
 
 // RemoveExtraEdge deletes the extra edge u→v if present.
 func (g *Graph) RemoveExtraEdge(u, v uint32) bool {
-	for i, e := range g.extra[u] {
-		if e.To == v {
-			g.extra[u] = append(g.extra[u][:i], g.extra[u][i+1:]...)
-			j := int(g.nBase[u]) + i
-			g.adj[u] = append(g.adj[u][:j], g.adj[u][j+1:]...)
+	a, nb := g.adj[u], g.baseLen(u)
+	for i := nb; i < len(a); i++ {
+		if a[i] == v {
+			g.adj[u] = append(a[:i], a[i+1:]...)
+			g.eh[u] = append(g.eh[u][:i-nb], g.eh[u][i-nb+1:]...)
 			g.markExtraDirty(u)
 			return true
 		}
@@ -205,50 +216,51 @@ func (g *Graph) RemoveExtraEdge(u, v uint32) bool {
 	return false
 }
 
-// SetExtraNeighbors replaces the extra out-edges of u.
+// SetExtraNeighbors replaces the extra out-edges of u with a copy of edges.
 func (g *Graph) SetExtraNeighbors(u uint32, edges []ExtraEdge) {
-	g.extra[u] = edges
-	a := g.adj[u][:g.nBase[u]]
+	a, tags := g.adj[u][:g.baseLen(u)], g.eh[u][:0]
 	for _, e := range edges {
 		a = append(a, e.To)
+		tags = append(tags, e.EH)
 	}
-	g.adj[u] = a
+	g.adj[u], g.eh[u] = a, tags
 	g.markExtraDirty(u)
 }
 
 func (g *Graph) markExtraDirty(u uint32) {
-	if g.extraDirty != nil {
-		g.extraDirty[u] = struct{}{}
+	if g.dirty != nil {
+		g.dirty.Set(int(u))
 	}
 }
 
-// TrackExtraMutations starts recording which vertices have their extra
-// adjacency mutated (by AddExtraEdge, RemoveExtraEdge, or
-// SetExtraNeighbors). The serving layer brackets a fix batch with
-// TrackExtraMutations/TakeExtraMutations to journal exactly the vertices
-// the batch touched. Tracking is not safe for concurrent writers — but
-// neither is any graph mutation.
+// TrackExtraMutations starts recording which of the graph's current
+// vertices have their extra adjacency mutated (by AddExtraEdge,
+// RemoveExtraEdge, or SetExtraNeighbors). The serving layer brackets a fix
+// batch with TrackExtraMutations/TakeExtraMutations to journal exactly the
+// vertices the batch touched. Tracking is not safe for concurrent writers
+// — but neither is any graph mutation.
 func (g *Graph) TrackExtraMutations() {
-	g.extraDirty = make(map[uint32]struct{})
+	g.dirty = bitset.New(g.Len())
 }
 
 // TakeExtraMutations stops tracking and returns the mutated vertex ids in
-// ascending order. It returns nil when tracking was never started.
+// ascending order. It returns nil when tracking was never started or
+// nothing changed.
 func (g *Graph) TakeExtraMutations() []uint32 {
-	if g.extraDirty == nil {
+	if g.dirty == nil {
 		return nil
 	}
-	ids := make([]uint32, 0, len(g.extraDirty))
-	for u := range g.extraDirty {
-		ids = append(ids, u)
-	}
-	g.extraDirty = nil
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var ids []uint32
+	g.dirty.ForEach(func(u int) bool {
+		ids = append(ids, uint32(u))
+		return true
+	})
+	g.dirty = nil
 	return ids
 }
 
 // ExtraDegree returns the number of extra out-edges of u.
-func (g *Graph) ExtraDegree(u uint32) int { return len(g.extra[u]) }
+func (g *Graph) ExtraDegree(u uint32) int { return len(g.eh[u]) }
 
 // Degree returns the total out-degree of u.
 func (g *Graph) Degree(u uint32) int { return len(g.adj[u]) }
@@ -270,8 +282,8 @@ func (g *Graph) AvgDegree() float64 {
 // EdgeCount returns (base, extra) directed edge totals over all vertices.
 func (g *Graph) EdgeCount() (base, extra int) {
 	for u := range g.adj {
-		base += int(g.nBase[u])
-		extra += len(g.extra[u])
+		base += len(g.adj[u]) - len(g.eh[u])
+		extra += len(g.eh[u])
 	}
 	return base, extra
 }
@@ -306,8 +318,7 @@ func (g *Graph) DeletedCount() int { return g.nDel }
 func (g *Graph) AppendVertex(v []float32) uint32 {
 	id := g.Vectors.Append(v)
 	g.adj = append(g.adj, nil)
-	g.nBase = append(g.nBase, 0)
-	g.extra = append(g.extra, nil)
+	g.eh = append(g.eh, nil)
 	g.deleted = append(g.deleted, false)
 	if g.Metric == vec.Cosine {
 		g.norms = append(g.norms, vec.Norm(g.Vectors.Row(id)))
@@ -358,25 +369,15 @@ func (g *Graph) Medoid() uint32 {
 }
 
 // Validate checks structural invariants (ids in range, no self loops, no
-// duplicate out-edges within a segment, no base/extra overlap, the search
-// range in step with both segments) and returns a descriptive error for
-// the first violation found.
+// duplicate out-edges within or across segments) and returns a
+// descriptive error for the first violation found.
 func (g *Graph) Validate() error {
 	n := uint32(g.Len())
-	for u := range g.adj {
-		uu := uint32(u)
-		if int(g.nBase[u])+len(g.extra[u]) != len(g.adj[u]) {
-			return fmt.Errorf("graph: vertex %d search range holds %d ids for %d base + %d extra edges", u, len(g.adj[u]), g.nBase[u], len(g.extra[u]))
-		}
-		for i, e := range g.extra[u] {
-			if g.adj[u][int(g.nBase[u])+i] != e.To {
-				return fmt.Errorf("graph: vertex %d search range disagrees with extra edge %d", u, i)
-			}
-		}
-		seen := make(map[uint32]bool, g.Degree(uu))
-		for _, v := range g.BaseNeighbors(uu) {
+	for u, a := range g.adj {
+		seen := make(map[uint32]bool, len(a))
+		for _, v := range a {
 			if v >= n {
-				return fmt.Errorf("graph: vertex %d has base edge to out-of-range %d", u, v)
+				return fmt.Errorf("graph: vertex %d has edge to out-of-range %d", u, v)
 			}
 			if v == uint32(u) {
 				return fmt.Errorf("graph: vertex %d has a self loop", u)
@@ -385,18 +386,6 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: vertex %d has duplicate edge to %d", u, v)
 			}
 			seen[v] = true
-		}
-		for _, e := range g.extra[u] {
-			if e.To >= n {
-				return fmt.Errorf("graph: vertex %d has extra edge to out-of-range %d", u, e.To)
-			}
-			if e.To == uint32(u) {
-				return fmt.Errorf("graph: vertex %d has an extra self loop", u)
-			}
-			if seen[e.To] {
-				return fmt.Errorf("graph: vertex %d duplicates edge to %d across segments", u, e.To)
-			}
-			seen[e.To] = true
 		}
 	}
 	if n > 0 && g.EntryPoint >= n {
@@ -413,8 +402,7 @@ func (g *Graph) Clone() *Graph {
 		Vectors:    g.Vectors.Clone(),
 		Metric:     g.Metric,
 		adj:        make([][]uint32, len(g.adj)),
-		nBase:      append([]uint32(nil), g.nBase...),
-		extra:      make([][]ExtraEdge, len(g.extra)),
+		eh:         make([][]uint16, len(g.eh)),
 		deleted:    append([]bool(nil), g.deleted...),
 		nDel:       g.nDel,
 		norms:      append([]float32(nil), g.norms...),
@@ -422,14 +410,15 @@ func (g *Graph) Clone() *Graph {
 	}
 	for i := range g.adj {
 		c.adj[i] = append([]uint32(nil), g.adj[i]...)
-		c.extra[i] = append([]ExtraEdge(nil), g.extra[i]...)
+		c.eh[i] = append([]uint16(nil), g.eh[i]...)
 	}
 	return c
 }
 
 // SizeBytes estimates the in-memory index size the way the paper reports
 // it: vector payload + 4 bytes per base edge + 6 bytes per extra edge
-// (4-byte id + 16-bit EH tag) + per-vertex bookkeeping.
+// (its 4-byte id and its 16-bit EH tag, each stored once) + per-vertex
+// bookkeeping.
 func (g *Graph) SizeBytes() int64 {
 	base, extra := g.EdgeCount()
 	var s int64

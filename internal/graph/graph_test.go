@@ -95,49 +95,121 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("repaired graph: %v", err)
 	}
-	g.adj[0][1] = 1
-	if err := g.Validate(); err == nil {
-		t.Fatal("search range out of step with the extra edges not caught")
-	}
-	g.adj[0] = g.adj[0][:1]
-	if err := g.Validate(); err == nil {
-		t.Fatal("search range missing an extra edge not caught")
-	}
 }
 
 // TestSearchRangeFollowsMutations drives every adjacency mutator through
-// an interleaving and checks after each step that the range a search hop
-// reads is exactly the base edges followed by the extra edges, that
-// BaseNeighbors cannot be appended into the graph, and that Clone keeps
-// the two in step.
+// an interleaving and applies each step to a model as well: per vertex, a
+// base list and an ordered list of extra edges with their tags. After each
+// step the range a search hop reads must be the model's base ids then its
+// extra ids, the tags must sit beside the extra ids, and each mutator must
+// report a change exactly when the model changed. It also checks that
+// BaseNeighbors cannot be appended into the graph, that SetExtraNeighbors
+// keeps no reference to the caller's slice, and that Clone keeps it all.
 func TestSearchRangeFollowsMutations(t *testing.T) {
 	g := New(gridVectors(t, 10), vec.L2)
+	type vertex struct {
+		base  []uint32
+		extra []ExtraEdge
+	}
+	model := make([]vertex, g.Len())
 	check := func(step string) {
 		t.Helper()
-		for u := 0; u < g.Len(); u++ {
+		if g.Len() != len(model) {
+			t.Fatalf("%s: %d vertices, model has %d", step, g.Len(), len(model))
+		}
+		for u, m := range model {
 			uu := uint32(u)
-			want := append([]uint32(nil), g.BaseNeighbors(uu)...)
-			for _, e := range g.ExtraNeighbors(uu) {
-				want = append(want, e.To)
+			ids := slices.Clone(m.base)
+			var tags []uint16
+			for _, e := range m.extra {
+				ids = append(ids, e.To)
+				tags = append(tags, e.EH)
 			}
-			if got := g.adj[u]; !slices.Equal(got, want) {
-				t.Fatalf("%s: vertex %d range %v, want %v", step, u, got, want)
+			if got := g.Neighbors(uu); !slices.Equal(got, ids) {
+				t.Fatalf("%s: vertex %d range %v, want %v", step, u, got, ids)
+			}
+			if got := g.ExtraTags(uu); !slices.Equal(got, tags) {
+				t.Fatalf("%s: vertex %d tags %v, want %v", step, u, got, tags)
+			}
+			if got := g.BaseNeighbors(uu); !slices.Equal(got, m.base) {
+				t.Fatalf("%s: vertex %d base %v, want %v", step, u, got, m.base)
+			}
+			if got := g.ExtraNeighbors(uu); !slices.Equal(got, m.extra) {
+				t.Fatalf("%s: vertex %d extra %v, want %v", step, u, got, m.extra)
 			}
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
 	}
-	g.AddExtraEdge(0, 5, 3)
-	g.AddExtraEdge(0, 6, 1)
+	report := func(op string, got, want bool) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s reported change %v, model says %v", op, got, want)
+		}
+	}
+	addBase := func(u, v uint32) {
+		t.Helper()
+		m := &model[u]
+		want := u != v && !slices.Contains(m.base, v)
+		if want {
+			m.base = append(m.base, v)
+		}
+		report("AddBaseEdge", g.AddBaseEdge(u, v), want)
+	}
+	setBase := func(u uint32, nbrs []uint32) {
+		model[u].base = slices.Clone(nbrs)
+		g.SetBaseNeighbors(u, nbrs)
+	}
+	addExtra := func(u, v uint32, eh uint16) {
+		t.Helper()
+		m := &model[u]
+		want := u != v && !slices.Contains(m.base, v)
+		if want {
+			switch i := slices.IndexFunc(m.extra, func(e ExtraEdge) bool { return e.To == v }); {
+			case i < 0:
+				m.extra = append(m.extra, ExtraEdge{To: v, EH: eh})
+			case m.extra[i].EH < eh:
+				m.extra[i].EH = eh
+			default:
+				want = false
+			}
+		}
+		report("AddExtraEdge", g.AddExtraEdge(u, v, eh), want)
+	}
+	removeExtra := func(u, v uint32) {
+		t.Helper()
+		m := &model[u]
+		i := slices.IndexFunc(m.extra, func(e ExtraEdge) bool { return e.To == v })
+		if i >= 0 {
+			m.extra = slices.Delete(m.extra, i, i+1)
+		}
+		report("RemoveExtraEdge", g.RemoveExtraEdge(u, v), i >= 0)
+	}
+	setExtra := func(u uint32, edges []ExtraEdge) {
+		model[u].extra = slices.Clone(edges)
+		g.SetExtraNeighbors(u, edges)
+	}
+
+	addExtra(0, 5, 3)
+	addExtra(0, 6, 1)
 	check("extras first")
-	g.AddBaseEdge(0, 1)
-	g.AddBaseEdge(0, 2)
+	addBase(0, 1)
+	addBase(0, 2)
+	addBase(0, 2)
+	addBase(3, 3)
 	check("base edges inserted before the extras")
 	_ = append(g.BaseNeighbors(0), 9)
 	check("append to a BaseNeighbors result")
-	g.RemoveExtraEdge(0, 5)
-	check("extra removed")
+	addExtra(0, 1, 5)
+	addExtra(0, 6, 0)
+	addExtra(0, 6, 4)
+	addExtra(0, 6, 4)
+	addExtra(0, 0, 1)
+	check("base hit refused, tag raised in place")
+	removeExtra(0, 5)
+	removeExtra(0, 1)
+	check("extra removed, base edge left alone")
 	base := g.BaseNeighbors(0)
 	kept := base[:0]
 	for _, v := range base {
@@ -145,20 +217,27 @@ func TestSearchRangeFollowsMutations(t *testing.T) {
 			kept = append(kept, v)
 		}
 	}
-	g.SetBaseNeighbors(0, kept)
+	setBase(0, kept)
 	check("base filtered in place")
-	g.SetExtraNeighbors(0, []ExtraEdge{{To: 7, EH: 2}, {To: 8, EH: 4}})
-	g.AddExtraEdge(0, 7, 9)
-	check("extras replaced, EH raised")
+	edges := []ExtraEdge{{To: 7, EH: 2}, {To: 8, EH: 4}}
+	setExtra(0, edges)
+	edges[0] = ExtraEdge{To: 9, EH: 9}
+	addExtra(0, 7, 9)
+	check("extras replaced from a slice the caller then reuses, EH raised")
 	id := g.AppendVertex(make([]float32, g.Dim()))
-	g.AddBaseEdge(id, 0)
-	g.AddExtraEdge(0, id, 1)
+	model = append(model, vertex{})
+	addBase(id, 0)
+	addExtra(0, id, 1)
 	check("appended vertex")
 	c := g.Clone()
 	c.AddExtraEdge(0, 3, 1)
 	check("clone mutated")
 	g = c
+	model[0].extra = append(model[0].extra, ExtraEdge{To: 3, EH: 1})
 	check("clone")
+	setExtra(0, nil)
+	setBase(id, nil)
+	check("segments cleared")
 }
 
 func TestDeleteTracking(t *testing.T) {
@@ -556,8 +635,9 @@ func TestTrackExtraMutations(t *testing.T) {
 	g.RemoveExtraEdge(2, 3)
 	g.RemoveExtraEdge(4, 0) // absent edge: no change
 	g.SetExtraNeighbors(3, nil)
+	g.AddExtraEdge(5, 4, 2) // raising a tag set before tracking counts too
 	dirty := g.TakeExtraMutations()
-	want := []uint32{0, 2, 3}
+	want := []uint32{0, 2, 3, 5}
 	if len(dirty) != len(want) {
 		t.Fatalf("dirty = %v, want %v", dirty, want)
 	}

@@ -41,29 +41,28 @@ func (g *Graph) Write(w io.Writer) error {
 	if err := binary.Write(bw, le, g.Vectors.Data()); err != nil {
 		return fmt.Errorf("graph: write vectors: %w", err)
 	}
-	for u := 0; u < g.Len(); u++ {
-		uu := uint32(u)
-		base := g.BaseNeighbors(uu)
-		if err := binary.Write(bw, le, uint32(len(base))); err != nil {
+	for u, a := range g.adj {
+		tags := g.eh[u]
+		nb := len(a) - len(tags)
+		if err := binary.Write(bw, le, uint32(nb)); err != nil {
 			return err
 		}
-		if err := binary.Write(bw, le, base); err != nil {
+		if err := binary.Write(bw, le, a[:nb]); err != nil {
 			return err
 		}
-		extra := g.ExtraNeighbors(uu)
-		if err := binary.Write(bw, le, uint32(len(extra))); err != nil {
+		if err := binary.Write(bw, le, uint32(len(tags))); err != nil {
 			return err
 		}
-		for _, e := range extra {
-			if err := binary.Write(bw, le, e.To); err != nil {
+		for i, t := range tags {
+			if err := binary.Write(bw, le, a[nb+i]); err != nil {
 				return err
 			}
-			if err := binary.Write(bw, le, e.EH); err != nil {
+			if err := binary.Write(bw, le, t); err != nil {
 				return err
 			}
 		}
 		var del uint8
-		if g.IsDeleted(uu) {
+		if g.deleted[u] {
 			del = 1
 		}
 		if err := binary.Write(bw, le, del); err != nil {
@@ -73,7 +72,10 @@ func (g *Graph) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read deserializes a graph written by Write.
+// Read deserializes a graph written by Write. The header's shape is
+// bounded, and the vectors are read in chunks, so memory grows only with
+// the bytes actually present; every later allocation is bounded by the
+// row count those bytes proved.
 func Read(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
@@ -95,8 +97,8 @@ func Read(r io.Reader) (*Graph, error) {
 	if dim == 0 || dim > 1<<16 || rows > 1<<28 {
 		return nil, fmt.Errorf("graph: implausible shape %dx%d", rows, dim)
 	}
-	m := vec.NewMatrix(int(rows), int(dim))
-	if err := binary.Read(br, le, m.Data()); err != nil {
+	m, err := vec.ReadRows(br, int(rows), int(dim))
+	if err != nil {
 		return nil, fmt.Errorf("graph: read vectors: %w", err)
 	}
 	g := New(m, vec.Metric(metric))

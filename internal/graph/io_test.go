@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"testing"
 
@@ -84,8 +85,29 @@ func TestSaveLoad(t *testing.T) {
 	}
 }
 
-// FuzzRead checks that arbitrary bytes never panic the index reader and
-// that anything it does accept passes validation.
+// oversizedIndex is a 40-byte index whose header claims 2^28 rows of
+// dimension 2^16, the largest shape Read accepts, followed by four floats
+// of payload.
+func oversizedIndex() []byte {
+	var b []byte
+	for _, v := range []uint32{indexMagic, indexVersion, uint32(vec.L2), 1 << 28, 1 << 16, 0} {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return append(b, make([]byte, 16)...)
+}
+
+// A header's claimed shape must not be allocated before the payload backs
+// it: a whole-matrix allocation here (64 TiB) kills the process.
+func TestReadOversizedHeader(t *testing.T) {
+	if _, err := Read(bytes.NewReader(oversizedIndex())); err == nil {
+		t.Fatal("40-byte index claiming 2^28 x 2^16 accepted")
+	}
+}
+
+// FuzzRead checks that arbitrary bytes never panic the index reader, that
+// anything it does accept passes validation, and that its encoding is
+// canonical: re-encoding an accepted input and reading that back encodes
+// to the same bytes again.
 func FuzzRead(f *testing.F) {
 	g := sampleGraph()
 	var buf bytes.Buffer
@@ -95,12 +117,28 @@ func FuzzRead(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x47, 0x49, 0x47, 0x4E, 1, 0, 0, 0})
+	f.Add(oversizedIndex())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
-		if err == nil {
-			if vErr := got.Validate(); vErr != nil {
-				t.Fatalf("Read accepted an invalid graph: %v", vErr)
-			}
+		if err != nil {
+			return
+		}
+		if vErr := got.Validate(); vErr != nil {
+			t.Fatalf("Read accepted an invalid graph: %v", vErr)
+		}
+		var first, second bytes.Buffer
+		if err := got.Write(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded graph rejected: %v", err)
+		}
+		if err := again.Write(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("encoding not canonical: %d bytes, then %d", first.Len(), second.Len())
 		}
 	})
 }

@@ -6,10 +6,10 @@
 package policy
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
-	"ngfix/internal/core"
 	"ngfix/internal/graph"
 )
 
@@ -18,10 +18,11 @@ import (
 // concurrency levels admission admits.
 const cacheSegments = 16
 
-// Cache is the concurrent answer cache: lock-striped segments keyed by
-// the query's float32 bit patterns (core.QueryKey), each entry holding
-// the full query vector so a hit is verified bit-for-bit — a hash
-// collision costs one comparison, never a wrong answer.
+// Cache is the concurrent answer cache, the paper's §7 hash-table method
+// for exactly-repeated queries: lock-striped segments keyed by the
+// query's float32 bit patterns (QueryKey), each entry holding the full
+// query vector so a hit is verified bit-for-bit — a hash collision costs
+// one comparison, never a wrong answer.
 //
 // Staleness is handled by generation: every store mutation bumps the
 // generation (Invalidate, O(1)), and entries remember the generation
@@ -56,6 +57,39 @@ type cacheEntry struct {
 	k   int
 	ef  int
 	gen uint64
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// QueryKey hashes a query's exact float32 bit patterns (FNV-1a,
+// word-at-a-time). The key is a lookup accelerator, not an integrity
+// check: every hit is verified with SameQuery.
+func QueryKey(q []float32) uint64 {
+	h := uint64(fnvOffset64)
+	for _, v := range q {
+		h ^= uint64(math.Float32bits(v))
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// SameQuery reports whether two queries have identical float32 bit
+// patterns — the verification a keyed hit must pass before it is
+// trusted. NaN bit patterns compare equal to themselves (bit equality,
+// not float equality), matching the keying.
+func SameQuery(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewCache returns a cache bounded to roughly capacity entries
@@ -104,7 +138,7 @@ func (c *Cache) Get(q []float32, k, ef int) ([]graph.Result, bool) {
 	if c == nil {
 		return nil, false
 	}
-	key := core.QueryKey(q)
+	key := QueryKey(q)
 	seg := &c.segs[key&(cacheSegments-1)]
 	gen := c.gen.Load()
 	seg.mu.Lock()
@@ -113,7 +147,7 @@ func (c *Cache) Get(q []float32, k, ef int) ([]graph.Result, bool) {
 		delete(seg.entries, key) // stale: drop lazily, order entry skipped later
 		ok = false
 	}
-	if ok && (!core.SameQuery(e.q, q) || e.k < k || e.ef < ef) {
+	if ok && (!SameQuery(e.q, q) || e.k < k || e.ef < ef) {
 		ok = false
 	}
 	var res []graph.Result
@@ -138,7 +172,7 @@ func (c *Cache) Put(q []float32, k, ef int, res []graph.Result, gen uint64) {
 	if c == nil || gen != c.gen.Load() {
 		return // answer predates a mutation: storing it would serve stale results
 	}
-	key := core.QueryKey(q)
+	key := QueryKey(q)
 	seg := &c.segs[key&(cacheSegments-1)]
 	e := &cacheEntry{
 		q:   append([]float32(nil), q...),

@@ -1,4 +1,4 @@
-package core
+package policy
 
 import (
 	"crypto/md5"
@@ -35,26 +35,32 @@ func TestQueryKeyBitExact(t *testing.T) {
 	}
 }
 
-// TestAnswerCacheCollisionIsMiss plants two queries under the same hash
-// bucket by force and checks the stored-key verification turns the
+// TestCacheCollisionIsMiss plants an entry for another query under q's
+// key by force and checks the stored-key verification turns the
 // collision into a miss instead of a wrong answer.
-func TestAnswerCacheCollisionIsMiss(t *testing.T) {
-	c := NewAnswerCache()
-	q1 := []float32{1, 2, 3}
-	c.entries[QueryKey(q1)] = cacheEntry{
+func TestCacheCollisionIsMiss(t *testing.T) {
+	c := NewCache(64)
+	q := []float32{1, 2, 3}
+	key := QueryKey(q)
+	seg := &c.segs[key&(cacheSegments-1)]
+	seg.entries[key] = &cacheEntry{
 		q:   []float32{9, 9, 9}, // as if a colliding query had been stored
 		res: []graph.Result{{ID: 7}},
+		k:   10,
+		ef:  100,
+		gen: c.Generation(),
 	}
-	if _, ok := c.Get(q1); ok {
+	seg.order = append(seg.order, key)
+	if _, ok := c.Get(q, 10, 100); ok {
 		t.Fatal("hash hit with mismatched stored key must be a miss")
 	}
-	if h, m := c.Stats(); h != 0 || m != 1 {
-		t.Fatalf("stats = %d hits %d misses, want 0/1", h, m)
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("stats = %d hits %d misses, want 0/1", st.Hits, st.Misses)
 	}
 }
 
-// md5QueryKey is the pre-satellite keying scheme, kept verbatim here so
-// the micro-benchmarks below measure before/after in one binary.
+// md5QueryKey is the answer cache's earlier keying scheme, kept verbatim
+// here so the micro-benchmarks below measure before/after in one binary.
 func md5QueryKey(q []float32) [md5.Size]byte {
 	buf := make([]byte, 4*len(q))
 	for i, v := range q {

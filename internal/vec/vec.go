@@ -14,7 +14,9 @@
 package vec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -251,6 +253,35 @@ func WrapMatrix(data []float32, dim int) *Matrix {
 		panic("vec: WrapMatrix shape mismatch")
 	}
 	return &Matrix{data: data, dim: dim}
+}
+
+const (
+	// readChunk is how many floats ReadRows decodes per read.
+	readChunk = 1 << 16
+	// maxPrealloc bounds the floats ReadRows allocates before any payload
+	// has arrived (16 MiB): a corpus up to that size is allocated once, at
+	// its exact size.
+	maxPrealloc = 1 << 22
+)
+
+// ReadRows reads rows*dim little-endian float32s from r into a new
+// matrix. It reads in bounded chunks, and past maxPrealloc the matrix
+// grows only as payload arrives, so a header that claims more rows than r
+// holds cannot make it allocate the claimed size.
+func ReadRows(r io.Reader, rows, dim int) (*Matrix, error) {
+	total := rows * dim
+	data := make([]float32, 0, min(total, maxPrealloc))
+	buf := make([]byte, 4*min(total, readChunk))
+	for len(data) < total {
+		b := buf[:4*min(total-len(data), readChunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(b); i += 4 {
+			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(b[i:])))
+		}
+	}
+	return WrapMatrix(data, dim), nil
 }
 
 // Rows returns the number of rows.
