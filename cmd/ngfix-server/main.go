@@ -147,110 +147,12 @@ func run(args []string) int {
 		reg = obs.NewRegistry()
 		obs.RegisterProcessMetrics(reg)
 	}
-
-	// Follower mode: no primaries, no stores of our own — just one read
-	// replica per shard tailing the leader, served read-only.
-	if *replicaOf != "" {
-		return runFollower(followerConfig{
-			target: *replicaOf, shards: *shards, shardsFlagSet: shardsFlagSet,
-			opts: core.Options{LEx: *lex}, lagMax: *replicaLagMax, poll: *replicaPoll,
-			addr: *addr, reg: reg, drainTimeout: *drainTimeout,
-		})
-	}
-
-	// --- Topology resolution: a sharded snapshot dir pins its shard count
-	// and epoch via the manifest (routing is a function of the count, and
-	// a committed reshard moves the tree under epoch-<e>/); a legacy dir
-	// is one shard; a fresh dir takes the flag. Any crashed reshard is
-	// resolved here first — to exactly the old or the new topology.
-	n := *shards
-	var layout persist.Layout
-	var stores []*persist.Store
-	if *snapDir != "" {
-		var err error
-		layout, err = persist.ResolveLayout(nil, *snapDir, *shards, shardsFlagSet)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		n = layout.Shards
-		stores, err = persist.OpenShardedAt(*snapDir, n, layout.Epoch, persist.Options{})
-		if err != nil {
-			log.Printf("open snapshot dir: %v", err)
-			return 1
-		}
-	} else if n < 1 {
-		log.Printf("-shards must be at least 1, got %d", n)
-		return 1
-	}
-	if *selfReplica && len(stores) == 0 {
-		log.Print("-self-replica needs -snapshot-dir (replicas tail the store's op log)")
-		return 1
-	}
-
-	// --- Index acquisition: recover per shard from the snapshot dir when
-	// it has state, otherwise build/load, partition row-interleaved
-	// (global id = original row index), and seed the dir.
-	var ixs []*core.Index
-	opts := core.Options{LEx: *lex}
-	recovered := len(stores) > 0 && stores[0].HasState()
-	switch {
-	case recovered:
-		var replayed []int
-		var err error
-		ixs, replayed, err = shard.Recover(stores, opts)
-		if err != nil {
-			log.Printf("recover: %v", err)
-			return 1
-		}
-		for i, ix := range ixs {
-			log.Printf("recovered shard %d/%d from %s: generation %d, %d vectors (%d live), %d ops replayed",
-				i, n, stores[i].Dir(), stores[i].Generation(), ix.G.Len(), ix.G.Live(), replayed[i])
-		}
-	case *indexPath != "":
-		g, err := graph.Load(*indexPath)
-		if err != nil {
-			log.Printf("load index: %v", err)
-			return 1
-		}
-		log.Printf("loaded index: %d vectors, dim %d, metric %s", g.Len(), g.Dim(), g.Metric)
-		if n == 1 {
-			// Unsharded: serve the prebuilt graph exactly as loaded.
-			ixs = []*core.Index{core.New(g, opts)}
-		} else {
-			// A monolithic index cannot be split edge-for-edge; partition
-			// its vectors and rebuild each shard's base graph.
-			log.Printf("resharding prebuilt index into %d shards (per-shard base graphs rebuilt with -m/-efc)", n)
-			ixs = buildShards(g.Vectors, n, hnsw.Config{M: *m, EFConstruction: *efc, Metric: g.Metric, Seed: 7}, opts)
-		}
-	case *basePath != "":
-		base, err := dataset.LoadMatrix(*basePath)
-		if err != nil {
-			log.Printf("load base: %v", err)
-			return 1
-		}
-		metric, err := parseMetric(*metricName)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		start := time.Now()
-		ixs = buildShards(base, n, hnsw.Config{M: *m, EFConstruction: *efc, Metric: metric, Seed: 7}, opts)
-		log.Printf("built HNSW base over %d vectors in %d shard(s) in %s", base.Rows(), n, time.Since(start).Round(time.Millisecond))
-	default:
-		log.Print("one of -index, -base, or a non-empty -snapshot-dir is required")
-		return 1
-	}
-	if len(stores) > 0 && !*oplog {
-		log.Print("op log disabled (-oplog=false): mutations between snapshots will not survive a crash")
-	}
-
 	var adm *admission.Controller
 	if *maxInflight > 0 {
 		adm = admission.New(admission.Config{Capacity: *maxInflight, QueueDepth: *queueDepth})
 	}
 	asm := &assembler{
-		reg: reg, adm: adm,
+		reg: reg, adm: adm, opts: core.Options{LEx: *lex},
 		fix: fixerSettings{
 			batch: *batch, sample: *sample,
 			oplog: *oplog, snapEvery: *snapEvery, snapOps: *snapOps,
@@ -265,47 +167,57 @@ func run(args []string) int {
 			MinBatch:    *repairMinBatch,
 		},
 		replicas: replicaSettings{
-			on: *selfReplica, opts: opts, lagMax: *replicaLagMax,
+			selfReplica: *selfReplica, lagMax: *replicaLagMax,
 			poll: *replicaPoll, failoverAfter: *failoverAfter,
 		},
 	}
-	// Compressed serving prefers the recovered sidecar: attach re-encodes
-	// only the WAL-replayed tail against the frozen codebooks, so codes
-	// stay bit-identical across the crash.
-	topo, err := asm.assemble(stores, ixs, recovered)
+
+	// --- Topology: a leader recovers, loads or builds its shards; a
+	// follower (-replica-of) owns no primaries and no stores, just one
+	// read replica per leader shard. From here on both take one path:
+	// admission, metrics, listener, drain and shutdown.
+	follower := *replicaOf != ""
+	var topo server.Topology
+	var layout persist.Layout
+	var err error
+	if follower {
+		if *adaptiveEF || *answerCacheSize > 0 || *augmentRate > 0 {
+			log.Print("-adaptive-ef, -answer-cache-size and -augment-rate are ignored in follower mode (they act on a leader's mutation paths)")
+		}
+		topo, err = asm.follow(*replicaOf, *shards, shardsFlagSet)
+	} else {
+		topo, layout, err = asm.lead(leaderSource{
+			snapDir: *snapDir, shards: *shards, shardsFlagSet: shardsFlagSet,
+			indexPath: *indexPath, basePath: *basePath, metric: *metricName,
+			m: *m, efc: *efc,
+		})
+	}
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
 
-	// Seal startup state into a fresh generation per shard: recovery
-	// never appends to a log that might end in a torn record, and a
-	// fresh dir gets its first durable snapshot before serving a single
-	// request. Sealing after PQ enable means the first generation already
-	// carries the quantizer sidecar.
-	if len(stores) > 0 {
-		if err := topo.Group.Snapshot(); err != nil {
-			log.Printf("initial snapshot: %v", err)
-			return 1
-		}
+	var s *server.Server
+	if follower {
+		s = server.NewFollower(topo.Replicas)
+	} else {
+		s = server.NewSharded(topo.Group)
 	}
-
-	s := server.NewSharded(topo.Group)
 	s.Install(topo)
 	s.Admission = adm
 	s.SearchTimeout = *searchTimeout
 	s.EFFloor = *efFloor
-	if len(stores) > 0 {
+	if len(topo.Stores) > 0 {
 		// Snapshots must land on the topology actually serving: a live
 		// reshard may have replaced the startup one.
 		s.SnapshotFunc = func() error { return s.Topology().Group.Snapshot() }
 	}
-	if *adaptiveEF || *answerCacheSize > 0 || *augmentRate > 0 {
+	if !follower && (*adaptiveEF || *answerCacheSize > 0 || *augmentRate > 0) {
 		if *augmentRate < 0 || *augmentRate > 1 {
 			log.Printf("-augment-rate must be in 0..1, got %g", *augmentRate)
 			return 1
 		}
-		gm := ixs[0].G.Metric
+		gm := topo.Group.Fixer(0).Index().G.Metric
 		var adaptive *policy.Adaptive
 		if *adaptiveEF {
 			// Calibration searches run sequentially within a shard fan-out
@@ -344,7 +256,7 @@ func run(args []string) int {
 	// replaces the whole serving stack; wire before EnableMetrics so the
 	// ngfix_reshard_* families register.
 	var mgr *reshardManager
-	if len(stores) > 0 {
+	if len(topo.Stores) > 0 {
 		if *selfReplica {
 			// Replicas tail specific parent stores; retiring those under a
 			// running replica set is not supported yet.
@@ -354,7 +266,7 @@ func run(args []string) int {
 		} else {
 			mgr = &reshardManager{
 				s: s, asm: asm, maint: maint, base: ctx,
-				root: *snapDir, opts: opts, layout: layout, stores: stores,
+				root: *snapDir, layout: layout, stores: topo.Stores,
 			}
 			if adm != nil {
 				mgr.acquire = adm.TryAcquire
@@ -406,8 +318,7 @@ func run(args []string) int {
 		log.Printf("listen: %v", err)
 		return 1
 	}
-	log.Printf("serving on %s (shards %d, fix batch %d, interval %s, snapshots %v)",
-		ln.Addr(), n, *batch, *interval, len(stores) > 0)
+	log.Printf("serving on %s", ln.Addr())
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	s.SetReady(true)
@@ -437,10 +348,12 @@ func run(args []string) int {
 	// the final state durable — on the topology serving now: a reshard
 	// may have replaced the startup one.
 	final := s.Topology()
-	if rep, err := final.Group.FixPendingChecked(); err != nil {
-		log.Printf("final fix: %v", err)
-	} else if rep.Queries > 0 {
-		log.Printf("final fix: %d queries, +%d edges", rep.Queries, rep.NGFixEdges+rep.RFixEdges)
+	if final.Group != nil {
+		if rep, err := final.Group.FixPendingChecked(); err != nil {
+			log.Printf("final fix: %v", err)
+		} else if rep.Queries > 0 {
+			log.Printf("final fix: %d queries, +%d edges", rep.Queries, rep.NGFixEdges+rep.RFixEdges)
+		}
 	}
 	if len(final.Stores) > 0 {
 		if err := final.Group.Snapshot(); err != nil {
@@ -478,21 +391,23 @@ type pqSettings struct {
 	tier          bool
 }
 
-// replicaSettings is the flag-derived -self-replica wiring.
+// replicaSettings is the flag-derived replica wiring: -self-replica's
+// standbys and -replica-of's followers share the lag bound and cadence.
 type replicaSettings struct {
-	on                  bool
-	opts                core.Options
+	selfReplica         bool
 	lagMax              int64
 	poll, failoverAfter time.Duration
 }
 
 // assembler is the one place a serving topology is built. Startup runs
-// it over the recovered or freshly built indexes, and a live reshard
-// runs it over the caught-up children before the commit, so the two can
-// never wire a shard differently.
+// it over the recovered or freshly built indexes (lead) or over a
+// leader's shards (follow), and a live reshard runs it over the caught-up
+// children before the commit, so no two paths can wire a shard, its
+// registry or its replica differently.
 type assembler struct {
 	reg      *obs.Registry // global registry; nil with -metrics=false
 	adm      *admission.Controller
+	opts     core.Options // index options, for shards and replicas alike
 	fix      fixerSettings
 	pq       pqSettings
 	repair   repair.Config // Interval 0: no background repair
@@ -507,14 +422,12 @@ type assembler struct {
 // controller per shard, and with -self-replica one read replica per
 // shard.
 func (a *assembler) assemble(stores []*persist.Store, ixs []*core.Index, preferSidecar bool) (server.Topology, error) {
-	topo := server.Topology{Stores: stores}
-	regAt := func(int) *obs.Registry { return nil }
-	if a.reg != nil {
-		topo.Registries = make([]*obs.Registry, len(ixs))
-		for i := range topo.Registries {
-			topo.Registries[i] = obs.NewRegistry(obs.Label{Name: "shard", Value: strconv.Itoa(i)})
+	topo := server.Topology{Stores: stores, Registries: a.shardRegistries(len(ixs))}
+	regAt := func(i int) *obs.Registry {
+		if topo.Registries == nil {
+			return nil
 		}
-		regAt = func(i int) *obs.Registry { return topo.Registries[i] }
+		return topo.Registries[i]
 	}
 
 	fixers := make([]*core.OnlineFixer, len(ixs))
@@ -558,21 +471,17 @@ func (a *assembler) assemble(stores []*persist.Store, ixs []*core.Index, preferS
 		topo.Repair = repair.NewFleet(ctls...)
 	}
 
-	if a.replicas.on {
-		reps := make([]*replica.Replica, len(stores))
-		rr := make([]shard.ReadReplica, len(stores))
+	if a.replicas.selfReplica {
+		srcs := make([]replica.Source, len(stores))
 		for i, st := range stores {
-			reps[i] = replica.New(replica.StoreSource{St: st}, replica.Config{
-				Shard: i, Opts: a.replicas.opts, LagMax: a.replicas.lagMax, Poll: a.replicas.poll,
-				Logf: log.Printf,
-			})
-			rr[i] = reps[i]
-			if r := regAt(i); r != nil {
-				reps[i].RegisterMetrics(r)
-			}
+			srcs[i] = replica.StoreSource{St: st}
 		}
-		if topo.Replicas, err = replica.NewSet(reps); err != nil {
-			return server.Topology{}, fmt.Errorf("assemble replica set: %w", err)
+		if topo.Replicas, err = a.replicaSet(srcs, topo.Registries); err != nil {
+			return server.Topology{}, err
+		}
+		rr := make([]shard.ReadReplica, len(stores))
+		for i := range rr {
+			rr[i] = topo.Replicas.Replica(i)
 		}
 		pol := shard.FailoverPolicy{
 			After: a.replicas.failoverAfter,
@@ -584,8 +493,193 @@ func (a *assembler) assemble(stores []*persist.Store, ixs []*core.Index, preferS
 			return server.Topology{}, fmt.Errorf("attach replicas: %w", err)
 		}
 		log.Printf("self-replica enabled: %d per-shard read replicas, failover after %s, lag max %d bytes",
-			len(reps), a.replicas.failoverAfter, a.replicas.lagMax)
+			len(rr), a.replicas.failoverAfter, a.replicas.lagMax)
 	}
+	return topo, nil
+}
+
+// shardRegistries returns one shard="<i>" metric registry per shard (at
+// every shard count, so dashboards need one query shape), or nil with
+// -metrics=false.
+func (a *assembler) shardRegistries(n int) []*obs.Registry {
+	if a.reg == nil {
+		return nil
+	}
+	regs := make([]*obs.Registry, n)
+	for i := range regs {
+		regs[i] = obs.NewRegistry(obs.Label{Name: "shard", Value: strconv.Itoa(i)})
+	}
+	return regs
+}
+
+// replicaSet builds one read replica per shard source — -self-replica's
+// in-process standbys and -replica-of's followers alike — registering
+// each on its shard's registry (regs is nil with -metrics=false).
+func (a *assembler) replicaSet(srcs []replica.Source, regs []*obs.Registry) (*replica.Set, error) {
+	reps := make([]*replica.Replica, len(srcs))
+	for i, src := range srcs {
+		reps[i] = replica.New(src, replica.Config{
+			Shard: i, Opts: a.opts, LagMax: a.replicas.lagMax, Poll: a.replicas.poll,
+			Logf: log.Printf,
+		})
+		if regs != nil {
+			reps[i].RegisterMetrics(regs[i])
+		}
+	}
+	set, err := replica.NewSet(reps)
+	if err != nil {
+		return nil, fmt.Errorf("assemble replica set: %w", err)
+	}
+	return set, nil
+}
+
+// leaderSource is the flag-derived location of a leader's index: its
+// snapshot dir, and the prebuilt index or base vectors to start from.
+type leaderSource struct {
+	snapDir             string
+	shards              int
+	shardsFlagSet       bool
+	indexPath, basePath string
+	metric              string
+	m, efc              int
+}
+
+// lead opens a leader's topology. A sharded snapshot dir pins its shard
+// count and epoch via the manifest (routing is a function of the count,
+// and a committed reshard moves the tree under epoch-<e>/); a legacy dir
+// is one shard; a fresh dir takes the flag. Any crashed reshard is
+// resolved first — to exactly the old or the new topology. Each shard
+// then recovers from the snapshot dir when it has state; otherwise the
+// index is built or loaded, partitioned row-interleaved (global id =
+// original row index), and seeded into the dir. Startup state is sealed
+// into a fresh generation per shard before the topology is returned.
+func (a *assembler) lead(src leaderSource) (server.Topology, persist.Layout, error) {
+	n := src.shards
+	var layout persist.Layout
+	var stores []*persist.Store
+	if src.snapDir != "" {
+		var err error
+		if layout, err = persist.ResolveLayout(nil, src.snapDir, src.shards, src.shardsFlagSet); err != nil {
+			return server.Topology{}, layout, err
+		}
+		n = layout.Shards
+		if stores, err = persist.OpenShardedAt(src.snapDir, n, layout.Epoch, persist.Options{}); err != nil {
+			return server.Topology{}, layout, fmt.Errorf("open snapshot dir: %w", err)
+		}
+	} else if n < 1 {
+		return server.Topology{}, layout, fmt.Errorf("-shards must be at least 1, got %d", n)
+	}
+	if a.replicas.selfReplica && len(stores) == 0 {
+		return server.Topology{}, layout, errors.New("-self-replica needs -snapshot-dir (replicas tail the store's op log)")
+	}
+
+	var ixs []*core.Index
+	recovered := len(stores) > 0 && stores[0].HasState()
+	switch {
+	case recovered:
+		var replayed []int
+		var err error
+		if ixs, replayed, err = shard.Recover(stores, a.opts); err != nil {
+			return server.Topology{}, layout, fmt.Errorf("recover: %w", err)
+		}
+		for i, ix := range ixs {
+			log.Printf("recovered shard %d/%d from %s: generation %d, %d vectors (%d live), %d ops replayed",
+				i, n, stores[i].Dir(), stores[i].Generation(), ix.G.Len(), ix.G.Live(), replayed[i])
+		}
+	case src.indexPath != "":
+		g, err := graph.Load(src.indexPath)
+		if err != nil {
+			return server.Topology{}, layout, fmt.Errorf("load index: %w", err)
+		}
+		log.Printf("loaded index: %d vectors, dim %d, metric %s", g.Len(), g.Dim(), g.Metric)
+		if n == 1 {
+			// Unsharded: serve the prebuilt graph exactly as loaded.
+			ixs = []*core.Index{core.New(g, a.opts)}
+		} else {
+			// A monolithic index cannot be split edge-for-edge; partition
+			// its vectors and rebuild each shard's base graph.
+			log.Printf("resharding prebuilt index into %d shards (per-shard base graphs rebuilt with -m/-efc)", n)
+			ixs = buildShards(g.Vectors, n, hnsw.Config{M: src.m, EFConstruction: src.efc, Metric: g.Metric, Seed: 7}, a.opts)
+		}
+	case src.basePath != "":
+		base, err := dataset.LoadMatrix(src.basePath)
+		if err != nil {
+			return server.Topology{}, layout, fmt.Errorf("load base: %w", err)
+		}
+		metric, err := parseMetric(src.metric)
+		if err != nil {
+			return server.Topology{}, layout, err
+		}
+		start := time.Now()
+		ixs = buildShards(base, n, hnsw.Config{M: src.m, EFConstruction: src.efc, Metric: metric, Seed: 7}, a.opts)
+		log.Printf("built HNSW base over %d vectors in %d shard(s) in %s", base.Rows(), n, time.Since(start).Round(time.Millisecond))
+	default:
+		return server.Topology{}, layout, errors.New("one of -index, -base, -replica-of, or a non-empty -snapshot-dir is required")
+	}
+	if len(stores) > 0 && !a.fix.oplog {
+		log.Print("op log disabled (-oplog=false): mutations between snapshots will not survive a crash")
+	}
+
+	// Compressed serving prefers the recovered sidecar: attach re-encodes
+	// only the WAL-replayed tail against the frozen codebooks, so codes
+	// stay bit-identical across the crash.
+	topo, err := a.assemble(stores, ixs, recovered)
+	if err != nil {
+		return server.Topology{}, layout, err
+	}
+	// Seal startup state into a fresh generation per shard: recovery
+	// never appends to a log that might end in a torn record, and a fresh
+	// dir gets its first durable snapshot before serving a single
+	// request. Sealing after PQ enable means the first generation already
+	// carries the quantizer sidecar.
+	if len(stores) > 0 {
+		if err := topo.Group.Snapshot(); err != nil {
+			return server.Topology{}, layout, fmt.Errorf("initial snapshot: %w", err)
+		}
+	}
+	log.Printf("leading %d shard(s): fix batch %d, repair interval %s, snapshots %v",
+		n, a.fix.batch, a.repair.Interval, len(stores) > 0)
+	return topo, layout, nil
+}
+
+// follow assembles a -replica-of topology: one read replica per leader
+// shard, bootstrapped from the leader's snapshots and tailing its op
+// logs, either over HTTP (target is a URL) or straight from the leader's
+// snapshot directory. Searches answer "stale": true; /readyz holds 503
+// until every shard replica is bootstrapped and within -replica-lag-max.
+func (a *assembler) follow(target string, shards int, shardsFlagSet bool) (server.Topology, error) {
+	n, epoch := shards, 0
+	overHTTP := strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://")
+	if !overHTTP {
+		// A leader directory pins its shard count and epoch via the
+		// manifest. Peek, don't resolve: the leader owns that tree, and a
+		// read-only follower must never GC a reshard in flight there.
+		l, err := persist.PeekLayout(nil, target, shards, shardsFlagSet)
+		if err != nil {
+			return server.Topology{}, err
+		}
+		n, epoch = l.Shards, l.Epoch
+	}
+	if n < 1 {
+		return server.Topology{}, fmt.Errorf("-shards must be at least 1, got %d", n)
+	}
+	srcs := make([]replica.Source, n)
+	for i := range srcs {
+		switch {
+		case overHTTP:
+			srcs[i] = replica.HTTPSource{Base: strings.TrimRight(target, "/"), Shard: i}
+		case n == 1 && epoch == 0:
+			srcs[i] = replica.DirSource{Dir: target}
+		default:
+			srcs[i] = replica.DirSource{Dir: persist.ShardDirAt(target, epoch, i)}
+		}
+	}
+	topo := server.Topology{Registries: a.shardRegistries(n)}
+	var err error
+	if topo.Replicas, err = a.replicaSet(srcs, topo.Registries); err != nil {
+		return server.Topology{}, err
+	}
+	log.Printf("following %s (%d shard replica(s), epoch %d, lag max %d bytes)", target, n, epoch, a.replicas.lagMax)
 	return topo, nil
 }
 
@@ -684,7 +778,6 @@ type reshardManager struct {
 	asm   *assembler
 	maint *maintenance
 	root  string
-	opts  core.Options
 	// acquire throttles streaming/tailing work through admission.
 	acquire func(cost int) (release func(), ok bool)
 	// base is the process-lifetime context; shutdown cancels it, which
@@ -722,7 +815,7 @@ func (m *reshardManager) Start() (from, to int, err error) {
 	layout, stores := m.layout, m.stores
 	r, err := reshard.New(reshard.Config{
 		Root: m.root, Stores: stores, Layout: layout,
-		Opts:    m.opts,
+		Opts:    m.asm.opts,
 		Group:   m.s.Topology().Group,
 		Acquire: m.acquire,
 		Quiesce: func() func() {
@@ -856,113 +949,6 @@ func runReshardCLI(root string, flagShards int, flagSet bool, opts core.Options)
 	p := r.Progress()
 	log.Printf("reshard complete: %d→%d shards (epoch %d), %d rows streamed",
 		layout.Shards, 2*layout.Shards, layout.Epoch+1, p.RowsStreamed)
-	return 0
-}
-
-// followerConfig carries the flags the follower mode needs.
-type followerConfig struct {
-	target        string // leader URL or snapshot directory
-	shards        int
-	shardsFlagSet bool
-	opts          core.Options
-	lagMax        int64
-	poll          time.Duration
-	addr          string
-	reg           *obs.Registry
-	drainTimeout  time.Duration
-}
-
-// runFollower serves -replica-of: one read replica per leader shard,
-// bootstrapped from the leader's snapshots and tailing its op logs,
-// behind the read-only follower HTTP surface. Searches answer with
-// "stale": true; /readyz holds 503 until every shard replica is
-// bootstrapped and within -replica-lag-max.
-func runFollower(cfg followerConfig) int {
-	n := cfg.shards
-	epoch := 0
-	overHTTP := strings.HasPrefix(cfg.target, "http://") || strings.HasPrefix(cfg.target, "https://")
-	if !overHTTP {
-		// A leader directory pins its shard count and epoch via the
-		// manifest. Peek, don't resolve: the leader owns that tree, and a
-		// read-only follower must never GC a reshard in flight there.
-		l, err := persist.PeekLayout(nil, cfg.target, cfg.shards, cfg.shardsFlagSet)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		n, epoch = l.Shards, l.Epoch
-	}
-	if n < 1 {
-		log.Printf("-shards must be at least 1, got %d", n)
-		return 1
-	}
-
-	reps := make([]*replica.Replica, n)
-	regs := []*obs.Registry{cfg.reg}
-	for i := range reps {
-		var src replica.Source
-		if overHTTP {
-			src = replica.HTTPSource{Base: strings.TrimRight(cfg.target, "/"), Shard: i}
-		} else if n == 1 && epoch == 0 {
-			src = replica.DirSource{Dir: cfg.target}
-		} else {
-			src = replica.DirSource{Dir: persist.ShardDirAt(cfg.target, epoch, i)}
-		}
-		reps[i] = replica.New(src, replica.Config{
-			Shard: i, Opts: cfg.opts, LagMax: cfg.lagMax, Poll: cfg.poll,
-			Logf: log.Printf,
-		})
-		if cfg.reg != nil {
-			r := obs.NewRegistry(obs.Label{Name: "shard", Value: strconv.Itoa(i)})
-			reps[i].RegisterMetrics(r)
-			regs = append(regs, r)
-		}
-	}
-	set, err := replica.NewSet(reps)
-	if err != nil {
-		log.Printf("assemble replica set: %v", err)
-		return 1
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go set.Run(ctx)
-
-	fol := server.NewFollower(set)
-	if cfg.reg != nil {
-		fol.EnableMetrics(regs...)
-	}
-	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           fol,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		log.Printf("listen: %v", err)
-		return 1
-	}
-	log.Printf("following %s on %s (%d shard replica(s), epoch %d, lag max %d bytes)", cfg.target, ln.Addr(), n, epoch, cfg.lagMax)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errCh:
-		log.Printf("serve: %v", err)
-		return 1
-	case <-ctx.Done():
-	}
-	stop()
-	log.Printf("shutdown signal received, draining (timeout %s)", cfg.drainTimeout)
-	shutCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		log.Printf("drain incomplete: %v", err)
-	}
-	log.Print("shutdown complete")
 	return 0
 }
 

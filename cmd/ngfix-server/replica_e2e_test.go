@@ -226,3 +226,32 @@ func TestReplicaFollowerEndToEnd(t *testing.T) {
 	httpFol.terminate(t)
 	leader.terminate(t)
 }
+
+// TestFollowerServesPprof: a follower runs the leader's process wiring,
+// so -pprof and -slow-query-ms take effect in follower mode too instead
+// of being parsed and dropped.
+func TestFollowerServesPprof(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the server binary")
+	}
+	work := t.TempDir()
+	bin := buildServerBinary(t, work)
+	_, idx := saveTestIndex(t, work, 29)
+	snapDir := filepath.Join(work, "state")
+	leader := startServer(t, bin, "-index", idx, "-snapshot-dir", snapDir)
+	fol := startServer(t, bin, "-replica-of", snapDir, "-replica-poll", "10ms",
+		"-pprof", "-slow-query-ms", "1")
+
+	resp, err := http.Get(fol.base + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+		t.Fatalf("follower /debug/pprof/: status %d\n%s", resp.StatusCode, body)
+	}
+
+	fol.terminate(t)
+	leader.terminate(t)
+}

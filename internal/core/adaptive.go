@@ -64,19 +64,37 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	return c
 }
 
-// CalibrateAdaptiveEF fits an AdaptiveEF policy for the index: it buckets
-// the calibration queries by distance to the nearest historical query
-// (equal-count bands), then assigns each bucket the smallest candidate ef
-// whose mean recall on that bucket reaches the target (the largest
-// candidate when none does).
+// CalibrateAdaptiveEF fits an AdaptiveEF policy for the index with
+// CalibrateBands, measuring each band's recall against the given truth.
 //
 // history is the workload the index was fixed with; calib/calibTruth are
 // held-out queries with ground truth (ApproxTruth is fine).
 func CalibrateAdaptiveEF(ix *Index, history, calib *vec.Matrix, calibTruth [][]bruteforce.Neighbor, cfg AdaptiveConfig) *AdaptiveEF {
+	k := cfg.withDefaults().K
+	s := ix.Searcher()
+	return CalibrateBands(history, calib, ix.G.Metric, cfg, func(qi, ef int) float64 {
+		res, _ := s.SearchFrom(calib.Row(qi), k, ef, ix.G.EntryPoint)
+		truth := bruteforce.IDs(calibTruth[qi])
+		return metrics.Recall(graph.IDs(res), truth[:min(k, len(truth))])
+	})
+}
+
+// CalibrateBands is the one band calibrator behind every adaptive-ef
+// policy, offline and serving. It indexes history with a small HNSW (the
+// similarity probe's graph), sorts the calibration queries into
+// cfg.Buckets equal-count bands by their distance to the nearest
+// historical query, and gives each band the smallest candidate ef whose
+// mean recall over the band reaches the target (the largest candidate
+// when none does). recall(qi, ef) is calibration query qi's recall when
+// searched at ef — the caller decides what it is measured against. Nil
+// when history or calib is empty.
+func CalibrateBands(history, calib *vec.Matrix, metric vec.Metric, cfg AdaptiveConfig, recall func(qi, ef int) float64) *AdaptiveEF {
+	if history.Rows() == 0 || calib.Rows() == 0 {
+		return nil
+	}
 	c := cfg.withDefaults()
-	h := hnsw.Build(history.Clone(), hnsw.Config{M: 8, EFConstruction: 60, Metric: ix.G.Metric, Seed: 3})
-	a := &AdaptiveEF{histIndex: h.Bottom(), probeEF: c.ProbeEF}
-	a.histSearch = graph.NewSearcher(a.histIndex)
+	h := hnsw.Build(history.Clone(), hnsw.Config{M: 8, EFConstruction: 60, Metric: metric, Seed: 3})
+	a := NewAdaptiveEF(h.Bottom(), c.ProbeEF, nil, nil)
 
 	// Distance of each calibration query to its nearest historical query.
 	nq := calib.Rows()
@@ -90,20 +108,19 @@ func CalibrateAdaptiveEF(ix *Index, history, calib *vec.Matrix, calibTruth [][]b
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i].d < ds[j].d })
 
-	s := ix.Searcher()
 	for b := 0; b < c.Buckets; b++ {
 		lo := b * nq / c.Buckets
 		hi := (b + 1) * nq / c.Buckets
 		if lo >= hi {
 			continue
 		}
-		// Smallest ef reaching the target on this band.
+		// Smallest ef reaching the target on this band. The last band is
+		// never empty, so every band but it gets an upper threshold.
 		chosen := c.CandidateEFs[len(c.CandidateEFs)-1]
 		for _, ef := range c.CandidateEFs {
 			var sum float64
 			for _, x := range ds[lo:hi] {
-				res, _ := s.SearchFrom(calib.Row(x.qi), c.K, ef, ix.G.EntryPoint)
-				sum += metrics.Recall(graph.IDs(res), bruteforce.IDs(calibTruth[x.qi])[:minI(c.K, len(calibTruth[x.qi]))])
+				sum += recall(x.qi, ef)
 			}
 			if sum/float64(hi-lo) >= c.TargetRecall {
 				chosen = ef
@@ -120,9 +137,7 @@ func CalibrateAdaptiveEF(ix *Index, history, calib *vec.Matrix, calibTruth [][]b
 
 // NewAdaptiveEF assembles a policy from pre-computed parts: a built
 // historical-query graph, the probe width, and the calibrated bands.
-// thresholds must be ascending with len(efs) == len(thresholds)+1. The
-// policy layer uses this to install freshly recalibrated policies
-// without rerunning CalibrateAdaptiveEF's builder internals.
+// thresholds must be ascending with len(efs) == len(thresholds)+1.
 func NewAdaptiveEF(hist *graph.Graph, probeEF int, thresholds []float32, efs []int) *AdaptiveEF {
 	if probeEF <= 0 {
 		probeEF = 16
@@ -148,13 +163,6 @@ func (a *AdaptiveEF) ProbeEF() int { return a.probeEF }
 // historical query.
 func (a *AdaptiveEF) probe(q []float32) float32 {
 	return a.probeWith(a.histSearch, q)
-}
-
-// ProbeDistWith exposes the similarity probe through a caller-owned
-// searcher — calibration code paths need the raw distance, not the
-// bucketed ef.
-func (a *AdaptiveEF) ProbeDistWith(s *graph.Searcher, q []float32) float32 {
-	return a.probeWith(s, q)
 }
 
 func (a *AdaptiveEF) probeWith(s *graph.Searcher, q []float32) float32 {
@@ -210,11 +218,4 @@ func (ix *Index) SearchAdaptive(a *AdaptiveEF, q []float32, k int) ([]graph.Resu
 	res, st := ix.Search(q, k, ef)
 	st.NDC += int64(a.probeEF) // amortized probe cost, approximately
 	return res, st
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -33,6 +33,10 @@ type ReplicationStatus struct {
 	WALBytes int64 `json:"walBytes"`
 	// WALRecords is how many records the active log holds.
 	WALRecords int `json:"walRecords"`
+	// Shards is the leader's shard count, set by its HTTP endpoint so a
+	// follower can refuse a layout it does not match. 0 means unknown
+	// (a store or directory cannot tell).
+	Shards int `json:"shards,omitempty"`
 }
 
 // ReplicationStatus returns the store's current position for followers.

@@ -2,13 +2,11 @@ package policy
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"ngfix/internal/core"
 	"ngfix/internal/graph"
-	"ngfix/internal/hnsw"
 	"ngfix/internal/metrics"
 	"ngfix/internal/vec"
 )
@@ -256,63 +254,18 @@ func (a *Adaptive) MaybeRecalibrate(acquire func() (release func(), ok bool)) bo
 	return true
 }
 
-// calibrate fits equal-count similarity bands on the calibration half
-// against reference answers from the wide-ef search — the serving-path
-// analogue of core.CalibrateAdaptiveEF, using the concurrent group
-// search for truth instead of a single-fixer searcher.
+// calibrate fits the similarity bands with core.CalibrateBands,
+// measuring recall against reference answers from the wide-ef search —
+// the concurrent group search, not a single-fixer searcher.
 func (a *Adaptive) calibrate(hist, calib *vec.Matrix) *core.AdaptiveEF {
-	if hist.Rows() == 0 || calib.Rows() == 0 {
-		return nil
-	}
-	h := hnsw.Build(hist.Clone(), hnsw.Config{M: 8, EFConstruction: 60, Metric: a.cfg.Metric, Seed: 3})
-	probe := core.NewAdaptiveEF(h.Bottom(), a.cfg.ProbeEF, nil, []int{0})
-	prober := graph.NewSearcher(probe.HistGraph())
-
-	nq := calib.Rows()
-	type qd struct {
-		qi int
-		d  float32
-	}
-	ds := make([]qd, nq)
-	for qi := 0; qi < nq; qi++ {
-		ds[qi] = qd{qi, probe.ProbeDistWith(prober, calib.Row(qi))}
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].d < ds[j].d })
-
-	truth := make([][]uint32, nq)
-	for qi := 0; qi < nq; qi++ {
+	truth := make([][]uint32, calib.Rows())
+	for qi := range truth {
 		truth[qi] = graph.IDs(a.search(calib.Row(qi), a.cfg.K, a.cfg.TruthEF))
 	}
-
-	var thresholds []float32
-	var efs []int
-	for b := 0; b < a.cfg.Buckets; b++ {
-		lo := b * nq / a.cfg.Buckets
-		hi := (b + 1) * nq / a.cfg.Buckets
-		if lo >= hi {
-			continue
-		}
-		chosen := a.cfg.CandidateEFs[len(a.cfg.CandidateEFs)-1]
-		for _, ef := range a.cfg.CandidateEFs {
-			var sum float64
-			for _, x := range ds[lo:hi] {
-				got := graph.IDs(a.search(calib.Row(x.qi), a.cfg.K, ef))
-				sum += metrics.Recall(got, truth[x.qi])
-			}
-			if sum/float64(hi-lo) >= a.cfg.TargetRecall {
-				chosen = ef
-				break
-			}
-		}
-		efs = append(efs, chosen)
-		if b < a.cfg.Buckets-1 && len(thresholds) < a.cfg.Buckets-1 {
-			thresholds = append(thresholds, ds[hi-1].d)
-		}
-	}
-	if len(efs) == 0 {
-		return nil
-	}
-	// Bands can collapse when nq < Buckets: keep thresholds consistent.
-	thresholds = thresholds[:len(efs)-1]
-	return core.NewAdaptiveEF(h.Bottom(), a.cfg.ProbeEF, thresholds, efs)
+	return core.CalibrateBands(hist, calib, a.cfg.Metric, core.AdaptiveConfig{
+		Buckets: a.cfg.Buckets, TargetRecall: a.cfg.TargetRecall,
+		CandidateEFs: a.cfg.CandidateEFs, K: a.cfg.K, ProbeEF: a.cfg.ProbeEF,
+	}, func(qi, ef int) float64 {
+		return metrics.Recall(graph.IDs(a.search(calib.Row(qi), a.cfg.K, ef)), truth[qi])
+	})
 }

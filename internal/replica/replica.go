@@ -22,10 +22,8 @@ package replica
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,6 +97,10 @@ type Journal interface {
 type Replica struct {
 	src Source
 	cfg Config
+	// shards is the size of the Set this replica serves in (set by NewSet
+	// before Run; 0 outside a set). A leader reporting a different count
+	// would make this replica's local ids map to the wrong global ids.
+	shards int
 
 	mu        sync.RWMutex // guards ix and searchers; Run swaps, readers search
 	ix        *core.Index
@@ -205,6 +207,9 @@ func (r *Replica) noteErr(err error) {
 // The new index is built entirely off to the side; until the final swap
 // the previous index (if any) serves unchanged.
 func (r *Replica) bootstrap() error {
+	if err := r.observeLeader(); err != nil {
+		return err
+	}
 	gen, rc, err := r.src.Snapshot()
 	if err != nil {
 		return fmt.Errorf("ship snapshot: %w", err)
@@ -279,6 +284,27 @@ func (r *Replica) buildFiltered(pg *graph.Graph) (*core.Index, error) {
 	return ix, nil
 }
 
+// observeLeader records the leader's position for the lag gauges (best
+// effort: a failed status poll leaves the last one) and refuses a leader
+// whose shard count differs from this replica's set — the set's router
+// would turn the leader's shard-local ids into wrong global ids, answers
+// that look valid and are not. A count of 0 means the source cannot tell
+// (stores and directories), and passes.
+func (r *Replica) observeLeader() error {
+	st, err := r.src.Status()
+	if err != nil {
+		return nil
+	}
+	if st.Shards != 0 && r.shards != 0 && st.Shards != r.shards {
+		r.ready.Store(false) // stop serving until a matching bootstrap
+		return fmt.Errorf("leader has %d shards but this replica set follows %d; refusing to serve", st.Shards, r.shards)
+	}
+	r.leaderGen.Store(st.Generation)
+	r.leaderBytes.Store(st.WALBytes)
+	r.leaderRecords.Store(int64(st.WALRecords))
+	return nil
+}
+
 // throttle acquires the configured admission throttle (identity when
 // unset).
 func (r *Replica) throttle(rows int) (release func()) {
@@ -291,10 +317,8 @@ func (r *Replica) throttle(rows int) (release func()) {
 // tailOnce polls the leader's position, then applies every intact record
 // past the applied offset. It reports whether any record was applied.
 func (r *Replica) tailOnce() (bool, error) {
-	if st, err := r.src.Status(); err == nil {
-		r.leaderGen.Store(st.Generation)
-		r.leaderBytes.Store(st.WALBytes)
-		r.leaderRecords.Store(int64(st.WALRecords))
+	if err := r.observeLeader(); err != nil {
+		return false, err
 	}
 	gen := r.gen.Load()
 	off := r.appliedBytes.Load()
@@ -520,4 +544,13 @@ func (r *Replica) Dim() int {
 	return r.ix.G.Dim()
 }
 
-func decodeJSON(rd io.Reader, v interface{}) error { return json.NewDecoder(rd).Decode(v) }
+// Len returns the served index's vector count (0 while the replica
+// cannot serve).
+func (r *Replica) Len() int {
+	if !r.ready.Load() {
+		return 0
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.ix.G.Len()
+}

@@ -278,7 +278,7 @@ func TestSetScatterMatchesGroup(t *testing.T) {
 	for qi := 0; qi < d.TestOOD.Rows(); qi++ {
 		q := d.TestOOD.Row(qi)
 		want, _ := g.SearchCtx(nil, q, 10, 40, n)
-		got, _ := set.SearchCtx(nil, q, 10, 40)
+		got, _ := set.Search(nil, q, 10, 40, n)
 		if len(want) != len(got) {
 			t.Fatalf("query %d: %d results vs group's %d", qi, len(got), len(want))
 		}

@@ -3,7 +3,6 @@ package replica
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 
 	"ngfix/internal/graph"
@@ -32,6 +31,7 @@ func NewSet(reps []*Replica) (*Set, error) {
 		if r.cfg.Shard != i {
 			return nil, errors.New("replica: set must be in shard order")
 		}
+		r.shards = len(reps)
 	}
 	return &Set{router: shard.NewRouter(len(reps)), reps: reps}, nil
 }
@@ -87,67 +87,28 @@ func (s *Set) Statuses() []Status {
 	return out
 }
 
-// SearchCtx scatters a query across all shard replicas and gathers a
-// global top-k — the read path of a replica-only follower server. Shards
-// whose replica has not bootstrapped yet are skipped (their vectors are
-// simply absent from the answer, reported via Stats.Truncated), because a
+// Len returns the vector count across the replicas that can serve — what
+// a follower server bounds a request's ef by.
+func (s *Set) Len() int {
+	n := 0
+	for _, r := range s.reps {
+		n += r.Len()
+	}
+	return n
+}
+
+// Search scatters a query across all shard replicas, at most parallel at
+// a time, and gathers a global top-k through the same shard.Gather a
+// leader's group uses — the read path of a replica-only follower server.
+// Shards whose replica cannot serve (not bootstrapped yet, or refusing a
+// leader whose shard count differs) are skipped: their vectors are simply
+// absent from the answer, reported via Stats.Truncated, because a
 // follower's job is to keep answering with what it has.
-func (s *Set) SearchCtx(ctx context.Context, q []float32, k, ef int) ([]graph.Result, graph.Stats) {
-	n := len(s.reps)
-	if n == 1 {
-		res, st, ok := s.reps[0].SearchCtx(ctx, q, k, ef)
-		if !ok {
-			st.Truncated = true
-		}
-		return res, st
-	}
-	type hit struct {
-		shard int
-		res   []graph.Result
-		st    graph.Stats
-		ok    bool
-	}
-	hits := make(chan hit, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			res, st, ok := s.reps[i].SearchCtx(ctx, q, k, ef)
-			hits <- hit{shard: i, res: res, st: st, ok: ok}
-		}(i)
-	}
-	var (
-		merged []graph.Result
-		stats  graph.Stats
-	)
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	for received := 0; received < n; received++ {
-		select {
-		case h := <-hits:
-			if !h.ok {
-				stats.Truncated = true
-				continue
-			}
-			for _, r := range h.res {
-				merged = append(merged, graph.Result{ID: s.router.Global(h.shard, r.ID), Dist: r.Dist})
-			}
-			stats.NDC += h.st.NDC
-			stats.Hops += h.st.Hops
-			stats.Truncated = stats.Truncated || h.st.Truncated
-		case <-done:
-			stats.Truncated = true
-			received = n
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Dist != merged[j].Dist {
-			return merged[i].Dist < merged[j].Dist
-		}
-		return merged[i].ID < merged[j].ID
+func (s *Set) Search(ctx context.Context, q []float32, k, ef, parallel int) ([]graph.Result, graph.Stats) {
+	res, st, _ := shard.Gather(ctx, s.router, k, parallel, func(i int) ([]graph.Result, graph.Stats, bool) {
+		res, st, ok := s.reps[i].SearchCtx(ctx, q, k, ef)
+		st.Truncated = st.Truncated || !ok
+		return res, st, true
 	})
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, stats
+	return res, st
 }

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -190,7 +191,7 @@ func (h HTTPSource) Status() (persist.ReplicationStatus, error) {
 	}
 	defer resp.Body.Close()
 	var st persist.ReplicationStatus
-	if err := decodeJSON(resp.Body, &st); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return persist.ReplicationStatus{}, fmt.Errorf("replica: decode status: %w", err)
 	}
 	return st, nil

@@ -60,7 +60,9 @@ func (s *Server) handleReplicateStatus(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	s.writeJSON(w, st.ReplicationStatus())
+	rs := st.ReplicationStatus()
+	rs.Shards = len(s.topo.Load().Stores)
+	s.writeJSON(w, rs)
 }
 
 func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request) {

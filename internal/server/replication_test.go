@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ngfix/internal/admission"
 	"ngfix/internal/core"
 	"ngfix/internal/dataset"
 	"ngfix/internal/graph"
@@ -335,7 +336,7 @@ func TestReplicateEndpointsAndFollower(t *testing.T) {
 	t.Cleanup(func() { cancel(); <-done })
 
 	fol := NewFollower(set)
-	fol.EnableMetrics(regs...)
+	fol.EnableMetrics(obs.NewRegistry(), regs...)
 	fts := httptest.NewServer(fol)
 	t.Cleanup(fts.Close)
 
@@ -502,5 +503,127 @@ func TestStatsOmitsReplicaWithoutReplicas(t *testing.T) {
 		if strings.Contains(buf.String(), `"stale"`) {
 			t.Fatalf("search body leaks a stale field with no replicas configured:\n%s", buf.String())
 		}
+	}
+}
+
+// newFollowerOf wires a follower Server over rs's leader: n shard
+// replicas pulling over HTTP (shards 0..n-1), not yet running.
+func newFollowerOf(t *testing.T, rs *replicatedServer, n int) (*Server, *replica.Set, string) {
+	t.Helper()
+	reps := make([]*replica.Replica, n)
+	for i := range reps {
+		reps[i] = replica.New(replica.HTTPSource{Base: rs.ts.URL, Shard: i}, replica.Config{
+			Shard: i, Opts: replOpts,
+			Poll: 2 * time.Millisecond, Backoff: time.Millisecond, Logf: t.Logf,
+		})
+	}
+	set, err := replica.NewSet(reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fol := NewFollower(set)
+	fts := httptest.NewServer(fol)
+	t.Cleanup(fts.Close)
+	return fol, set, fts.URL
+}
+
+// runSet drives set's replicas until the test ends.
+func runSet(t *testing.T, set *replica.Set) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); set.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+}
+
+// TestFollowerKeepsRequestContract: a follower validates, governs and
+// budgets searches exactly like its leader — it answers 503 before any
+// replica bootstraps, 400 for an ef beyond its row count, 429 with
+// Retry-After when admission is saturated, and a truncated answer when
+// the search budget fires.
+func TestFollowerKeepsRequestContract(t *testing.T) {
+	rs := newReplicatedTestServer(t, 0)
+	fol, set, url := newFollowerOf(t, rs, 2)
+	q := rs.d.TestOOD.Row(0)
+	search := func(ef int) (*http.Response, SearchResponse) {
+		var sr SearchResponse
+		resp := post(t, url+"/v1/search", SearchRequest{Vector: q, K: IntPtr(5), EF: IntPtr(ef)}, &sr)
+		return resp, sr
+	}
+
+	if resp, _ := search(40); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("search before bootstrap: status %d, want 503", resp.StatusCode)
+	}
+
+	runSet(t, set)
+	waitForCond(t, "follower replicas ready", set.Ready)
+	rows := rs.g.Len()
+	if got := set.Len(); got != rows {
+		t.Fatalf("follower rows %d, leader %d", got, rows)
+	}
+	if resp, _ := search(rows + 1); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("ef %d over %d rows: status %d, want 400", rows+1, rows, resp.StatusCode)
+	}
+	if resp, sr := search(40); resp.StatusCode != http.StatusOK || !sr.Stale || sr.Truncated {
+		t.Fatalf("plain follower search: status %d stale %v truncated %v", resp.StatusCode, sr.Stale, sr.Truncated)
+	}
+
+	fol.SearchTimeout = time.Nanosecond
+	if resp, sr := search(40); resp.StatusCode != http.StatusOK || !sr.Truncated {
+		t.Fatalf("search under a 1ns budget: status %d truncated %v, want 200 truncated", resp.StatusCode, sr.Truncated)
+	}
+
+	// Hold the only unit: the search queues, its budget expires in the
+	// queue, and it is shed.
+	fol.SearchTimeout = 50 * time.Millisecond
+	fol.Admission = admission.New(admission.Config{Capacity: 1})
+	release, ok := fol.Admission.TryAcquire(1)
+	if !ok {
+		t.Fatal("could not hold the admission unit")
+	}
+	defer release()
+	resp, _ := search(40)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("saturated follower: status %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("follower 429 without Retry-After")
+	}
+}
+
+// TestFollowerRefusesShardCountMismatch: a follower with one shard
+// replica against a 2-shard leader would map shard 0's local ids to
+// global ids as if there were one shard — wrong answers that look valid.
+// The leader reports its count on /v1/replicate/status, and the follower
+// refuses to serve: /readyz stays 503 and names both counts.
+func TestFollowerRefusesShardCountMismatch(t *testing.T) {
+	rs := newReplicatedTestServer(t, 0)
+	resp, err := http.Get(rs.ts.URL + "/v1/replicate/status?shard=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ls persist.ReplicationStatus
+	if err := decodeBody(resp, &ls); err != nil {
+		t.Fatal(err)
+	}
+	if ls.Shards != 2 {
+		t.Fatalf("leader status reports %d shards, want 2", ls.Shards)
+	}
+
+	_, set, url := newFollowerOf(t, rs, 1)
+	runSet(t, set)
+	waitForCond(t, "replica to record the mismatch", func() bool {
+		return strings.Contains(set.Statuses()[0].LastError, "leader has 2 shards")
+	})
+	resp, err = http.Get(url + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "leader has 2 shards but this replica set follows 1") {
+		t.Fatalf("mismatched follower readyz: %d %q", resp.StatusCode, body)
+	}
+	if resp := post(t, url+"/v1/search", SearchRequest{Vector: rs.d.TestOOD.Row(0), K: IntPtr(5), EF: IntPtr(40)}, nil); resp.StatusCode == http.StatusOK {
+		t.Fatal("mismatched follower answered a search")
 	}
 }

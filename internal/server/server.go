@@ -57,6 +57,7 @@ import (
 
 	"ngfix/internal/admission"
 	"ngfix/internal/core"
+	"ngfix/internal/graph"
 	"ngfix/internal/obs"
 	"ngfix/internal/persist"
 	"ngfix/internal/policy"
@@ -82,9 +83,12 @@ const (
 // follows the shard count. A live reshard replaces all of it at once, so
 // it is built whole (by the caller's assembler) and swapped whole (by
 // Install); nothing in it is mutated after installation.
+//
+// A follower's topology (NewFollower) holds only Replicas; dim, rows,
+// shards and search are the only places that tell the two apart.
 type Topology struct {
 	// Group fronts the shard fixers: searches scatter-gather, mutations
-	// route by id.
+	// route by id. Nil on a follower.
 	Group *shard.Group
 	// Stores are the per-shard persistence stores, which make this server
 	// a replication leader: followers pull snapshots and WAL segments over
@@ -102,8 +106,43 @@ type Topology struct {
 	// must have them attached via SetReplicas too): /v1/stats gains a
 	// per-shard replica block, and /readyz downgrades "shard dark" to
 	// "degraded, serving from replica" when a wedged shard's reads are
-	// covered.
+	// covered. On a follower they are the whole index.
 	Replicas *replica.Set
+}
+
+// dim is the served vector dimensionality; 0 on a follower none of whose
+// replicas has bootstrapped yet.
+func (t *Topology) dim() int {
+	if t.Group == nil {
+		return t.Replicas.Dim()
+	}
+	return t.Group.Dim()
+}
+
+// rows is the served vector count, the bound on a request's ef.
+func (t *Topology) rows() int {
+	if t.Group == nil {
+		return t.Replicas.Len()
+	}
+	return t.Group.Len()
+}
+
+// shards is the scatter width a search is costed at.
+func (t *Topology) shards() int {
+	if t.Group == nil {
+		return t.Replicas.Shards()
+	}
+	return t.Group.Shards()
+}
+
+// search runs one read with at most parallel per-shard searches at once;
+// stale reports that replica state answered (always, on a follower).
+func (t *Topology) search(ctx context.Context, q []float32, k, ef, parallel int) ([]graph.Result, graph.Stats, bool) {
+	if t.Group == nil {
+		res, st := t.Replicas.Search(ctx, q, k, ef, parallel)
+		return res, st, true
+	}
+	return t.Group.SearchStale(ctx, q, k, ef, parallel)
 }
 
 // Server wires a shard group (one or many online fixers) to an
@@ -188,11 +227,8 @@ func New(fixer *core.OnlineFixer) *Server {
 // not ready: call SetReady(true) once every shard is loaded/replayed
 // and the listener is up, so /readyz tells load balancers the truth.
 func NewSharded(group *shard.Group) *Server {
-	s := &Server{mux: http.NewServeMux(), DefaultK: 10, DefaultEF: 100}
-	s.topo.Store(&Topology{Group: group})
-	// Search governs itself (its admission cost depends on the decoded
-	// ef); fixed-work endpoints go through the governed middleware.
-	s.mux.HandleFunc("/v1/search", s.method(http.MethodPost, s.handleSearch))
+	s := newServer(&Topology{Group: group})
+	// Fixed-work endpoints go through the governed middleware.
 	s.mux.HandleFunc("/v1/insert", s.method(http.MethodPost, s.governed(mutationCost, s.handleInsert)))
 	s.mux.HandleFunc("/v1/delete", s.method(http.MethodPost, s.governed(mutationCost, s.handleDelete)))
 	s.mux.HandleFunc("/v1/fix", s.method(http.MethodPost, s.governed(maintenanceCost, s.handleFix)))
@@ -203,8 +239,18 @@ func NewSharded(group *shard.Group) *Server {
 	s.mux.HandleFunc("/v1/replicate/status", s.method(http.MethodGet, s.handleReplicateStatus))
 	s.mux.HandleFunc("/v1/replicate/snapshot", s.method(http.MethodGet, s.handleReplicateSnapshot))
 	s.mux.HandleFunc("/v1/replicate/wal", s.method(http.MethodGet, s.handleReplicateWAL))
-	s.mux.HandleFunc("/healthz", s.method(http.MethodGet, s.handleHealthz))
 	s.mux.HandleFunc("/readyz", s.method(http.MethodGet, s.handleReadyz))
+	return s
+}
+
+// newServer builds the part leader and follower share: the topology, the
+// search route, liveness and metrics.
+func newServer(t *Topology) *Server {
+	s := &Server{mux: http.NewServeMux(), DefaultK: 10, DefaultEF: 100}
+	s.topo.Store(t)
+	// Search governs itself: its admission cost depends on the decoded ef.
+	s.mux.HandleFunc("/v1/search", s.method(http.MethodPost, s.handleSearch))
+	s.mux.HandleFunc("/healthz", s.method(http.MethodGet, s.handleHealthz))
 	s.mux.HandleFunc("/metrics", s.method(http.MethodGet, s.handleMetrics))
 	return s
 }
@@ -648,8 +694,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, topo, &req) {
 		return
 	}
-	if err := checkVector(topo, req.Vector); err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
+	if status, err := checkVector(topo, req.Vector); err != nil {
+		s.httpError(w, status, err)
 		return
 	}
 	k, ef, err := s.searchParams(topo, req)
@@ -700,8 +746,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	group := topo.Group
-	shards := group.Shards()
+	shards := topo.shards()
 	parallel := shards
 	clamped := false
 	clampedBy := obs.ClampNone
@@ -739,7 +784,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	res, st, stale := group.SearchStale(ctx, req.Vector, k, ef, parallel)
+	res, st, stale := topo.search(ctx, req.Vector, k, ef, parallel)
 	if st.Truncated {
 		s.truncated.Add(1)
 	}
@@ -811,7 +856,7 @@ func (s *Server) searchParams(topo *Topology, req SearchRequest) (k, ef int, err
 		if *req.EF < k {
 			return 0, 0, fmt.Errorf("ef (%d) must be at least k (%d)", *req.EF, k)
 		}
-		if n := topo.Group.Len(); n > 0 && *req.EF > n {
+		if n := topo.rows(); n > 0 && *req.EF > n {
 			return 0, 0, fmt.Errorf("ef (%d) exceeds the graph size (%d vectors)", *req.EF, n)
 		}
 		ef = *req.EF
@@ -825,8 +870,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, topo, &req) {
 		return
 	}
-	if err := checkVector(topo, req.Vector); err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
+	if status, err := checkVector(topo, req.Vector); err != nil {
+		s.httpError(w, status, err)
 		return
 	}
 	var id uint32
@@ -1122,13 +1167,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
+// notReady answers 503 and reports true while the server is not marked
+// ready: still starting, or draining.
+func (s *Server) notReady(w http.ResponseWriter) bool {
+	if s.ready.Load() {
+		return false
+	}
+	msg := "index not ready"
+	if s.draining.Load() {
+		msg = "draining"
+	}
+	s.httpError(w, http.StatusServiceUnavailable, errors.New(msg))
+	return true
+}
+
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
-		msg := "index not ready"
-		if s.draining.Load() {
-			msg = "draining"
-		}
-		s.httpError(w, http.StatusServiceUnavailable, errors.New(msg))
+	if s.notReady(w) {
 		return
 	}
 	// A shard in trouble is "dark" (503: stop routing here) unless a
@@ -1195,18 +1249,26 @@ func uncoveredShards(group *shard.Group, bad []int) []int {
 	return uncovered
 }
 
-func checkVector(topo *Topology, v []float32) error {
+// checkVector validates a request vector against the served
+// dimensionality, returning the status to answer with when it fails: 400
+// for a bad vector, 503 on a follower with nothing bootstrapped to
+// validate against, let alone search.
+func checkVector(topo *Topology, v []float32) (int, error) {
 	if len(v) == 0 {
-		return fmt.Errorf("vector is required")
+		return http.StatusBadRequest, errors.New("vector is required")
 	}
-	if dim := topo.Group.Dim(); len(v) != dim {
-		return fmt.Errorf("vector dim %d != index dim %d", len(v), dim)
+	dim := topo.dim()
+	if dim == 0 {
+		return http.StatusServiceUnavailable, errors.New("replica not bootstrapped yet")
 	}
-	return nil
+	if len(v) != dim {
+		return http.StatusBadRequest, fmt.Errorf("vector dim %d != index dim %d", len(v), dim)
+	}
+	return 0, nil
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, topo *Topology, dst interface{}) bool {
-	if status, err := decodeRequest(r, topo.Group.Dim(), dst); err != nil {
+	if status, err := decodeRequest(r, topo.dim(), dst); err != nil {
 		s.httpError(w, status, err)
 		return false
 	}

@@ -164,6 +164,30 @@ func (g *Group) SearchStale(ctx context.Context, q []float32, k, ef int, paralle
 		}
 		return g.searchShard(ctx, 0, q, k, ef) // one shard: local ids are global
 	}
+	return Gather(ctx, g.router, k, parallel, func(s int) ([]graph.Result, graph.Stats, bool) {
+		return g.searchShard(ctx, s, q, k, ef)
+	})
+}
+
+// Gather is the scatter-gather every multi-shard read runs — a Group's
+// primaries and a follower's replica set alike. It calls search once per
+// shard of r, at most parallel at a time (the server passes the admission
+// units the request was granted), and merges the shard-local top-k lists
+// into a global top-k. search returns shard s's answer in local ids and
+// whether it is stale; Gather maps the ids through r. Stats sum across
+// shards (they measure total work, which is what the cost model prices),
+// and stale reports whether any shard's slice was.
+//
+// Cancellation is two-level: each per-shard search honors ctx on its own
+// (returning its best-so-far with Truncated set), and the gather stops
+// waiting for stragglers once ctx ends, merging whatever shards have
+// answered. Either way the caller gets a ranked partial answer with
+// Stats.Truncated reporting the quality loss.
+func Gather(ctx context.Context, r Router, k, parallel int, search func(s int) ([]graph.Result, graph.Stats, bool)) ([]graph.Result, graph.Stats, bool) {
+	n := r.Shards()
+	if n == 1 {
+		return search(0) // one shard: local ids are global
+	}
 	if parallel < 1 {
 		parallel = 1
 	}
@@ -182,7 +206,7 @@ func (g *Group) SearchStale(ctx context.Context, q []float32, k, ef int, paralle
 	for s := 0; s < n; s++ {
 		go func(s int) {
 			sem <- struct{}{}
-			res, st, stale := g.searchShard(ctx, s, q, k, ef)
+			res, st, stale := search(s)
 			<-sem
 			hits <- staleHit{shard: s, res: res, st: st, stale: stale}
 		}(s)
@@ -200,8 +224,8 @@ func (g *Group) SearchStale(ctx context.Context, q []float32, k, ef int, paralle
 	for received := 0; received < n; received++ {
 		select {
 		case h := <-hits:
-			for _, r := range h.res {
-				merged = append(merged, graph.Result{ID: g.router.Global(h.shard, r.ID), Dist: r.Dist})
+			for _, res := range h.res {
+				merged = append(merged, graph.Result{ID: r.Global(h.shard, res.ID), Dist: res.Dist})
 			}
 			stats.NDC += h.st.NDC
 			stats.ADCLookups += h.st.ADCLookups
