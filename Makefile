@@ -1,18 +1,25 @@
 GO ?= go
+GOFMT ?= gofmt
 
 # Packages with real concurrency (locks, goroutines, HTTP handlers) that
 # must stay clean under the race detector.
 RACE_PKGS = ./internal/core ./internal/server ./internal/persist ./internal/admission ./internal/obs ./internal/shard ./internal/shard/reshard ./internal/repair ./internal/replica ./internal/policy ./internal/pq ./internal/hnsw ./internal/parallel ./internal/graph
 
-.PHONY: check vet build test race bench bench-go bench-serve
+.PHONY: check fmt vet build test race bench bench-go bench-serve
 
-## check: everything CI would run — vet, build, race-sensitive packages
-## under -race, then the full test suite (including the e2e server
-## shutdown/recovery test).
-check: vet build race test
+## check: everything CI would run — gofmt, vet (the serving benchmark's
+## own module too, so an API change that breaks it fails here), build,
+## race-sensitive packages under -race, then the full test suite
+## (including the e2e server shutdown/recovery test).
+check: fmt vet build race test
+
+fmt:
+	@out="$$($(GOFMT) -l internal cmd examples)"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 build:
 	$(GO) build ./...

@@ -48,6 +48,14 @@ func main() {
 	prepEF := flag.Int("prep-ef", 200, "search list for approximate-NN preprocessing")
 	exact := flag.Bool("exact", false, "use exact (brute force) NN preprocessing")
 	flag.Parse()
+	switch {
+	case *m < 2:
+		fmt.Fprintf(os.Stderr, "ngfix-build: -m %d: must be at least 2\n", *m)
+		os.Exit(2)
+	case *efc < 1:
+		fmt.Fprintf(os.Stderr, "ngfix-build: -efc %d: must be at least 1\n", *efc)
+		os.Exit(2)
+	}
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "ngfix-build:", err)
@@ -64,10 +72,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	if err := vec.CheckRows(base); err != nil {
+		fail(fmt.Errorf("%s: %w", *basePath, err))
+	}
 	fmt.Printf("loaded %d base vectors (dim %d)\n", base.Rows(), base.Dim())
 
 	start := time.Now()
-	h := hnsw.Build(base, hnsw.Config{M: *m, EFConstruction: *efc, Metric: metric, Seed: 7})
+	h := hnsw.Build(base, hnsw.Config{M: *m, EFConstruction: *efc, Metric: metric})
 	g := h.Bottom()
 	fmt.Printf("HNSW base layer built in %s (avg degree %.1f)\n", time.Since(start).Round(time.Millisecond), g.AvgDegree())
 

@@ -126,6 +126,14 @@ func run(args []string) int {
 	failoverAfter := fl.Duration("failover-after", 150*time.Millisecond, "hedge delay before a primary read is retried on its replica (with -self-replica; 0 fails over only degraded shards)")
 	replicaPoll := fl.Duration("replica-poll", 100*time.Millisecond, "replica WAL tail cadence")
 	fl.Parse(args)
+	switch {
+	case *m < 2:
+		fmt.Fprintf(os.Stderr, "ngfix-server: -m %d: must be at least 2\n", *m)
+		return 2
+	case *efc < 1:
+		fmt.Fprintf(os.Stderr, "ngfix-server: -efc %d: must be at least 1\n", *efc)
+		return 2
+	}
 	if *repairMode != "adaptive" {
 		log.Printf("-repair-mode %q: the fixed-cadence interval mode was removed; adaptive is the only repair mode", *repairMode)
 		return 1
@@ -591,6 +599,9 @@ func (a *assembler) lead(src leaderSource) (server.Topology, persist.Layout, err
 		if err != nil {
 			return server.Topology{}, layout, fmt.Errorf("load index: %w", err)
 		}
+		if err := vec.CheckRows(g.Vectors); err != nil {
+			return server.Topology{}, layout, fmt.Errorf("index %s: %w", src.indexPath, err)
+		}
 		log.Printf("loaded index: %d vectors, dim %d, metric %s", g.Len(), g.Dim(), g.Metric)
 		if n == 1 {
 			// Unsharded: serve the prebuilt graph exactly as loaded.
@@ -599,19 +610,22 @@ func (a *assembler) lead(src leaderSource) (server.Topology, persist.Layout, err
 			// A monolithic index cannot be split edge-for-edge; partition
 			// its vectors and rebuild each shard's base graph.
 			log.Printf("resharding prebuilt index into %d shards (per-shard base graphs rebuilt with -m/-efc)", n)
-			ixs = buildShards(g.Vectors, n, hnsw.Config{M: src.m, EFConstruction: src.efc, Metric: g.Metric, Seed: 7}, a.opts)
+			ixs = buildShards(g.Vectors, n, hnsw.Config{M: src.m, EFConstruction: src.efc, Metric: g.Metric}, a.opts)
 		}
 	case src.basePath != "":
 		base, err := dataset.LoadMatrix(src.basePath)
 		if err != nil {
 			return server.Topology{}, layout, fmt.Errorf("load base: %w", err)
 		}
+		if err := vec.CheckRows(base); err != nil {
+			return server.Topology{}, layout, fmt.Errorf("base %s: %w", src.basePath, err)
+		}
 		metric, err := parseMetric(src.metric)
 		if err != nil {
 			return server.Topology{}, layout, err
 		}
 		start := time.Now()
-		ixs = buildShards(base, n, hnsw.Config{M: src.m, EFConstruction: src.efc, Metric: metric, Seed: 7}, a.opts)
+		ixs = buildShards(base, n, hnsw.Config{M: src.m, EFConstruction: src.efc, Metric: metric}, a.opts)
 		log.Printf("built HNSW base over %d vectors in %d shard(s) in %s", base.Rows(), n, time.Since(start).Round(time.Millisecond))
 	default:
 		return server.Topology{}, layout, errors.New("one of -index, -base, -replica-of, or a non-empty -snapshot-dir is required")

@@ -162,7 +162,7 @@ func TestGracefulShutdownAndRecovery(t *testing.T) {
 		Dim: 8, Clusters: 5, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 9,
 	})
-	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1}).Bottom()
+	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 	idx := filepath.Join(work, "base.ngig")
 	if err := g.Save(idx); err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestShardedServeAndRecovery(t *testing.T) {
 		Dim: 8, Clusters: 5, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 17,
 	})
-	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1}).Bottom()
+	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 	idx := filepath.Join(work, "base.ngig")
 	if err := g.Save(idx); err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func TestOverloadFlags(t *testing.T) {
 		Dim: 8, Clusters: 4, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 11,
 	})
-	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1}).Bottom()
+	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 	idx := filepath.Join(work, "base.ngig")
 	if err := g.Save(idx); err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		Dim: 8, Clusters: 5, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 11,
 	})
-	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1}).Bottom()
+	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 	idx := filepath.Join(work, "base.ngig")
 	if err := g.Save(idx); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestMetricsShardLabels(t *testing.T) {
 		Dim: 8, Clusters: 5, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 13,
 	})
-	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1}).Bottom()
+	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 	idx := filepath.Join(work, "base.ngig")
 	if err := g.Save(idx); err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestMetricsPolicyFamilies(t *testing.T) {
 		Dim: 8, Clusters: 5, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 17,
 	})
-	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1}).Bottom()
+	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 	idx := filepath.Join(work, "base.ngig")
 	if err := g.Save(idx); err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func saveTestIndex(t *testing.T, work string, seed int64) (*dataset.Dataset, str
 		Dim: 8, Clusters: 5, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: seed,
 	})
-	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1}).Bottom()
+	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 	idx := filepath.Join(work, "base.ngig")
 	if err := g.Save(idx); err != nil {
 		t.Fatal(err)

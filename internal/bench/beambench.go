@@ -103,7 +103,7 @@ func runBeamRows(short bool, minTime time.Duration, arm string) ([]KernelResult,
 		Name: "beam", N: n, NHist: 1, NTest: nq, Dim: dim, Clusters: 64, Metric: vec.Cosine,
 		GapMagnitude: 2.0, ClusterStd: 0.2, QueryStdScale: 1.8, Normalize: true, Seed: 101,
 	})
-	g := hnsw.Build(d.Base, hnsw.Config{M: 16, EFConstruction: 100, Metric: vec.Cosine, Seed: 7}).Bottom()
+	g := hnsw.Build(d.Base, hnsw.Config{M: 16, EFConstruction: 100, Metric: vec.Cosine}).Bottom()
 	quant, err := pq.Train(d.Base, pq.Config{M: 16, KS: 256, Iters: 8, Seed: 23})
 	if err != nil {
 		panic(err) // fixed shape: M divides dim and KS ≤ rows

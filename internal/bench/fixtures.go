@@ -48,7 +48,7 @@ var (
 // hnswConfig is the shared base-graph build setting (paper: M=32,
 // efC=1000 at 10M scale; scaled down here with the dataset sizes).
 func hnswConfig(metric vec.Metric) hnsw.Config {
-	return hnsw.Config{M: 16, EFConstruction: 200, Metric: metric, Seed: 7}
+	return hnsw.Config{M: 16, EFConstruction: 200, Metric: metric}
 }
 
 // GetFixture builds (or returns the cached) fixture for a recipe.

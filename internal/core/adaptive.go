@@ -93,7 +93,7 @@ func CalibrateBands(history, calib *vec.Matrix, metric vec.Metric, cfg AdaptiveC
 		return nil
 	}
 	c := cfg.withDefaults()
-	h := hnsw.Build(history.Clone(), hnsw.Config{M: 8, EFConstruction: 60, Metric: metric, Seed: 3})
+	h := hnsw.Build(history.Clone(), hnsw.Config{M: 8, EFConstruction: 60, Metric: metric})
 	a := NewAdaptiveEF(h.Bottom(), c.ProbeEF, nil, nil)
 
 	// Distance of each calibration query to its nearest historical query.

@@ -108,7 +108,7 @@ func TestAdaptiveEFProbeSkipsSelfMatch(t *testing.T) {
 	hist.Append([]float32{0, 1, 0, 0})
 	hist.Append([]float32{0, 0.9, 0.1, 0})
 	hist.Append([]float32{0, 0, 1, 0})
-	h := hnsw.Build(hist.Clone(), hnsw.Config{M: 4, EFConstruction: 20, Metric: vec.L2, Seed: 1})
+	h := hnsw.Build(hist.Clone(), hnsw.Config{M: 4, EFConstruction: 20, Metric: vec.L2})
 	a := NewAdaptiveEF(h.Bottom(), 8, []float32{0.5}, []int{20, 200})
 
 	// hard is in the index (self-distance 0) but its nearest distinct

@@ -58,7 +58,7 @@ func BenchmarkFixBatch(b *testing.B) {
 		GapMagnitude: 2.0, ClusterStd: 0.2, QueryStdScale: 1.8,
 		Normalize: true, Seed: 19,
 	})
-	base := hnsw.Build(d.Base, hnsw.Config{M: 16, EFConstruction: 100, Metric: vec.Cosine, Seed: 7}).Bottom()
+	base := hnsw.Build(d.Base, hnsw.Config{M: 16, EFConstruction: 100, Metric: vec.Cosine}).Bottom()
 	truth := New(base, Options{}).ApproxTruth(d.History, 64, 200)
 	b.ReportAllocs()
 	b.ResetTimer()

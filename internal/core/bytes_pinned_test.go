@@ -2,19 +2,25 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"os"
 	"testing"
 
 	"ngfix/internal/bruteforce"
 	"ngfix/internal/dataset"
 	"ngfix/internal/graph"
-	"ngfix/internal/hnsw"
 	"ngfix/internal/vec"
 )
 
-// fixFixture is TestFixMatchesReference's seeded fixture: an HNSW base
-// graph over 1 500 clustered rows, 200 history queries and their exact
-// top-64 truth.
+// fixFixture is TestFixMatchesReference's seeded fixture: a base graph
+// over 1 500 clustered rows, 200 history queries and their exact top-64
+// truth, with the medoid as entry. The base adjacency is committed
+// (testdata/fix-fixture-base.adj), not built, so the hashes pinned on it
+// hold whatever the builder does. It is the bottom layer of the
+// hierarchical HNSW build at M 4, efConstruction 32, seed 6, which was
+// the same on both kernel arms. Its format is little-endian uint32s: the
+// row count, then each row's degree and out-list.
 func fixFixture() (*graph.Graph, *vec.Matrix, [][]bruteforce.Neighbor) {
 	d := dataset.Generate(dataset.Config{
 		Name: "fix-reference", N: 1500, NHist: 200, NTest: 1,
@@ -22,7 +28,27 @@ func fixFixture() (*graph.Graph, *vec.Matrix, [][]bruteforce.Neighbor) {
 		GapMagnitude: 2.5, ClusterStd: 0.2, QueryStdScale: 2,
 		Seed: 5,
 	})
-	base := hnsw.Build(d.Base, hnsw.Config{M: 4, EFConstruction: 32, Metric: vec.L2, Seed: 6}).Bottom()
+	raw, err := os.ReadFile("testdata/fix-fixture-base.adj")
+	if err != nil {
+		panic(err)
+	}
+	next := func() uint32 {
+		v := binary.LittleEndian.Uint32(raw)
+		raw = raw[4:]
+		return v
+	}
+	base := graph.New(d.Base, vec.L2)
+	if n := next(); int(n) != base.Len() {
+		panic(fmt.Sprintf("fix fixture: adjacency for %d rows, dataset has %d", n, base.Len()))
+	}
+	for u := range base.Len() {
+		nb := make([]uint32, next())
+		for i := range nb {
+			nb[i] = next()
+		}
+		base.SetBaseNeighbors(uint32(u), nb)
+	}
+	base.EntryPoint = base.Medoid()
 	return base, d.History, ExactTruth(d.Base, d.History, vec.L2, 64)
 }
 
@@ -121,5 +147,48 @@ func TestFixJournalPinned(t *testing.T) {
 			}
 		}
 		checkPinned(t, "fix journal", h.Sum64(), pinned)
+	}
+}
+
+// TestInsertAdjacencyPinned pins the base adjacency online insertion
+// builds: 600 Index.Insert calls at the default InsertM/InsertEF onto the
+// fixed fixture — its 200 history queries, then 400 rows drawn from a
+// second seed of the same recipe. Recovery, replicas and reshard children
+// replay inserts by re-running them, so an edge that moves here is a WAL
+// that replays to a different graph.
+func TestInsertAdjacencyPinned(t *testing.T) {
+	defer vec.SetSIMD(true)
+	const hash = 0x4ff7be528e42e988
+	pinned := map[string]uint64{"avx2": hash, "scalar": hash}
+	more := dataset.Generate(dataset.Config{
+		Name: "insert-pinned", N: 400, NHist: 1, NTest: 1,
+		Dim: 16, Clusters: 12, Metric: vec.L2,
+		GapMagnitude: 2.5, ClusterStd: 0.2, QueryStdScale: 2,
+		Seed: 8,
+	})
+	for _, simd := range []bool{false, true} {
+		vec.SetSIMD(simd)
+		base, hist, _ := fixFixture()
+		ix := New(base.Clone(), Options{})
+		for _, m := range []*vec.Matrix{hist, more.Base} {
+			for i := 0; i < m.Rows(); i++ {
+				ix.Insert(m.Row(i))
+			}
+		}
+		h := fnv.New64a()
+		var b [4]byte
+		put := func(v uint32) {
+			binary.LittleEndian.PutUint32(b[:], v)
+			h.Write(b[:])
+		}
+		put(ix.G.EntryPoint)
+		for u := 0; u < ix.G.Len(); u++ {
+			nb := ix.G.BaseNeighbors(uint32(u))
+			put(uint32(len(nb)))
+			for _, v := range nb {
+				put(v)
+			}
+		}
+		checkPinned(t, "insert adjacency", h.Sum64(), pinned)
 	}
 }

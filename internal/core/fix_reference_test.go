@@ -227,7 +227,7 @@ func TestFixMatchesReference(t *testing.T) {
 		GapMagnitude: 2.5, ClusterStd: 0.2, QueryStdScale: 2,
 		Seed: 5,
 	})
-	base := hnsw.Build(d.Base, hnsw.Config{M: 4, EFConstruction: 32, Metric: vec.L2, Seed: 6}).Bottom()
+	base := hnsw.Build(d.Base, hnsw.Config{M: 4, EFConstruction: 32, Metric: vec.L2}).Bottom()
 	hist := d.History
 	truth := ExactTruth(d.Base, hist, vec.L2, 64)
 	tight := []Round{{K: 30, Delta: 12, RFix: true}, {K: 10, Delta: 6}}

@@ -40,8 +40,12 @@ type Options struct {
 	Prune PruneMode
 	// Seed drives randomized pruning and sampling.
 	Seed int64
-	// InsertM / InsertEF parameterize HNSW-style base-graph insertion for
-	// maintenance (defaults 16 / 200).
+	// InsertM / InsertEF parameterize online base-graph insertion, the
+	// algorithm hnsw.Build runs in batches (defaults 16 / 200). No server
+	// flag sets them: ngfix-server's -m and -efc reach only the build.
+	// Wiring them in waits until the op log records what an insert did
+	// rather than its vector, so that replaying a log written under other
+	// parameters cannot build a different graph.
 	InsertM, InsertEF int
 	// PreserveEntry keeps the graph's existing entry point instead of
 	// re-pinning it to the medoid. Recovery paths set this so a restored
@@ -229,11 +233,12 @@ func (ix *Index) FixQuery(q []float32, nn []uint32) QueryFixReport {
 	return out
 }
 
-// Insert adds a new base vector using HNSW-style level-0 insertion and
-// returns its id. Extra edges are untouched (the partial-rebuild step is
-// what refreshes them, per §5.5.1). The index's own searcher is reused
-// across inserts — its visited set grows with the graph — so streaming
-// ingest no longer allocates an O(n) scratch array per vector.
+// Insert adds a new base vector through hnsw.InsertIntoGraphWith, the
+// build's insertion algorithm for one row, and returns its id. Extra
+// edges are untouched (the partial-rebuild step is what refreshes them,
+// per §5.5.1). The index's own searcher is reused across inserts — its
+// visited set grows with the graph — so streaming ingest does not
+// allocate an O(n) scratch array per vector.
 func (ix *Index) Insert(v []float32) uint32 {
 	return hnsw.InsertIntoGraphWith(ix.G, ix.s, v, ix.opts.InsertM, ix.opts.InsertEF)
 }

@@ -22,7 +22,7 @@ func testWorkload(t testing.TB) (*dataset.Dataset, *graph.Graph) {
 		GapMagnitude: 1.8, ClusterStd: 0.2, QueryStdScale: 1.7,
 		Seed: 21,
 	})
-	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 80, Metric: vec.L2, Seed: 2})
+	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 80, Metric: vec.L2})
 	return d, h.Bottom()
 }
 

@@ -233,7 +233,7 @@ func TestPQRefusesNonUnitRowsUnderDotMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixerOver := func(m *vec.Matrix, met vec.Metric) *OnlineFixer {
-		g := hnsw.Build(m, hnsw.Config{M: 8, EFConstruction: 40, Metric: met, Seed: 2}).Bottom()
+		g := hnsw.Build(m, hnsw.Config{M: 8, EFConstruction: 40, Metric: met}).Bottom()
 		return NewOnlineFixer(New(g, Options{Rounds: []Round{{K: 10}}, LEx: 32}), OnlineConfig{})
 	}
 	for _, met := range []vec.Metric{vec.InnerProduct, vec.Cosine} {

@@ -167,6 +167,16 @@ func (g *Graph) AddBaseEdge(u, v uint32) bool {
 	return true
 }
 
+// TruncateBaseNeighbors keeps the first n of u's base out-edges, in
+// place: the extra edges move down behind them with their tags, and the
+// list keeps its capacity, so nothing is allocated now or by the next
+// AddBaseEdge. A caller that keeps another subset first writes it into
+// the prefix of BaseNeighbors(u), the graph's storage.
+func (g *Graph) TruncateBaseNeighbors(u uint32, n int) {
+	a, nb := g.adj[u], g.baseLen(u)
+	g.adj[u] = append(a[:n], a[nb:]...)
+}
+
 // HasEdge reports whether u→v exists in either segment.
 func (g *Graph) HasEdge(u, v uint32) bool {
 	for _, w := range g.adj[u] {

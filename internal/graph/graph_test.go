@@ -229,6 +229,17 @@ func TestSearchRangeFollowsMutations(t *testing.T) {
 	addBase(id, 0)
 	addExtra(0, id, 1)
 	check("appended vertex")
+	addBase(0, 3)
+	addBase(0, 4)
+	base = g.BaseNeighbors(0)
+	base[0], base[1] = base[2], base[0]
+	model[0].base = slices.Clone(base[:2])
+	room := cap(g.Neighbors(0))
+	g.TruncateBaseNeighbors(0, 2)
+	check("base reordered through its storage and truncated in place")
+	if got := cap(g.Neighbors(0)); got != room {
+		t.Fatalf("truncation changed the list's capacity from %d to %d", room, got)
+	}
 	c := g.Clone()
 	c.AddExtraEdge(0, 3, 1)
 	check("clone mutated")

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"context"
+	"slices"
 
 	"ngfix/internal/minheap"
 	"ngfix/internal/vec"
@@ -95,9 +96,16 @@ func (s *Searcher) SearchFrom(q []float32, k, L int, entry uint32) ([]Result, St
 // Stats.Truncated set — a client that disconnects or a server budget that
 // expires costs at most a few more hops, never a full search.
 func (s *Searcher) SearchFromCtx(ctx context.Context, q []float32, k, L int, entry uint32) ([]Result, Stats) {
+	return s.AppendSearch(ctx, nil, q, k, L, entry)
+}
+
+// AppendSearch is SearchFromCtx appending its results to dst and
+// returning the extended slice, so a caller that passes the same buffer
+// back each time allocates nothing per search.
+func (s *Searcher) AppendSearch(ctx context.Context, dst []Result, q []float32, k, L int, entry uint32) ([]Result, Stats) {
 	g := s.g
 	if g.Len() == 0 {
-		return nil, Stats{}
+		return dst, Stats{}
 	}
 	if L < k {
 		L = k
@@ -107,7 +115,11 @@ func (s *Searcher) SearchFromCtx(ctx context.Context, q []float32, k, L int, ent
 	// row-norm cache kills the per-evaluation row-norm recomputation.
 	s.rows = rowScorer{m: g.Vectors, qd: vec.NewQueryDistancer(g.Metric, q, g.norms)}
 	st := s.search(ctx, &s.rows, L, L, entry)
-	return s.beam.appendLive(make([]Result, 0, min(k, len(s.beam.e)-s.beam.dead)), k), st
+	n := min(k, len(s.beam.e)-s.beam.dead)
+	if dst == nil {
+		dst = make([]Result, 0, n) // exactly sized, and empty rather than nil
+	}
+	return s.beam.appendLive(slices.Grow(dst, n), k), st
 }
 
 // IDs extracts the vertex ids from results.

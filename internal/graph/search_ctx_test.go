@@ -103,3 +103,30 @@ func TestSearchAlreadyCancelledStopsImmediately(t *testing.T) {
 		t.Fatalf("pre-cancelled search returned %d results", len(res))
 	}
 }
+
+// TestAppendSearchReusesBuffer: AppendSearch appends exactly what
+// SearchFromCtx returns after whatever dst already holds, and a caller
+// that hands the same buffer back allocates nothing per search.
+func TestAppendSearchReusesBuffer(t *testing.T) {
+	g := chainGraph(t, 200)
+	s := NewSearcher(g)
+	q := []float32{120.3, 0}
+	want, wantSt := s.SearchFromCtx(nil, q, 10, 32, 0)
+	prefix := []Result{{ID: 7, Dist: 1}}
+	got, st := s.AppendSearch(nil, prefix, q, 10, 32, 0)
+	if st != wantSt || len(got) != len(want)+1 || got[0] != prefix[0] {
+		t.Fatalf("appended %v (stats %+v), want %v after %v (stats %+v)", got, st, want, prefix, wantSt)
+	}
+	for i, r := range want {
+		if got[i+1] != r {
+			t.Fatalf("result %d: %v, want %v", i, got[i+1], r)
+		}
+	}
+	buf := make([]Result, 0, 10)
+	if n := testing.AllocsPerRun(20, func() { buf, _ = s.AppendSearch(nil, buf[:0], q, 10, 32, 0) }); n != 0 {
+		t.Fatalf("%.1f allocations per search into a reused buffer, want 0", n)
+	}
+	if empty, _ := NewSearcher(New(vec.NewMatrix(0, 2), vec.L2)).AppendSearch(nil, prefix, q, 10, 32, 0); len(empty) != 1 {
+		t.Fatalf("empty graph: %v, want dst unchanged", empty)
+	}
+}

@@ -25,68 +25,43 @@ func randomMatrix(seed int64, n, dim int) *vec.Matrix {
 
 func TestBuildSmall(t *testing.T) {
 	m := randomMatrix(1, 200, 8)
-	idx := Build(m, Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
-	if idx.Len() != 200 {
-		t.Fatalf("Len = %d", idx.Len())
+	g := Build(m, Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
+	if g.Len() != 200 {
+		t.Fatalf("Len = %d", g.Len())
 	}
-	if idx.MaxLevel() < 0 {
-		t.Fatal("no levels assigned")
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	// Degree caps respected at every level.
-	for u := 0; u < idx.Len(); u++ {
-		for l := 0; l < len(idx.links[u]); l++ {
-			max := idx.maxDegree(l)
-			if len(idx.links[u][l]) > max {
-				t.Fatalf("node %d level %d degree %d > cap %d", u, l, len(idx.links[u][l]), max)
-			}
-			for _, v := range idx.links[u][l] {
-				if v == uint32(u) {
-					t.Fatal("self loop")
-				}
-				if int(v) >= idx.Len() {
-					t.Fatal("edge out of range")
-				}
-			}
+	// Every row is linked, within the 2M degree cap.
+	for u := 0; u < g.Len(); u++ {
+		if d := len(g.BaseNeighbors(uint32(u))); d == 0 || d > 16 {
+			t.Fatalf("node %d degree %d, want 1..16", u, d)
 		}
 	}
 }
 
 func TestBuildDeterministic(t *testing.T) {
 	m := randomMatrix(2, 100, 4)
-	a := Build(m, Config{M: 6, EFConstruction: 40, Metric: vec.L2, Seed: 7})
-	b := Build(m, Config{M: 6, EFConstruction: 40, Metric: vec.L2, Seed: 7})
-	if a.Entry() != b.Entry() || a.MaxLevel() != b.MaxLevel() {
-		t.Fatal("same seed, different structure")
-	}
-	for u := range a.links {
-		if len(a.links[u]) != len(b.links[u]) {
-			t.Fatal("level mismatch")
-		}
-		for l := range a.links[u] {
-			if len(a.links[u][l]) != len(b.links[u][l]) {
-				t.Fatal("adjacency mismatch")
-			}
-		}
+	cfg := Config{M: 6, EFConstruction: 40, Metric: vec.L2}
+	if a, b := adjacencyHash(Build(m, cfg).Bottom()), adjacencyHash(Build(m, cfg).Bottom()); a != b {
+		t.Fatalf("same input, different graphs: %#x vs %#x", a, b)
 	}
 }
 
+// TestSearchRecall checks the built graph, searched from its medoid entry
+// as the serving layer searches it, finds in-distribution neighbours.
 func TestSearchRecall(t *testing.T) {
 	m := randomMatrix(3, 1000, 12)
-	idx := Build(m, Config{M: 12, EFConstruction: 120, Metric: vec.L2, Seed: 3})
+	s := graph.NewSearcher(Build(m, Config{M: 12, EFConstruction: 120, Metric: vec.L2}).Bottom())
 	queries := randomMatrix(4, 50, 12)
 	gt := bruteforce.AllKNN(m, queries, vec.L2, 10)
 	var sum float64
 	for qi := 0; qi < queries.Rows(); qi++ {
-		res, st := idx.Search(queries.Row(qi), 10, 100)
+		res, st := s.Search(queries.Row(qi), 10, 100)
 		if st.NDC == 0 {
 			t.Fatal("NDC not counted")
 		}
 		sum += metrics.Recall(graph.IDs(res), bruteforce.IDs(gt[qi]))
-		for i := 1; i < len(res); i++ {
-			if res[i].Dist < res[i-1].Dist {
-				t.Fatal("results not ascending")
-			}
-		}
 	}
 	if avg := sum / 50; avg < 0.9 {
 		t.Fatalf("in-distribution recall@10 = %.3f, want >= 0.9", avg)
@@ -94,12 +69,12 @@ func TestSearchRecall(t *testing.T) {
 }
 
 func TestSearchEmptyAndTiny(t *testing.T) {
-	empty := Build(vec.NewMatrix(0, 3), Config{M: 4, EFConstruction: 8, Metric: vec.L2})
-	if res, _ := empty.Search([]float32{0, 0, 0}, 3, 5); res != nil {
+	empty := Build(vec.NewMatrix(0, 3), Config{M: 4, EFConstruction: 8, Metric: vec.L2}).Bottom()
+	if res, _ := graph.NewSearcher(empty).Search([]float32{0, 0, 0}, 3, 5); res != nil {
 		t.Fatal("empty index should return nil")
 	}
-	one := Build(vec.MatrixFromRows([][]float32{{1, 2, 3}}), Config{M: 4, EFConstruction: 8, Metric: vec.L2})
-	res, _ := one.Search([]float32{1, 2, 3}, 3, 5)
+	one := Build(vec.MatrixFromRows([][]float32{{1, 2, 3}}), Config{M: 4, EFConstruction: 8, Metric: vec.L2}).Bottom()
+	res, _ := graph.NewSearcher(one).Search([]float32{1, 2, 3}, 3, 5)
 	if len(res) != 1 || res[0].ID != 0 {
 		t.Fatalf("single-point search = %v", res)
 	}
@@ -107,25 +82,19 @@ func TestSearchEmptyAndTiny(t *testing.T) {
 
 func TestBottomExport(t *testing.T) {
 	m := randomMatrix(5, 300, 8)
-	idx := Build(m, Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 5})
-	g := idx.Bottom()
+	g := Build(m, Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 	if g.Len() != 300 {
 		t.Fatalf("bottom graph len %d", g.Len())
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("bottom graph invalid: %v", err)
 	}
-	// Export must not alias the index adjacency.
-	before := len(idx.links[0][0])
-	g.SetBaseNeighbors(0, nil)
-	if len(idx.links[0][0]) != before {
-		t.Fatal("Bottom aliases index adjacency")
+	if med := g.Medoid(); g.EntryPoint != med {
+		t.Fatalf("entry %d, medoid %d", g.EntryPoint, med)
 	}
-	// Bottom-layer search should be usable and accurate.
 	queries := randomMatrix(6, 20, 8)
 	gt := bruteforce.AllKNN(m, queries, vec.L2, 5)
-	g2 := idx.Bottom()
-	s := graph.NewSearcher(g2)
+	s := graph.NewSearcher(g)
 	var sum float64
 	for qi := 0; qi < 20; qi++ {
 		res, _ := s.Search(queries.Row(qi), 5, 50)
@@ -138,11 +107,11 @@ func TestBottomExport(t *testing.T) {
 
 func TestInsertIntoGraph(t *testing.T) {
 	m := randomMatrix(7, 200, 6)
-	idx := Build(m.Slice(0, 150).Clone(), Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 7})
-	g := idx.Bottom()
+	g := Build(m.Slice(0, 150).Clone(), Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 	// Insert the held-out 50 points.
+	s := graph.NewSearcher(g)
 	for i := 150; i < 200; i++ {
-		id := InsertIntoGraph(g, m.Row(i), 8, 60)
+		id := InsertIntoGraphWith(g, s, m.Row(i), 8, 60)
 		if int(id) != i-150+150 {
 			t.Fatalf("insert id = %d", id)
 		}
@@ -160,7 +129,6 @@ func TestInsertIntoGraph(t *testing.T) {
 		}
 	}
 	// Inserted points are findable.
-	s := graph.NewSearcher(g)
 	found := 0
 	for i := 150; i < 200; i++ {
 		res, _ := s.Search(m.Row(i), 1, 40)
@@ -175,26 +143,14 @@ func TestInsertIntoGraph(t *testing.T) {
 
 func TestInsertIntoEmptyGraph(t *testing.T) {
 	g := graph.New(vec.NewMatrix(0, 2), vec.L2)
-	id := InsertIntoGraph(g, []float32{1, 1}, 4, 8)
+	s := graph.NewSearcher(g)
+	id := InsertIntoGraphWith(g, s, []float32{1, 1}, 4, 8)
 	if id != 0 || g.EntryPoint != 0 || g.Len() != 1 {
 		t.Fatal("first insert should become the entry point")
 	}
-	id2 := InsertIntoGraph(g, []float32{2, 2}, 4, 8)
+	id2 := InsertIntoGraphWith(g, s, []float32{2, 2}, 4, 8)
 	if id2 != 1 || !g.HasEdge(1, 0) || !g.HasEdge(0, 1) {
 		t.Fatal("second insert should link both ways")
-	}
-}
-
-func TestHierarchicalSweepWorks(t *testing.T) {
-	m := randomMatrix(8, 400, 8)
-	idx := Build(m, Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 8})
-	queries := randomMatrix(9, 10, 8)
-	gt := bruteforce.AllKNN(m, queries, vec.L2, 5)
-	curve := metrics.SweepFunc(idx.Search, metrics.SweepConfig{
-		K: 5, EFs: []int{5, 20, 50}, Queries: queries, Truth: gt,
-	})
-	if len(curve) != 3 || curve[2].Recall < curve[0].Recall-1e-9 {
-		t.Fatalf("sweep curve malformed: %+v", curve)
 	}
 }
 
@@ -207,7 +163,7 @@ func BenchmarkBuild(b *testing.B) {
 		GapMagnitude: 2.0, ClusterStd: 0.2, QueryStdScale: 1.8,
 		Normalize: true, Seed: 8021,
 	})
-	cfg := Config{M: 16, EFConstruction: 100, Metric: vec.Cosine, Seed: 7}
+	cfg := Config{M: 16, EFConstruction: 100, Metric: vec.Cosine}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

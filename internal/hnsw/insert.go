@@ -1,53 +1,72 @@
 package hnsw
 
 import (
+	"slices"
+
 	"ngfix/internal/graph"
 	"ngfix/internal/vec"
 )
 
-// InsertIntoGraph performs an HNSW-style level-0 insertion of vector v
-// directly into a flat base graph: beam-search the efconstruction nearest
-// candidates, RNG-prune them to m out-edges for the new vertex, and link
-// back with degree-capped shrinking (cap 2m, matching HNSW's Mmax0).
+// InsertIntoGraphWith inserts vector v into a flat base graph and returns
+// its id: it plans v's m out-neighbours with an efConstruction beam
+// search from the graph's entry point and an RNG prune, then commits
+// them, linking each back under a degree cap of 2m (HNSW's Mmax0). It is
+// Build's algorithm for one row. s is the caller's searcher over g,
+// reused across inserts so that none allocates an O(n) visited set; it
+// grows with the graph.
 //
 // The maintenance experiments (§5.5.1) use this to grow the base graph of
 // an already-fixed index: the paper requires "a base graph structure that
 // allows incremental updates (e.g., HNSW)", and its partial-rebuild step
 // only touches extra edges, so base insertion and fixing stay independent.
-// It returns the new vertex id.
-func InsertIntoGraph(g *graph.Graph, v []float32, m, efConstruction int) uint32 {
-	return InsertIntoGraphWith(g, graph.NewSearcher(g), v, m, efConstruction)
-}
-
-// InsertIntoGraphWith is InsertIntoGraph with a caller-owned searcher, so
-// bulk-insert paths reuse one scratch set (visited array, heaps) across
-// inserts instead of allocating an O(n) searcher per vertex. The searcher
-// must belong to g; its visited set grows with the graph automatically.
 func InsertIntoGraphWith(g *graph.Graph, s *graph.Searcher, v []float32, m, efConstruction int) uint32 {
 	id := g.AppendVertex(v)
 	if g.Len() == 1 {
 		g.EntryPoint = id
 		return id
 	}
-	res, _ := s.SearchFrom(v, efConstruction, efConstruction, g.EntryPoint)
-	cands := make([]graph.Candidate, 0, len(res))
-	for _, r := range res {
-		if r.ID != id {
-			cands = append(cands, graph.Candidate{ID: r.ID, Dist: r.Dist})
-		}
-	}
-	graph.SortCandidates(cands)
-	selected := graph.RNGPruneNorms(g.Vectors, g.Metric, g.RowNorms(), cands, m)
-	for _, c := range selected {
-		g.AddBaseEdge(id, c.ID)
-		linkBack(g, c.ID, id, 2*m)
-	}
+	ws := []scratch{{s: s}}
+	commit(g, int(id), [][]uint32{ws[0].plan(g, id, m, efConstruction)}, 2*m, ws, nil, nil)
 	return id
 }
 
-// linkBack adds u→v and shrinks u's base list with the RNG heuristic when
-// it exceeds cap.
-func linkBack(g *graph.Graph, u, v uint32, cap int) {
+// scratch is one worker's insertion state: the searcher planning runs on
+// and the buffers planning and linking reuse.
+type scratch struct {
+	s     *graph.Searcher
+	res   []graph.Result
+	cands []graph.Candidate
+	dists []float32
+}
+
+// plan returns the out-list row id gets when inserted into g as it
+// stands: the efConstruction nearest rows a beam search from the entry
+// point finds, RNG-pruned to m in ascending distance. It only reads g, so
+// rows that no list links to yet plan concurrently, each on its own
+// scratch.
+func (sc *scratch) plan(g *graph.Graph, id uint32, m, efConstruction int) []uint32 {
+	sc.res, _ = sc.s.AppendSearch(nil, sc.res[:0], g.Vectors.Row(int(id)), efConstruction, efConstruction, g.EntryPoint)
+	sc.cands = slices.Grow(sc.cands[:0], len(sc.res))
+	for _, r := range sc.res {
+		if r.ID != id {
+			sc.cands = append(sc.cands, graph.Candidate{ID: r.ID, Dist: r.Dist})
+		}
+	}
+	graph.SortCandidates(sc.cands)
+	selected := graph.RNGPruneNorms(g.Vectors, g.Metric, g.RowNorms(), sc.cands, m)
+	nbrs := make([]uint32, len(selected))
+	for i, c := range selected {
+		nbrs[i] = c.ID
+	}
+	return nbrs
+}
+
+// linkBack adds u→v and, when u's base list then exceeds cap, shrinks it
+// in place to the ids the RNG heuristic keeps: they are written back over
+// the list's own prefix and the list keeps its capacity, so neither the
+// shrink nor the next link-back to u allocates. It reads and writes only
+// u's list.
+func (sc *scratch) linkBack(g *graph.Graph, u, v uint32, cap int) {
 	if !g.AddBaseEdge(u, v) {
 		return
 	}
@@ -55,20 +74,22 @@ func linkBack(g *graph.Graph, u, v uint32, cap int) {
 	if len(nbrs) <= cap {
 		return
 	}
+	norms := g.RowNorms()
 	var norm float32
-	if norms := g.RowNorms(); norms != nil {
+	if norms != nil {
 		norm = norms[u]
 	}
-	ud := vec.NewQueryDistancerNorm(g.Metric, g.Vectors.Row(int(u)), norm, g.RowNorms())
-	cands := make([]graph.Candidate, len(nbrs))
+	ud := vec.NewQueryDistancerNorm(g.Metric, g.Vectors.Row(int(u)), norm, norms)
+	sc.dists = slices.Grow(sc.dists[:0], len(nbrs))[:len(nbrs)]
+	ud.RowDistances(g.Vectors, nbrs, sc.dists)
+	sc.cands = slices.Grow(sc.cands[:0], len(nbrs))
 	for i, w := range nbrs {
-		cands[i] = graph.Candidate{ID: w, Dist: ud.RowDistance(g.Vectors, w)}
+		sc.cands = append(sc.cands, graph.Candidate{ID: w, Dist: sc.dists[i]})
 	}
-	graph.SortCandidates(cands)
-	kept := graph.RNGPruneNorms(g.Vectors, g.Metric, g.RowNorms(), cands, cap)
-	out := make([]uint32, len(kept))
+	graph.SortCandidates(sc.cands)
+	kept := graph.RNGPruneNorms(g.Vectors, g.Metric, norms, sc.cands, cap)
 	for i, c := range kept {
-		out[i] = c.ID
+		nbrs[i] = c.ID
 	}
-	g.SetBaseNeighbors(u, out)
+	g.TruncateBaseNeighbors(u, len(kept))
 }

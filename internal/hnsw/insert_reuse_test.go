@@ -25,7 +25,7 @@ func TestInsertSearcherReuse(t *testing.T) {
 
 	fresh := graph.New(vec.NewMatrix(0, dim), vec.L2)
 	for _, v := range rows {
-		InsertIntoGraph(fresh, v, 8, 50)
+		InsertIntoGraphWith(fresh, graph.NewSearcher(fresh), v, 8, 50)
 	}
 
 	reused := graph.New(vec.NewMatrix(0, dim), vec.L2)

@@ -53,8 +53,8 @@ func Sweep(g *graph.Graph, cfg SweepConfig) Curve {
 	return SweepFunc(s.Search, cfg)
 }
 
-// SweepFunc is Sweep for any index exposing a SearchFunc (hierarchical
-// HNSW, the NGFix wrapper, ...).
+// SweepFunc is Sweep for any index exposing a SearchFunc (the NGFix
+// wrapper, a PQ searcher, ...).
 func SweepFunc(fn SearchFunc, cfg SweepConfig) Curve {
 	truthIDs := TruthIDs(cfg.Truth, cfg.K)
 	var curve Curve

@@ -13,11 +13,11 @@ import (
 // (NDC, hops), whether overload machinery touched it (efUsed vs ef,
 // clamped, truncated), and how long it took.
 type SlowQuery struct {
-	ID        uint64 // server-assigned monotone search sequence number
-	K         int
-	EF        int // requested (or defaulted) search-list size
-	EFUsed    int // effective ef actually searched, after any clamping
-	NDC       int64
+	ID     uint64 // server-assigned monotone search sequence number
+	K      int
+	EF     int // requested (or defaulted) search-list size
+	EFUsed int // effective ef actually searched, after any clamping
+	NDC    int64
 	// ADC counts compressed-domain score evaluations when the search ran
 	// the fused PQ path (0 on the full-precision path): a slow line with
 	// a large adc= and a small ndc= spent its time navigating codes, not

@@ -375,7 +375,7 @@ func TestFixerCrashRecoveryEquality(t *testing.T) {
 	for i := range m.Data() {
 		m.Data()[i] = rng.Float32()
 	}
-	g := hnsw.Build(m, hnsw.Config{M: 6, EFConstruction: 40, Metric: vec.L2, Seed: 3}).Bottom()
+	g := hnsw.Build(m, hnsw.Config{M: 6, EFConstruction: 40, Metric: vec.L2}).Bottom()
 	ix := core.New(g, core.Options{LEx: 16})
 
 	dir := t.TempDir()

@@ -21,7 +21,7 @@ func testGraph(t *testing.T, n int) *graph.Graph {
 	for i := range m.Data() {
 		m.Data()[i] = rng.Float32()
 	}
-	g := hnsw.Build(m, hnsw.Config{M: 4, EFConstruction: 20, Metric: vec.L2, Seed: 5}).Bottom()
+	g := hnsw.Build(m, hnsw.Config{M: 4, EFConstruction: 20, Metric: vec.L2}).Bottom()
 	g.AddExtraEdge(0, uint32(n-1), 7)
 	g.AddExtraEdge(uint32(n/2), 0, graph.InfEH)
 	g.MarkDeleted(uint32(n / 3))

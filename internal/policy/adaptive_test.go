@@ -19,7 +19,7 @@ func testIndex(t *testing.T) (*core.Index, *dataset.Dataset) {
 		Dim: 8, Clusters: 6, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 9,
 	})
-	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 	return core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24}), d
 }
 

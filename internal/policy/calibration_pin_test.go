@@ -32,7 +32,7 @@ func TestCalibrationPinned(t *testing.T) {
 			Dim: 12, Clusters: 8, Metric: vec.L2,
 			GapMagnitude: 2, ClusterStd: 0.2, QueryStdScale: 2, Seed: 21,
 		})
-		g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1}).Bottom()
+		g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 		ix := core.New(g, core.Options{LEx: 16})
 
 		calib := d.TestOOD.Slice(0, 60)

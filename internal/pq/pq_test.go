@@ -123,7 +123,7 @@ func TestGraphSearcherEndToEnd(t *testing.T) {
 		Dim: 16, Clusters: 8, Metric: vec.L2,
 		GapMagnitude: 1.2, ClusterStd: 0.25, QueryStdScale: 1.4, Seed: 6,
 	})
-	h := hnsw.Build(d.Base, hnsw.Config{M: 12, EFConstruction: 100, Metric: vec.L2, Seed: 2})
+	h := hnsw.Build(d.Base, hnsw.Config{M: 12, EFConstruction: 100, Metric: vec.L2})
 	g := h.Bottom()
 	q, err := Train(d.Base, Config{M: 8, KS: 64, Iters: 8, Seed: 3})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestGraphSearcherEndToEnd(t *testing.T) {
 
 func TestGraphSearcherSkipsDeleted(t *testing.T) {
 	m := randomMatrix(7, 100, 8)
-	h := hnsw.Build(m, hnsw.Config{M: 8, EFConstruction: 40, Metric: vec.L2, Seed: 1})
+	h := hnsw.Build(m, hnsw.Config{M: 8, EFConstruction: 40, Metric: vec.L2})
 	g := h.Bottom()
 	g.MarkDeleted(5)
 	q, err := Train(m, Config{M: 4, KS: 16, Iters: 4})

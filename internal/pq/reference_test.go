@@ -189,7 +189,7 @@ func TestTrainNoWorseThanReference(t *testing.T) {
 		Dim: 16, Clusters: 8, Metric: vec.L2,
 		GapMagnitude: 1.2, ClusterStd: 0.25, QueryStdScale: 1.4, Seed: 6,
 	})
-	g := hnsw.Build(d.Base, hnsw.Config{M: 12, EFConstruction: 100, Metric: vec.L2, Seed: 2}).Bottom()
+	g := hnsw.Build(d.Base, hnsw.Config{M: 12, EFConstruction: 100, Metric: vec.L2}).Bottom()
 	gt := bruteforce.AllKNN(d.Base, d.TestOOD, vec.L2, 10)
 	cfg := Config{M: 8, KS: 64, Iters: 8, Seed: 3}
 	q, err := Train(d.Base, cfg)
@@ -287,7 +287,7 @@ func TestSidecarFromParentCommit(t *testing.T) {
 
 	data := randomMatrix(41, 300, 16)
 	checkCodesNearest(t, q, data, 0, 300)
-	g := hnsw.Build(data, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1}).Bottom()
+	g := hnsw.Build(data, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 	s := NewGraphSearcher(g, q)
 	for _, id := range []int{0, 7, 150, 299} {
 		res, st := s.Search(data.Row(id), 5, 40)

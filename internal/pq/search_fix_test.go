@@ -20,7 +20,7 @@ import (
 // pool size, not ef.
 func TestEFBoundsBeam(t *testing.T) {
 	m := randomMatrix(21, 2000, 16)
-	h := hnsw.Build(m, hnsw.Config{M: 12, EFConstruction: 100, Metric: vec.L2, Seed: 2})
+	h := hnsw.Build(m, hnsw.Config{M: 12, EFConstruction: 100, Metric: vec.L2})
 	g := h.Bottom()
 	q, err := Train(m, Config{M: 8, KS: 64, Iters: 6, Seed: 3})
 	if err != nil {
@@ -71,7 +71,7 @@ func TestEFBoundsBeam(t *testing.T) {
 // beam still reranks a full candidate pool.
 func TestRerankPoolIndependentOfEF(t *testing.T) {
 	m := randomMatrix(23, 1500, 16)
-	h := hnsw.Build(m, hnsw.Config{M: 12, EFConstruction: 100, Metric: vec.L2, Seed: 4})
+	h := hnsw.Build(m, hnsw.Config{M: 12, EFConstruction: 100, Metric: vec.L2})
 	g := h.Bottom()
 	q, err := Train(m, Config{M: 8, KS: 64, Iters: 6, Seed: 5})
 	if err != nil {
@@ -93,7 +93,7 @@ func TestRerankPoolIndependentOfEF(t *testing.T) {
 
 func TestSearchCtxTruncates(t *testing.T) {
 	m := randomMatrix(25, 1200, 16)
-	h := hnsw.Build(m, hnsw.Config{M: 10, EFConstruction: 80, Metric: vec.L2, Seed: 6})
+	h := hnsw.Build(m, hnsw.Config{M: 10, EFConstruction: 80, Metric: vec.L2})
 	g := h.Bottom()
 	q, err := Train(m, Config{M: 8, KS: 32, Iters: 4, Seed: 7})
 	if err != nil {
@@ -198,7 +198,7 @@ func TestScoreIDsMatchesADC(t *testing.T) {
 func TestRerankMatchesMetricDistance(t *testing.T) {
 	m := randomMatrix(28, 1500, 32)
 	m.NormalizeRows()
-	g := hnsw.Build(m, hnsw.Config{M: 10, EFConstruction: 60, Metric: vec.Cosine, Seed: 8}).Bottom()
+	g := hnsw.Build(m, hnsw.Config{M: 10, EFConstruction: 60, Metric: vec.Cosine}).Bottom()
 	q, err := Train(m, Config{M: 8, KS: 32, Iters: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func testFixerCfg(t *testing.T, cfg core.OnlineConfig) (*core.OnlineFixer, *data
 		Dim: 8, Clusters: 5, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 7,
 	})
-	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1}).Bottom()
+	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
 	ix := core.New(g, core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24})
 	cfg.PrepEF = 80
 	return core.NewOnlineFixer(ix, cfg), d

@@ -41,7 +41,7 @@ func newLeader(t *testing.T, dir string) *leader {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 	ix := core.New(h.Bottom(), testOpts)
 	fx := core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 1 << 20, WAL: st})
 	if err := fx.Snapshot(); err != nil {
@@ -248,7 +248,7 @@ func TestSetScatterMatchesGroup(t *testing.T) {
 	fixers := make([]*core.OnlineFixer, n)
 	reps := make([]*Replica, n)
 	for s, p := range parts {
-		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 		ix := core.New(h.Bottom(), testOpts)
 		fixers[s] = core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 1 << 20, WAL: stores[s]})
 		if err := fixers[s].Snapshot(); err != nil {

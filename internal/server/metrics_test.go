@@ -111,7 +111,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		Dim: 8, Clusters: 6, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 3,
 	})
-	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 	ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24})
 
 	reg := obs.NewRegistry()

@@ -22,7 +22,7 @@ func newPQServer(t *testing.T) (*httptest.Server, *dataset.Dataset) {
 		Dim: 8, Clusters: 6, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 3,
 	})
-	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 	ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24})
 	fixer := core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 50, PrepEF: 80})
 	if err := fixer.EnablePQ(core.PQConfig{KS: 32}); err != nil {

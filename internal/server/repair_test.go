@@ -31,7 +31,7 @@ func repairTestServer(t *testing.T, wal core.WAL, snapshotEvery int) (*httptest.
 		Dim: 8, Clusters: 5, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 5,
 	})
-	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 	ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24})
 	fixer := core.NewOnlineFixer(ix, core.OnlineConfig{
 		BatchSize: 50, PrepEF: 80, WAL: wal, SnapshotEveryBatches: snapshotEvery,

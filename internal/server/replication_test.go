@@ -116,7 +116,7 @@ func newReplicatedTestServer(t *testing.T, after time.Duration) *replicatedServe
 		if i == 0 {
 			wal = wal0
 		}
-		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 		ix := core.New(h.Bottom(), replOpts)
 		fixers[i] = core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 1 << 20, WAL: wal})
 	}

@@ -65,6 +65,7 @@ import (
 	"ngfix/internal/replica"
 	"ngfix/internal/shard"
 	"ngfix/internal/shard/reshard"
+	"ngfix/internal/vec"
 )
 
 // DefaultMaxBodyBytes caps request bodies when Server.MaxBodyBytes is
@@ -1250,7 +1251,8 @@ func uncoveredShards(group *shard.Group, bad []int) []int {
 }
 
 // checkVector validates a request vector against the served
-// dimensionality, returning the status to answer with when it fails: 400
+// dimensionality and the norm bound every indexed row keeps
+// (vec.CheckNorm), returning the status to answer with when it fails: 400
 // for a bad vector, 503 on a follower with nothing bootstrapped to
 // validate against, let alone search.
 func checkVector(topo *Topology, v []float32) (int, error) {
@@ -1263,6 +1265,9 @@ func checkVector(topo *Topology, v []float32) (int, error) {
 	}
 	if len(v) != dim {
 		return http.StatusBadRequest, fmt.Errorf("vector dim %d != index dim %d", len(v), dim)
+	}
+	if err := vec.CheckNorm(v); err != nil {
+		return http.StatusBadRequest, fmt.Errorf("vector: %w", err)
 	}
 	return 0, nil
 }

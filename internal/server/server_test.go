@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -41,7 +42,7 @@ func newTestServerWAL(t *testing.T, wal core.WAL) (*httptest.Server, *Server, *d
 		Dim: 8, Clusters: 6, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 3,
 	})
-	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 	ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24})
 	fixer := core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 50, PrepEF: 80, WAL: wal})
 	s := New(fixer)
@@ -632,5 +633,62 @@ func TestDurabilityDegradationSurfaced(t *testing.T) {
 	}
 	if resp := post(t, ts.URL+"/v1/insert", InsertRequest{Vector: v}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert after recovery: status %d", resp.StatusCode)
+	}
+}
+
+// TestOverflowingVectorRejected: a vector whose distances would overflow
+// float32 is a 400 on search and on insert, and an insert that is refused
+// leaves the index as it was. JSON cannot carry NaN or ±Inf, and the
+// codec refuses a number out of float32 range, so those reach only
+// checkVector's own test here; it refuses them too.
+func TestOverflowingVectorRejected(t *testing.T) {
+	ts, s, d := newTestServerFull(t)
+	dim := d.Base.Dim()
+	huge := make([]float32, dim)
+	huge[0] = 3e38
+	spread := make([]float32, dim) // each component finite, its square not
+	for i := range spread {
+		spread[i] = 1e19
+	}
+	vectors := func() int {
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Vectors
+	}
+	before := vectors()
+	for _, v := range [][]float32{huge, spread} {
+		if resp := post(t, ts.URL+"/v1/search", SearchRequest{Vector: v, K: IntPtr(5), EF: IntPtr(30)}, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("search %g…: status %d, want 400", v[0], resp.StatusCode)
+		}
+		if resp := post(t, ts.URL+"/v1/insert", InsertRequest{Vector: v}, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("insert %g…: status %d, want 400", v[0], resp.StatusCode)
+		}
+	}
+	if after := vectors(); after != before {
+		t.Fatalf("refused inserts changed the index: %d vectors, was %d", after, before)
+	}
+	topo := s.Topology()
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		v := append([]float32(nil), d.TestOOD.Row(0)...)
+		v[dim-1] = bad
+		if status, err := checkVector(&topo, v); status != http.StatusBadRequest || err == nil {
+			t.Fatalf("checkVector with a %g component: status %d, err %v, want 400", bad, status, err)
+		}
+	}
+	if status, err := checkVector(&topo, d.TestOOD.Row(0)); err != nil {
+		t.Fatalf("checkVector refused an ordinary query: status %d, %v", status, err)
+	}
+	// The largest vector allowed still searches.
+	edge := make([]float32, dim)
+	edge[0] = float32(math.Sqrt(vec.MaxSquaredNorm)) * (1 - 1e-6)
+	if resp := post(t, ts.URL+"/v1/search", SearchRequest{Vector: edge, K: IntPtr(5), EF: IntPtr(30)}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("search at the norm bound: status %d, want 200", resp.StatusCode)
 	}
 }

@@ -44,7 +44,7 @@ func newShardedTestServer(t *testing.T) (*httptest.Server, *Server, *shard.Group
 	for i, p := range parts {
 		shardRegs[i] = obs.NewRegistry(obs.Label{Name: "shard", Value: strconv.Itoa(i)})
 		stores[i].RegisterMetrics(shardRegs[i])
-		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 		ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24})
 		fixers[i] = core.NewOnlineFixer(ix, core.OnlineConfig{
 			BatchSize: 50, PrepEF: 80, WAL: stores[i], Metrics: shardRegs[i],
@@ -189,7 +189,7 @@ func TestShardedReadyzNamesDegradedShard(t *testing.T) {
 		if i == 1 {
 			cfg.WAL = faultyWAL{err: errShardDisk}
 		}
-		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 		ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24})
 		fixers[i] = core.NewOnlineFixer(ix, cfg)
 	}

@@ -49,7 +49,7 @@ func buildTestTopology(t *testing.T, d *dataset.Dataset, n int, wedgeLast bool) 
 		if wedgeLast && i == n-1 {
 			cfg.WAL, cfg.SnapshotEveryBatches = wal, 1
 		}
-		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 		fixers[i] = core.NewOnlineFixer(core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24}), cfg)
 	}
 	g, err := shard.NewGroup(fixers)

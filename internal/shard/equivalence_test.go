@@ -17,7 +17,7 @@ import (
 // fixer it wraps — same graph, same searcher, no merge in between.
 func TestSingleShardExactEquivalence(t *testing.T) {
 	d := testDataset(t)
-	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 	mk := func() *core.OnlineFixer {
 		ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 10}}, LEx: 24})
 		return core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 1 << 20})
@@ -51,7 +51,7 @@ func TestSingleShardExactEquivalence(t *testing.T) {
 // top-k must not cost meaningful recall.
 func TestScatterGatherRecall(t *testing.T) {
 	d := testDataset(t)
-	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 	ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 10}}, LEx: 24})
 	baseline := core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 1 << 20})
 	sharded := buildGroup(t, d, 4, core.OnlineConfig{BatchSize: 1 << 20})

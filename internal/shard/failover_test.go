@@ -39,7 +39,7 @@ func buildFailoverGroup(t *testing.T, n int, wedge int, wal *stallWAL) *Group {
 		if s == wedge && wal != nil {
 			cfg.WAL = wal
 		}
-		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 		ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 10}}, LEx: 24})
 		fixers[s] = core.NewOnlineFixer(ix, cfg)
 	}

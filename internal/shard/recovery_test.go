@@ -26,7 +26,7 @@ func TestMixedGenerationRecovery(t *testing.T) {
 	parts := Partition(d.Base, 2)
 	fixers := make([]*core.OnlineFixer, 2)
 	for s, p := range parts {
-		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 		ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 10}}, LEx: 24})
 		fixers[s] = core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 1 << 20, WAL: stores[s]})
 	}

@@ -63,7 +63,7 @@ func seedParents(t *testing.T, n, rows int) *parent {
 	parts := shard.Partition(base, n)
 	fixers := make([]*core.OnlineFixer, n)
 	for s, p := range parts {
-		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 		ix := core.New(h.Bottom(), testOpts)
 		fixers[s] = core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 1 << 20, WAL: stores[s]})
 	}
@@ -450,7 +450,7 @@ func TestReshardPQFromSingleShard(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		base.Append(testVec(i))
 	}
-	h := hnsw.Build(base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+	h := hnsw.Build(base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 	ix := core.New(h.Bottom(), testOpts)
 	q, err := pq.Train(base, pq.Config{M: 2, KS: 16, Iters: 4, Seed: 7})
 	if err != nil {

@@ -64,7 +64,7 @@ func buildGroup(t *testing.T, d *dataset.Dataset, n int, cfg core.OnlineConfig) 
 	parts := Partition(d.Base, n)
 	fixers := make([]*core.OnlineFixer, n)
 	for s, p := range parts {
-		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 		ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 10}}, LEx: 24})
 		fixers[s] = core.NewOnlineFixer(ix, cfg)
 	}

@@ -49,7 +49,7 @@ func TestWALStallIndependence(t *testing.T) {
 		if s == 0 {
 			cfg.WAL = wal
 		}
-		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2, Seed: 1})
+		h := hnsw.Build(p, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 		ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 10}}, LEx: 24})
 		fixers[s] = core.NewOnlineFixer(ix, cfg)
 	}

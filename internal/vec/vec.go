@@ -184,6 +184,36 @@ func Norm(x []float32) float32 {
 	return float32(math.Sqrt(float64(Dot(x, x))))
 }
 
+// MaxSquaredNorm bounds the squared norm of every vector indexed or
+// searched: two such vectors are at squared L2 distance at most
+// 4·MaxSquaredNorm = MaxFloat32/2, and their dot product is at most
+// MaxSquaredNorm, so no distance between them overflows float32.
+const MaxSquaredNorm = math.MaxFloat32 / 8
+
+// CheckNorm returns an error unless x's squared norm, summed in float64,
+// is at most MaxSquaredNorm. A NaN or infinite component fails too.
+func CheckNorm(x []float32) error {
+	var n float64
+	for _, v := range x {
+		n += float64(v) * float64(v)
+	}
+	if !(n <= MaxSquaredNorm) {
+		return fmt.Errorf("squared norm %g is not a finite number at most %g, so its distances would overflow", n, float64(MaxSquaredNorm))
+	}
+	return nil
+}
+
+// CheckRows is CheckNorm on every row of m, naming the first row that
+// fails.
+func CheckRows(m *Matrix) error {
+	for i := range m.Rows() {
+		if err := CheckNorm(m.Row(i)); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Normalize scales x to unit norm in place and returns it. Zero vectors are
 // left unchanged.
 func Normalize(x []float32) []float32 {
