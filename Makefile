@@ -3,7 +3,7 @@ GOFMT ?= gofmt
 
 # Packages with real concurrency (locks, goroutines, HTTP handlers) that
 # must stay clean under the race detector.
-RACE_PKGS = ./internal/core ./internal/server ./internal/persist ./internal/admission ./internal/obs ./internal/shard ./internal/shard/reshard ./internal/repair ./internal/replica ./internal/policy ./internal/pq ./internal/hnsw ./internal/parallel ./internal/graph
+RACE_PKGS = ./internal/core ./internal/server ./internal/persist ./internal/admission ./internal/obs ./internal/shard ./internal/shard/reshard ./internal/repair ./internal/replica ./internal/pq ./internal/hnsw ./internal/parallel ./internal/graph
 
 .PHONY: check fmt vet build test race bench bench-go bench-serve
 
@@ -34,16 +34,13 @@ test:
 BENCHARGS ?=
 
 ## bench: run the perf harness on this machine, writing BENCH_kernels.json,
-## BENCH_search.json, BENCH_policy.json, and BENCH_pq.json. The
-## kernel/search files contain both dispatch arms (scalar and SIMD)
-## measured in the same process — a before/after from one run; the policy
-## file compares the serving-policy arms against a recall-matched fixed-ef
-## baseline; the pq file compares memory-tiered (PQ-ADC + exact rerank)
-## serving against full precision at matched efs.
+## BENCH_search.json, and BENCH_pq.json. The kernel/search files contain
+## both dispatch arms (scalar and SIMD) measured in the same process — a
+## before/after from one run; the pq file compares memory-tiered (PQ-ADC +
+## exact rerank) serving against full precision at matched efs.
 bench:
 	$(GO) run ./cmd/ngfix-bench -perf kernels -json BENCH_kernels.json $(BENCHARGS)
 	$(GO) run ./cmd/ngfix-bench -perf search -json BENCH_search.json $(BENCHARGS)
-	$(GO) run ./cmd/ngfix-bench -perf policy -json BENCH_policy.json $(BENCHARGS)
 	$(GO) run ./cmd/ngfix-bench -perf pq -json BENCH_pq.json $(BENCHARGS)
 
 ## bench-go: the stdlib testing benchmarks, unchanged.

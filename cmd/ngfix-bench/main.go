@@ -6,18 +6,17 @@
 //	ngfix-bench [-scale S] [-out FILE] all
 //	ngfix-bench [-scale S] [-out FILE] fig8 fig12 table1 ...
 //	ngfix-bench -list
-//	ngfix-bench -perf kernels|search|policy|pq [-json FILE] [-short]
+//	ngfix-bench -perf kernels|search|pq [-json FILE] [-short]
 //
 // The -perf modes run the performance harness instead of a paper exhibit:
 // "kernels" micro-benchmarks the distance kernels on every dispatch arm
 // and times whole searches per scored vertex for the beam loop against
-// the heap loop it replaced, "search" sweeps beam search end to end, "policy" measures the serving
-// policies (adaptive ef + answer cache) against a recall-matched fixed-ef
-// baseline on a repeat-heavy workload, "pq" compares memory-tiered
-// (PQ-ADC + exact rerank) serving against full precision at matched efs.
+// the heap loop it replaced, "search" sweeps beam search end to end, and
+// "pq" compares memory-tiered (PQ-ADC + exact rerank) serving against
+// full precision at matched efs.
 // All emit JSON (to -json FILE, or stdout) with fixed-seed inputs;
 // `make bench` drives them to produce BENCH_kernels.json,
-// BENCH_search.json, BENCH_policy.json, and BENCH_pq.json.
+// BENCH_search.json and BENCH_pq.json.
 //
 // Scale multiplies the default dataset sizes (1.0 ≈ 8k base points); the
 // shapes the paper reports hold across scales, larger runs just sharpen
@@ -130,13 +129,6 @@ func runPerf(mode, jsonPath string, short bool) {
 			fmt.Fprintf(os.Stderr, "  mean QPS speedup: %.2fx\n", rep.QPSSpeedup)
 		}
 		report = rep
-	case "policy":
-		fmt.Fprintf(os.Stderr, "perf: serving-policy macro-bench (short=%v)...\n", short)
-		rep := bench.RunPolicyBench(short)
-		fmt.Fprintf(os.Stderr, "  effective QPS speedup (cache+adaptive vs fixed ef): %.2fx\n",
-			rep.EffectiveQPSSpeedup)
-		fmt.Fprintf(os.Stderr, "  adaptive NDC ratio at matched recall: %.2f\n", rep.AdaptiveNDCRatio)
-		report = rep
 	case "pq":
 		fmt.Fprintf(os.Stderr, "perf: memory-tiered serving macro-bench (short=%v)...\n", short)
 		rep, err := bench.RunPQBench(short)
@@ -148,7 +140,7 @@ func runPerf(mode, jsonPath string, short bool) {
 		fmt.Fprintf(os.Stderr, "  worst recall@10 loss at matched ef: %.2f pts\n", rep.MaxRecallLossPts)
 		report = rep
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -perf mode %q (have: kernels, search, policy, pq)\n", mode)
+		fmt.Fprintf(os.Stderr, "unknown -perf mode %q (have: kernels, search, pq)\n", mode)
 		os.Exit(2)
 	}
 	fmt.Fprintf(os.Stderr, "  done in %s\n", time.Since(start).Round(time.Millisecond))

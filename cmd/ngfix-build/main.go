@@ -48,13 +48,23 @@ func main() {
 	prepEF := flag.Int("prep-ef", 200, "search list for approximate-NN preprocessing")
 	exact := flag.Bool("exact", false, "use exact (brute force) NN preprocessing")
 	flag.Parse()
-	switch {
-	case *m < 2:
-		fmt.Fprintf(os.Stderr, "ngfix-build: -m %d: must be at least 2\n", *m)
-		os.Exit(2)
-	case *efc < 1:
-		fmt.Fprintf(os.Stderr, "ngfix-build: -efc %d: must be at least 1\n", *efc)
-		os.Exit(2)
+	// Every numeric flag against its documented range, before any work.
+	for _, c := range []struct {
+		name string
+		ok   bool
+		want string
+	}{
+		{"m", *m >= 2, "at least 2"},
+		{"efc", *efc >= 1, "at least 1"},
+		{"lex", *lex >= 1, "at least 1"},
+		{"k1", *k1 >= 1, "at least 1"},
+		{"k2", *k2 >= 0, "at least 0"},
+		{"prep-ef", *prepEF >= 1, "at least 1"},
+	} {
+		if !c.ok {
+			fmt.Fprintf(os.Stderr, "ngfix-build: -%s %s: must be %s\n", c.name, flag.Lookup(c.name).Value, c.want)
+			os.Exit(2)
+		}
 	}
 
 	fail := func(err error) {

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -10,6 +14,7 @@ import (
 	"time"
 
 	"ngfix/internal/dataset"
+	"ngfix/internal/server"
 	"ngfix/internal/vec"
 )
 
@@ -80,10 +85,11 @@ func TestRepairModeIntervalRemoved(t *testing.T) {
 	}
 }
 
-// TestBuildFlagsRejected: an -m or -efc the builder cannot use is a usage
-// error at flag parsing, in ngfix-server and ngfix-build alike: one line
-// naming the flag and exit status 2, not a panic with a goroutine dump
-// once the build starts, nor a server that starts with it.
+// TestBuildFlagsRejected: a numeric flag outside its documented range is
+// a usage error at flag parsing, in ngfix-server and ngfix-build alike:
+// one line naming the flag and its range, exit status 2, not a panic
+// with a goroutine dump once the build starts, a silent default, nor a
+// server that starts with it.
 func TestBuildFlagsRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the server binary")
@@ -103,10 +109,36 @@ func TestBuildFlagsRejected(t *testing.T) {
 	if err := dataset.SaveMatrix(base, d.Base); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range [][]string{{"-m", "1"}, {"-m", "0"}, {"-efc", "0"}, {"-efc", "-3"}} {
-		runs := map[string][]string{
-			"ngfix-server": append([]string{server, "-addr", fmt.Sprintf("127.0.0.1:%d", freePort(t)), "-base", base}, bad...),
-			"ngfix-build":  append([]string{builder, "-base", base, "-out", filepath.Join(work, "index.ngig")}, bad...),
+	const both, serverOnly, buildOnly = 0, 1, 2
+	for _, bad := range []struct {
+		flag, value, want string
+		bins              int
+	}{
+		{"-m", "1", "must be at least 2", both},
+		{"-m", "0", "must be at least 2", both},
+		{"-efc", "0", "must be at least 1", both},
+		{"-efc", "-3", "must be at least 1", both},
+		{"-lex", "-1", "must be at least 1", both},
+		{"-fix-batch", "-5", "must be at least 1", serverOnly},
+		{"-fix-sample", "-2", "must be at least 1", serverOnly},
+		{"-max-inflight", "-1", "must be at least 0", serverOnly},
+		{"-queue-depth", "-3", "must be at least 0", serverOnly},
+		{"-ef-floor", "-1", "must be at least 0", serverOnly},
+		{"-snapshot-ops", "-1", "must be at least 0", serverOnly},
+		{"-pq-ks", "0", "must be in 1..256", serverOnly},
+		{"-pq-ks", "300", "must be in 1..256", serverOnly},
+		{"-pq-rerank", "0", "must be at least 1", serverOnly},
+		{"-search-timeout", "-1s", "must be at least 0s", serverOnly},
+		{"-k1", "0", "must be at least 1", buildOnly},
+		{"-k2", "-1", "must be at least 0", buildOnly},
+		{"-prep-ef", "0", "must be at least 1", buildOnly},
+	} {
+		runs := map[string][]string{}
+		if bad.bins != buildOnly {
+			runs["ngfix-server"] = []string{server, "-addr", fmt.Sprintf("127.0.0.1:%d", freePort(t)), "-base", base, bad.flag, bad.value}
+		}
+		if bad.bins != serverOnly {
+			runs["ngfix-build"] = []string{builder, "-base", base, "-out", filepath.Join(work, "index.ngig"), bad.flag, bad.value}
 		}
 		for name, argv := range runs {
 			// A binary that accepts the flag starts serving; the timeout
@@ -119,12 +151,78 @@ func TestBuildFlagsRejected(t *testing.T) {
 			err := cmd.Run()
 			msg := strings.TrimSpace(stderr.String())
 			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-				t.Fatalf("%s %v: err %v, want exit status 2; stderr:\n%s", name, bad, err, msg)
+				t.Fatalf("%s %s %s: err %v, want exit status 2; stderr:\n%s", name, bad.flag, bad.value, err, msg)
 			}
-			if strings.Contains(msg, "goroutine") || strings.Contains(msg, "\n") ||
-				!strings.HasPrefix(msg, name+": "+bad[0]+" "+bad[1]+": must be at least") {
-				t.Fatalf("%s %v: want one line naming the flag, got:\n%s", name, bad, msg)
+			if want := name + ": " + bad.flag + " " + bad.value + ": " + bad.want; msg != want {
+				t.Fatalf("%s %s %s: want the one line %q, got:\n%s", name, bad.flag, bad.value, want, msg)
 			}
+		}
+	}
+}
+
+// TestRemovedPolicyFlagsIgnored: the serving policy layer is gone, but
+// its four flags still parse. Each set flag logs one line saying it was
+// removed, and the server serves as if it were absent: no policy key in
+// search answers or stats, no ngfix_policy_ metric families.
+func TestRemovedPolicyFlagsIgnored(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the server binary")
+	}
+	work := t.TempDir()
+	bin := buildServerBinary(t, work)
+	d := dataset.Generate(dataset.Config{
+		Name: "flags-policy", N: 400, NHist: 60, NTest: 10,
+		Dim: 8, Clusters: 5, Metric: vec.L2,
+		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 17,
+	})
+	base := filepath.Join(work, "base.ngfx")
+	if err := dataset.SaveMatrix(base, d.Base); err != nil {
+		t.Fatal(err)
+	}
+	removed := []string{"-adaptive-ef", "-answer-cache-size", "-augment-rate", "-augment-sigma"}
+	p := startServer(t, bin, "-base", base, "-shards", "2", "-fix-batch", "16",
+		"-adaptive-ef", "-answer-cache-size", "64", "-augment-rate", "1", "-augment-sigma", "0.5")
+
+	get := func(path string) string {
+		resp, err := http.Get(p.base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return string(b)
+	}
+	for rep := 0; rep < 2; rep++ { // the repeat would have been a cache hit
+		body, _ := json.Marshal(server.SearchRequest{Vector: d.History.Row(0), K: server.IntPtr(5)})
+		resp, err := http.Post(p.base+"/v1/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var sr server.SearchResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(b, &sr) != nil || len(sr.Results) != 5 {
+			t.Fatalf("search %d: status %d body %s", rep, resp.StatusCode, b)
+		}
+		if strings.Contains(string(b), `"policy"`) || sr.EFUsed != 100 {
+			t.Fatalf("search %d shaped by a removed policy: %s", rep, b)
+		}
+	}
+	if st := get("/v1/stats"); strings.Contains(st, `"policy"`) {
+		t.Fatalf("stats carry a policy block: %s", st)
+	}
+	if m := get("/metrics"); strings.Contains(m, "ngfix_policy_") || strings.Contains(m, "cache_hit") {
+		t.Fatalf("metrics carry policy families:\n%s", m)
+	}
+	p.terminate(t)
+
+	log := p.out.String()
+	for _, f := range removed {
+		if n := strings.Count(log, f+" was removed"); n != 1 {
+			t.Errorf("%s: %d log lines saying it was removed, want 1; log:\n%s", f, n, log)
 		}
 	}
 }

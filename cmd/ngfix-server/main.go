@@ -65,7 +65,6 @@ import (
 	"ngfix/internal/hnsw"
 	"ngfix/internal/obs"
 	"ngfix/internal/persist"
-	"ngfix/internal/policy"
 	"ngfix/internal/pq"
 	"ngfix/internal/repair"
 	"ngfix/internal/replica"
@@ -113,10 +112,13 @@ func run(args []string) int {
 	queueDepth := fl.Int("queue-depth", 0, "bounded wait queue beyond capacity; excess requests get 429 (0 means 2x -max-inflight)")
 	searchTimeout := fl.Duration("search-timeout", 2*time.Second, "per-request compute budget; expired searches return partial results with truncated:true (0 disables)")
 	efFloor := fl.Int("ef-floor", 0, "minimum ef under queue pressure: effective ef shrinks toward this floor as the queue fills (0 disables degradation)")
-	adaptiveEF := fl.Bool("adaptive-ef", false, "pick each search's ef from its similarity to recent traffic (self-calibrating; explicit client ef becomes a ceiling)")
-	answerCacheSize := fl.Int("answer-cache-size", 0, "answer-cache capacity in entries for exactly-repeated queries (0 disables; invalidated on every mutation)")
-	augmentRate := fl.Float64("augment-rate", 0, "fraction of served queries that seed Gaussian-perturbed synthetic repair queries, 0..1 (0 disables)")
-	augmentSigma := fl.Float64("augment-sigma", 0.3, "expected perturbation norm for -augment-rate synthetic queries")
+	// The serving policies were removed (docs/results/policy-served.txt):
+	// their flags still parse, and setting one only logs that it is gone.
+	removed := map[string]bool{"adaptive-ef": true, "answer-cache-size": true, "augment-rate": true, "augment-sigma": true}
+	fl.Bool("adaptive-ef", false, "removed: accepted and ignored")
+	fl.Int("answer-cache-size", 0, "removed: accepted and ignored")
+	fl.Float64("augment-rate", 0, "removed: accepted and ignored")
+	fl.Float64("augment-sigma", 0.3, "removed: accepted and ignored")
 	metricsOn := fl.Bool("metrics", true, "serve Prometheus metrics on GET /metrics")
 	slowQueryMS := fl.Int("slow-query-ms", 0, "log every search at or over this many milliseconds (0 disables the slow-query log)")
 	pprofOn := fl.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (profiling data; enable only on trusted networks)")
@@ -126,13 +128,45 @@ func run(args []string) int {
 	failoverAfter := fl.Duration("failover-after", 150*time.Millisecond, "hedge delay before a primary read is retried on its replica (with -self-replica; 0 fails over only degraded shards)")
 	replicaPoll := fl.Duration("replica-poll", 100*time.Millisecond, "replica WAL tail cadence")
 	fl.Parse(args)
-	switch {
-	case *m < 2:
-		fmt.Fprintf(os.Stderr, "ngfix-server: -m %d: must be at least 2\n", *m)
-		return 2
-	case *efc < 1:
-		fmt.Fprintf(os.Stderr, "ngfix-server: -efc %d: must be at least 1\n", *efc)
-		return 2
+	// Every numeric flag against its documented range, in one pass before
+	// any work: a bad value is one line naming the flag, not a silent
+	// default, a panic, or a failure after the index is built.
+	for _, c := range []struct {
+		name string
+		ok   bool
+		want string
+	}{
+		{"m", *m >= 2, "at least 2"},
+		{"efc", *efc >= 1, "at least 1"},
+		{"lex", *lex >= 1, "at least 1"},
+		{"fix-batch", *batch >= 1, "at least 1"},
+		{"fix-sample", *sample >= 1, "at least 1"},
+		{"shards", *shards >= 1, "at least 1"},
+		{"snapshot-every", *snapEvery >= 0, "at least 0"},
+		{"snapshot-ops", *snapOps >= 0, "at least 0"},
+		{"pq-m", *pqM >= 0, "at least 0"},
+		{"pq-ks", *pqKS >= 1 && *pqKS <= 256, "in 1..256"},
+		{"pq-rerank", *pqRerank >= 1, "at least 1"},
+		{"max-inflight", *maxInflight >= 0, "at least 0"},
+		{"queue-depth", *queueDepth >= 0, "at least 0"},
+		{"ef-floor", *efFloor >= 0, "at least 0"},
+		{"slow-query-ms", *slowQueryMS >= 0, "at least 0"},
+		{"repair-min-batch", *repairMinBatch >= 1, "at least 1"},
+		{"repair-theta-hi", *repairThetaHi >= 0 && *repairThetaHi <= 1, "in 0..1"},
+		{"repair-theta-lo", *repairThetaLo >= 0 && *repairThetaLo <= 1, "in 0..1"},
+		{"replica-lag-max", *replicaLagMax >= 0, "at least 0"},
+		{"fix-interval", *interval >= 0, "at least 0s"},
+		{"repair-dwell", *repairDwell >= 0, "at least 0s"},
+		{"repair-max-interval", *repairMaxInterval >= 0, "at least 0s"},
+		{"drain-timeout", *drainTimeout >= 0, "at least 0s"},
+		{"search-timeout", *searchTimeout >= 0, "at least 0s"},
+		{"failover-after", *failoverAfter >= 0, "at least 0s"},
+		{"replica-poll", *replicaPoll > 0, "more than 0s"},
+	} {
+		if !c.ok {
+			fmt.Fprintf(os.Stderr, "ngfix-server: -%s %s: must be %s\n", c.name, fl.Lookup(c.name).Value, c.want)
+			return 2
+		}
 	}
 	if *repairMode != "adaptive" {
 		log.Printf("-repair-mode %q: the fixed-cadence interval mode was removed; adaptive is the only repair mode", *repairMode)
@@ -142,6 +176,9 @@ func run(args []string) int {
 	fl.Visit(func(f *flag.Flag) {
 		if f.Name == "shards" {
 			shardsFlagSet = true
+		}
+		if removed[f.Name] {
+			log.Printf("-%s was removed with the serving policy layer; ignoring it", f.Name)
 		}
 	})
 
@@ -189,9 +226,6 @@ func run(args []string) int {
 	var layout persist.Layout
 	var err error
 	if follower {
-		if *adaptiveEF || *answerCacheSize > 0 || *augmentRate > 0 {
-			log.Print("-adaptive-ef, -answer-cache-size and -augment-rate are ignored in follower mode (they act on a leader's mutation paths)")
-		}
 		topo, err = asm.follow(*replicaOf, *shards, shardsFlagSet)
 	} else {
 		topo, layout, err = asm.lead(leaderSource{
@@ -220,38 +254,6 @@ func run(args []string) int {
 		// reshard may have replaced the startup one.
 		s.SnapshotFunc = func() error { return s.Topology().Group.Snapshot() }
 	}
-	if !follower && (*adaptiveEF || *answerCacheSize > 0 || *augmentRate > 0) {
-		if *augmentRate < 0 || *augmentRate > 1 {
-			log.Printf("-augment-rate must be in 0..1, got %g", *augmentRate)
-			return 1
-		}
-		gm := topo.Group.Fixer(0).Index().G.Metric
-		var adaptive *policy.Adaptive
-		if *adaptiveEF {
-			// Calibration searches run sequentially within a shard fan-out
-			// (parallel 1): they are background work and should not steal
-			// cores from serving, which admission gating alone can't ensure.
-			adaptive = policy.NewAdaptive(topo.Group.Dim(), policy.AdaptiveConfig{Metric: gm, Seed: 11},
-				func(q []float32, k, ef int) []graph.Result {
-					res, _ := s.Topology().Group.SearchCtx(context.Background(), q, k, ef, 1)
-					return res
-				})
-		}
-		augmenter := policy.NewAugmenter(policy.AugmentConfig{
-			Rate: *augmentRate, Sigma: *augmentSigma,
-			Normalize: gm == vec.Cosine, Seed: 13,
-		})
-		var acquire func() (func(), bool)
-		if adm != nil {
-			acquire = func() (func(), bool) { return adm.TryAcquire(adm.FixCost(1)) }
-		}
-		eng := policy.NewEngine(policy.NewCache(*answerCacheSize), adaptive, augmenter,
-			func(qs *vec.Matrix) int { return s.Topology().Group.RecordSynthetic(qs) }, acquire)
-		s.EnablePolicy(eng)
-		log.Printf("policy layer enabled: adaptive-ef=%v answer-cache-size=%d augment-rate=%g",
-			*adaptiveEF, *answerCacheSize, *augmentRate)
-	}
-
 	// --- Lifecycle: signal-driven graceful shutdown cancels ctx, which
 	// stops background repair and aborts any live reshard.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -242,98 +242,3 @@ func TestMetricsShardLabels(t *testing.T) {
 	}
 	p.terminate(t)
 }
-
-// TestMetricsPolicyFamilies: with the policy flags on at -shards 2, the
-// ngfix_policy_* families appear under shard="all" (the cache and
-// calibration are process-global, like the admission limiter) and move
-// with traffic — a repeated query lands a cache hit both in the policy
-// counters and in the search-duration outcome split.
-func TestMetricsPolicyFamilies(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the server binary")
-	}
-	work := t.TempDir()
-	bin := buildServerBinary(t, work)
-
-	d := dataset.Generate(dataset.Config{
-		Name: "obs-policy", N: 400, NHist: 60, NTest: 10,
-		Dim: 8, Clusters: 5, Metric: vec.L2,
-		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 17,
-	})
-	g := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2}).Bottom()
-	idx := filepath.Join(work, "base.ngig")
-	if err := g.Save(idx); err != nil {
-		t.Fatal(err)
-	}
-
-	p := startServer(t, bin, "-index", idx,
-		"-shards", "2", "-fix-batch", "16",
-		"-adaptive-ef", "-answer-cache-size", "64", "-augment-rate", "1")
-
-	for qi := 0; qi < 4; qi++ {
-		var sr server.SearchResponse
-		p.post(t, "/v1/search", server.SearchRequest{Vector: d.History.Row(qi), K: server.IntPtr(5), EF: server.IntPtr(20)}, &sr)
-	}
-	// The exact repeat is the cache hit.
-	var hit server.SearchResponse
-	p.post(t, "/v1/search", server.SearchRequest{Vector: d.History.Row(0), K: server.IntPtr(5), EF: server.IntPtr(20)}, &hit)
-	if hit.Policy != "cache_hit" {
-		t.Fatalf("repeat search policy %q, want cache_hit", hit.Policy)
-	}
-
-	resp, err := http.Get(p.base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseText(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, body)
-	}
-	moved := []struct {
-		key string
-		min float64
-	}{
-		{`ngfix_policy_cache_hits_total{shard="all"}`, 1},
-		{`ngfix_policy_cache_misses_total{shard="all"}`, 4},
-		{`ngfix_policy_cache_entries{shard="all"}`, 1},
-		{`ngfix_policy_augmented_queries_total{shard="all"}`, 1},
-		{`ngfix_search_duration_seconds_count{outcome="cache_hit"}`, 1},
-	}
-	for _, c := range moved {
-		got, ok := samples[c.key]
-		if !ok {
-			t.Errorf("missing %s in exposition", c.key)
-			continue
-		}
-		if got < c.min {
-			t.Errorf("%s = %v, want >= %v", c.key, got, c.min)
-		}
-	}
-	// Registered-at-startup families are present even before they move
-	// (calibration is background work and may not have landed yet).
-	for _, key := range []string{
-		`ngfix_policy_cache_evictions_total{shard="all"}`,
-		`ngfix_policy_cache_invalidations_total{shard="all"}`,
-		`ngfix_policy_adaptive_ef_count{shard="all"}`,
-		`ngfix_policy_adaptive_recalibrations_total{shard="all"}`,
-		`ngfix_policy_adaptive_deferrals_total{shard="all"}`,
-		`ngfix_policy_augment_injected_total{shard="all"}`,
-		`ngfix_policy_augment_rejected_total{shard="all"}`,
-	} {
-		if _, ok := samples[key]; !ok {
-			t.Errorf("missing %s in exposition", key)
-		}
-	}
-	// Every policy family names its (process-global) shard.
-	for key := range samples {
-		if strings.HasPrefix(key, "ngfix_policy_") && !strings.Contains(key, `shard="all"`) {
-			t.Errorf("policy family without shard=\"all\": %s", key)
-		}
-	}
-	p.terminate(t)
-}

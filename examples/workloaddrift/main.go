@@ -1,8 +1,7 @@
 // Workload drift and cold start: the §7 scenarios. The query distribution
 // shifts after the index was fixed; the example shows (1) re-fixing with a
 // handful of drifted queries after trimming old extra edges, and (2) the
-// Gaussian query-augmentation trick that stretches a tiny real history,
-// plus the serving path's answer cache for exactly-repeated queries.
+// Gaussian query-augmentation trick that stretches a tiny real history.
 package main
 
 import (
@@ -14,7 +13,6 @@ import (
 	"ngfix/internal/graph"
 	"ngfix/internal/hnsw"
 	"ngfix/internal/metrics"
-	"ngfix/internal/policy"
 	"ngfix/internal/vec"
 )
 
@@ -63,12 +61,4 @@ func main() {
 	cold.Fix(merged, cold.ApproxTruth(merged, 60, 200))
 	fmt.Printf("cold-start fix: 30 real + %d synthetic queries:        %.3f\n",
 		synth.Rows(), recallOn(cold, drifted, driftGT))
-
-	// Bonus: a repeated query is answered from the answer cache.
-	cache := policy.NewCache(64)
-	q := drifted.Row(0)
-	res, _ := ix.Search(q, 10, 25)
-	cache.Put(q, 10, 25, res, cache.Generation())
-	_, hit := cache.Get(q, 10, 25)
-	fmt.Printf("repeated query: cache hit=%v, answered without a graph search\n", hit)
 }

@@ -64,37 +64,29 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	return c
 }
 
-// CalibrateAdaptiveEF fits an AdaptiveEF policy for the index with
-// CalibrateBands, measuring each band's recall against the given truth.
+// CalibrateAdaptiveEF fits an AdaptiveEF policy for the index. It
+// indexes history with a small HNSW (the similarity probe's graph), sorts
+// the calibration queries into cfg.Buckets equal-count bands by their
+// distance to the nearest historical query, and gives each band the
+// smallest candidate ef whose mean recall against calibTruth over the
+// band reaches the target (the largest candidate when none does). Nil
+// when history or calib is empty.
 //
 // history is the workload the index was fixed with; calib/calibTruth are
 // held-out queries with ground truth (ApproxTruth is fine).
 func CalibrateAdaptiveEF(ix *Index, history, calib *vec.Matrix, calibTruth [][]bruteforce.Neighbor, cfg AdaptiveConfig) *AdaptiveEF {
-	k := cfg.withDefaults().K
-	s := ix.Searcher()
-	return CalibrateBands(history, calib, ix.G.Metric, cfg, func(qi, ef int) float64 {
-		res, _ := s.SearchFrom(calib.Row(qi), k, ef, ix.G.EntryPoint)
-		truth := bruteforce.IDs(calibTruth[qi])
-		return metrics.Recall(graph.IDs(res), truth[:min(k, len(truth))])
-	})
-}
-
-// CalibrateBands is the one band calibrator behind every adaptive-ef
-// policy, offline and serving. It indexes history with a small HNSW (the
-// similarity probe's graph), sorts the calibration queries into
-// cfg.Buckets equal-count bands by their distance to the nearest
-// historical query, and gives each band the smallest candidate ef whose
-// mean recall over the band reaches the target (the largest candidate
-// when none does). recall(qi, ef) is calibration query qi's recall when
-// searched at ef — the caller decides what it is measured against. Nil
-// when history or calib is empty.
-func CalibrateBands(history, calib *vec.Matrix, metric vec.Metric, cfg AdaptiveConfig, recall func(qi, ef int) float64) *AdaptiveEF {
 	if history.Rows() == 0 || calib.Rows() == 0 {
 		return nil
 	}
 	c := cfg.withDefaults()
-	h := hnsw.Build(history.Clone(), hnsw.Config{M: 8, EFConstruction: 60, Metric: metric})
-	a := NewAdaptiveEF(h.Bottom(), c.ProbeEF, nil, nil)
+	s := ix.Searcher()
+	recall := func(qi, ef int) float64 {
+		res, _ := s.SearchFrom(calib.Row(qi), c.K, ef, ix.G.EntryPoint)
+		truth := bruteforce.IDs(calibTruth[qi])
+		return metrics.Recall(graph.IDs(res), truth[:min(c.K, len(truth))])
+	}
+	h := hnsw.Build(history.Clone(), hnsw.Config{M: 8, EFConstruction: 60, Metric: ix.G.Metric})
+	a := newAdaptiveEF(h.Bottom(), c.ProbeEF, nil, nil)
 
 	// Distance of each calibration query to its nearest historical query.
 	nq := calib.Rows()
@@ -104,7 +96,8 @@ func CalibrateBands(history, calib *vec.Matrix, metric vec.Metric, cfg AdaptiveC
 	}
 	ds := make([]qd, nq)
 	for qi := 0; qi < nq; qi++ {
-		ds[qi] = qd{qi, a.probe(calib.Row(qi))}
+		d, _ := a.probe(calib.Row(qi))
+		ds[qi] = qd{qi, d}
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i].d < ds[j].d })
 
@@ -135,10 +128,10 @@ func CalibrateBands(history, calib *vec.Matrix, metric vec.Metric, cfg AdaptiveC
 	return a
 }
 
-// NewAdaptiveEF assembles a policy from pre-computed parts: a built
+// newAdaptiveEF assembles a policy from pre-computed parts: a built
 // historical-query graph, the probe width, and the calibrated bands.
 // thresholds must be ascending with len(efs) == len(thresholds)+1.
-func NewAdaptiveEF(hist *graph.Graph, probeEF int, thresholds []float32, efs []int) *AdaptiveEF {
+func newAdaptiveEF(hist *graph.Graph, probeEF int, thresholds []float32, efs []int) *AdaptiveEF {
 	if probeEF <= 0 {
 		probeEF = 16
 	}
@@ -151,24 +144,12 @@ func NewAdaptiveEF(hist *graph.Graph, probeEF int, thresholds []float32, efs []i
 	}
 }
 
-// HistGraph exposes the historical-query index so concurrent callers
-// can build their own searchers over it (see EFForWith). Read-only.
-func (a *AdaptiveEF) HistGraph() *graph.Graph { return a.histIndex }
-
-// ProbeEF returns the probe search-list width — the NDC cost a caller
-// should account to each EFFor/EFForWith call.
-func (a *AdaptiveEF) ProbeEF() int { return a.probeEF }
-
 // probe returns the (approximate) distance from q to the nearest
-// historical query.
-func (a *AdaptiveEF) probe(q []float32) float32 {
-	return a.probeWith(a.histSearch, q)
-}
-
-func (a *AdaptiveEF) probeWith(s *graph.Searcher, q []float32) float32 {
-	res, _ := s.SearchFrom(q, 2, a.probeEF, a.histIndex.EntryPoint)
+// historical query and the distance computations the probe search made.
+func (a *AdaptiveEF) probe(q []float32) (float32, int64) {
+	res, st := a.histSearch.SearchFrom(q, 2, a.probeEF, a.histIndex.EntryPoint)
 	if len(res) == 0 {
-		return 0
+		return 0, st.NDC
 	}
 	// A recurring query finds *itself* in the historical index at the
 	// metric's self-distance. That match says nothing about difficulty —
@@ -177,32 +158,27 @@ func (a *AdaptiveEF) probeWith(s *graph.Searcher, q []float32) float32 {
 	// self-match would drop every repeated query into the easiest band
 	// no matter how hard it is. Skip it and read the runner-up.
 	if self := a.histIndex.Metric.Distance(q, q); res[0].Dist <= self && len(res) > 1 {
-		return res[1].Dist
+		return res[1].Dist, st.NDC
 	}
-	return res[0].Dist
+	return res[0].Dist, st.NDC
 }
 
 // EFFor returns the calibrated ef for a query. Not safe for concurrent
-// use — it shares one internal searcher; concurrent callers use
-// EFForWith with a searcher of their own.
+// use: it shares one internal searcher.
 func (a *AdaptiveEF) EFFor(q []float32) int {
-	return a.efForDist(a.probe(q))
+	ef, _ := a.efFor(q)
+	return ef
 }
 
-// EFForWith is EFFor probing through a caller-owned searcher (built
-// over HistGraph()), so any number of goroutines can classify queries
-// concurrently against the same immutable policy.
-func (a *AdaptiveEF) EFForWith(s *graph.Searcher, q []float32) int {
-	return a.efForDist(a.probeWith(s, q))
-}
-
-func (a *AdaptiveEF) efForDist(d float32) int {
+// efFor is EFFor plus the probe's distance computations.
+func (a *AdaptiveEF) efFor(q []float32) (int, int64) {
+	d, ndc := a.probe(q)
 	for i, th := range a.thresholds {
 		if d <= th {
-			return a.efs[i]
+			return a.efs[i], ndc
 		}
 	}
-	return a.efs[len(a.efs)-1]
+	return a.efs[len(a.efs)-1], ndc
 }
 
 // Buckets exposes the calibrated policy (thresholds between bands, ef per
@@ -214,8 +190,8 @@ func (a *AdaptiveEF) Buckets() (thresholds []float32, efs []int) {
 // SearchAdaptive runs one query with the calibrated per-query ef. The
 // returned stats include the probe's distance computations.
 func (ix *Index) SearchAdaptive(a *AdaptiveEF, q []float32, k int) ([]graph.Result, graph.Stats) {
-	ef := a.EFFor(q)
+	ef, probeNDC := a.efFor(q)
 	res, st := ix.Search(q, k, ef)
-	st.NDC += int64(a.probeEF) // amortized probe cost, approximately
+	st.NDC += probeNDC
 	return res, st
 }

@@ -109,7 +109,7 @@ func TestAdaptiveEFProbeSkipsSelfMatch(t *testing.T) {
 	hist.Append([]float32{0, 0.9, 0.1, 0})
 	hist.Append([]float32{0, 0, 1, 0})
 	h := hnsw.Build(hist.Clone(), hnsw.Config{M: 4, EFConstruction: 20, Metric: vec.L2})
-	a := NewAdaptiveEF(h.Bottom(), 8, []float32{0.5}, []int{20, 200})
+	a := newAdaptiveEF(h.Bottom(), 8, []float32{0.5}, []int{20, 200})
 
 	// hard is in the index (self-distance 0) but its nearest distinct
 	// neighbor is √2 away: it must classify into the far band.
@@ -119,5 +119,27 @@ func TestAdaptiveEFProbeSkipsSelfMatch(t *testing.T) {
 	// A genuinely near (but distinct) query still classifies easy.
 	if ef := a.EFFor([]float32{0, 0.95, 0.05, 0}); ef != 20 {
 		t.Fatalf("near query got ef %d, want 20", ef)
+	}
+}
+
+// SearchAdaptive's work is the probe search it runs plus the main search:
+// its NDC must equal both, counted by hand with searchers of our own.
+func TestSearchAdaptiveCountsProbeNDC(t *testing.T) {
+	d, g := testWorkload(t)
+	ix := New(g, Options{Rounds: []Round{{K: 20, RFix: true}}, LEx: 32})
+	ix.Fix(d.History, ExactTruth(d.Base, d.History, vec.L2, 40))
+	calib := d.TestOOD.Slice(0, 40)
+	a := CalibrateAdaptiveEF(ix, d.History, calib, bruteforce.AllKNN(d.Base, calib, vec.L2, 10), AdaptiveConfig{})
+
+	probe := graph.NewSearcher(a.histIndex)
+	main := ix.Searcher()
+	for qi := 40; qi < 80; qi++ {
+		q := d.TestOOD.Row(qi)
+		_, pst := probe.SearchFrom(q, 2, a.probeEF, a.histIndex.EntryPoint)
+		_, mst := main.SearchFrom(q, 10, a.EFFor(q), ix.G.EntryPoint)
+		if _, st := ix.SearchAdaptive(a, q, 10); st.NDC != pst.NDC+mst.NDC {
+			t.Fatalf("query %d: SearchAdaptive NDC %d, probe %d + search %d = %d",
+				qi, st.NDC, pst.NDC, mst.NDC, pst.NDC+mst.NDC)
+		}
 	}
 }

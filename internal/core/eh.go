@@ -3,7 +3,6 @@
 // (Reachability Fixing), and the maintained index that applies them —
 // including insertion with partial rebuild, deletion with NGFix repair,
 // and Gaussian query augmentation (NGFix+) from the discussion section.
-// The answer cache for repeated queries lives in internal/policy.
 package core
 
 import (

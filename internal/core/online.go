@@ -103,16 +103,6 @@ type OnlineFixer struct {
 	// the search path and under pmu on the snapshot path.
 	pqs *pqState
 
-	// mutationHook, when set, runs after every applied graph mutation
-	// (insert, effective delete, fix batch, purge) — after the mutation
-	// is visible to searches and before the call acknowledges to its
-	// caller, on the error paths too: a WAL append failure refuses the
-	// ack but the mutation is live in memory, so any cache keyed on the
-	// pre-mutation graph must still be invalidated. Stored atomically so
-	// SetMutationHook needs no lock; the hook must be cheap and must not
-	// call back into the fixer.
-	mutationHook atomic.Value // of func()
-
 	searchers sync.Pool
 }
 
@@ -205,45 +195,6 @@ func NewOnlineFixer(ix *Index, cfg OnlineConfig) *OnlineFixer {
 		o.metrics = newFixerMetrics(cfg.Metrics, o)
 	}
 	return o
-}
-
-// SetMutationHook installs fn to run after every applied graph mutation
-// (nil clears it). See the field comment for the exact contract; the
-// policy layer uses this to invalidate its answer cache so a hit is
-// never stale relative to the store.
-func (o *OnlineFixer) SetMutationHook(fn func()) {
-	if fn == nil {
-		fn = func() {}
-	}
-	o.mutationHook.Store(fn)
-}
-
-func (o *OnlineFixer) notifyMutation() {
-	if fn, _ := o.mutationHook.Load().(func()); fn != nil {
-		fn()
-	}
-}
-
-// RecordSynthetic appends synthetic queries (NGFix+ Gaussian
-// augmentation) to the pending repair buffer — but only while the
-// buffer has headroom (under half the batch size): synthetic signal
-// must never shed real recorded traffic, which is what a full buffer
-// does to its oldest rows. Returns how many rows were accepted.
-func (o *OnlineFixer) RecordSynthetic(qs *vec.Matrix) int {
-	if qs == nil || qs.Rows() == 0 {
-		return 0
-	}
-	o.qmu.Lock()
-	defer o.qmu.Unlock()
-	accepted := 0
-	for i := 0; i < qs.Rows(); i++ {
-		if o.pending.count >= o.batchSize/2 {
-			break
-		}
-		o.pending.push(qs.Row(i))
-		accepted++
-	}
-	return accepted
 }
 
 // Search serves one query (top-k, search list ef) and records it for a
@@ -538,7 +489,6 @@ func (o *OnlineFixer) FixPendingLimitChecked(max int) (FixReport, error) {
 		snap = o.wantSnapshotLocked()
 	}
 	o.mu.Unlock()
-	o.notifyMutation()
 	o.metrics.observeFix(rep)
 	if snap {
 		o.snapshotHoldingPmu() // failure already recorded in the counters
@@ -577,9 +527,6 @@ func (o *OnlineFixer) InsertChecked(v []float32) (uint32, error) {
 		snap = o.wantSnapshotLocked()
 	}
 	o.mu.Unlock()
-	// Invalidate before the ack either way: on the WAL-error path the
-	// caller is refused but the vector is already live in memory.
-	o.notifyMutation()
 	if snap {
 		o.snapshotHoldingPmu() // failure already recorded in the counters
 	}
@@ -618,9 +565,6 @@ func (o *OnlineFixer) DeleteChecked(id uint32) (bool, error) {
 		snap = o.wantSnapshotLocked()
 	}
 	o.mu.Unlock()
-	if changed {
-		o.notifyMutation()
-	}
 	if snap {
 		o.snapshotHoldingPmu() // failure already recorded in the counters
 	}
@@ -641,7 +585,6 @@ func (o *OnlineFixer) PurgeAndRepair(k, efTruth int) PurgeReport {
 	// Purge keeps row ids stable (no compaction), so the PQ codes and the
 	// pooled searchers stay valid.
 	o.mu.Unlock()
-	o.notifyMutation()
 	if o.wal != nil && rep.Purged > 0 {
 		o.snapshotHoldingPmu()
 	}

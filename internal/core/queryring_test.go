@@ -8,7 +8,6 @@ import (
 
 	"ngfix/internal/graph"
 	"ngfix/internal/pq"
-	"ngfix/internal/vec"
 )
 
 // ringHolds reports whether the ring holds exactly want, oldest first.
@@ -81,9 +80,8 @@ func TestQueryRingMatchesSliceModel(t *testing.T) {
 }
 
 // The fixer's recording state against a slice model: served queries
-// (sampled 1-in-n, shedding oldest when full), synthetic rows (accepted
-// only below half capacity), and limited drains (oldest first), in a
-// random order — pending rows, pending count and shed count must match
+// (sampled 1-in-n, shedding oldest when full) and limited drains (oldest
+// first), in a random order — pending rows, pending count and shed count must match
 // after every step.
 func TestOnlineFixerRecordingMatchesModel(t *testing.T) {
 	d, g := testWorkload(t)
@@ -96,7 +94,7 @@ func TestOnlineFixerRecordingMatchesModel(t *testing.T) {
 		served, shed, fixed := 0, 0, 0
 		for step := 0; step < 600; step++ {
 			switch op := rng.Intn(20); {
-			case op < 14:
+			case op < 17:
 				q := d.History.Row(rng.Intn(d.History.Rows()))
 				o.Search(q, 5, 10)
 				if served++; served%sampleEvery == 0 {
@@ -104,19 +102,6 @@ func TestOnlineFixerRecordingMatchesModel(t *testing.T) {
 						model, shed = model[1:], shed+1
 					}
 					model = append(model, q)
-				}
-			case op < 17:
-				syn := vec.NewMatrix(0, g.Dim())
-				for i := 1 + rng.Intn(3); i > 0; i-- {
-					syn.Append(d.TestOOD.Row(rng.Intn(d.TestOOD.Rows())))
-				}
-				want := 0
-				for i := 0; i < syn.Rows() && len(model) < batch/2; i++ {
-					model = append(model, syn.Row(i))
-					want++
-				}
-				if got := o.RecordSynthetic(syn); got != want {
-					t.Fatalf("step %d: RecordSynthetic accepted %d rows, model %d", step, got, want)
 				}
 			default:
 				max := rng.Intn(batch + 2) // 0 drains everything, so does max > pending

@@ -292,12 +292,12 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("lines = %v", lines)
 	}
-	want := "slow-query id=2 k=10 ef=100 efUsed=80 ef_clamped_by=admission repair=none policy=none reshard=none ndc=1234 adc=5678 hops=57 truncated=false clamped=true durMs=12.345"
+	want := "slow-query id=2 k=10 ef=100 efUsed=80 ef_clamped_by=admission repair=none reshard=none ndc=1234 adc=5678 hops=57 truncated=false clamped=true durMs=12.345"
 	if lines[0] != want {
 		t.Fatalf("line format drifted:\n got %q\nwant %q", lines[0], want)
 	}
 	// The line parses as logfmt: every token after the tag is key=value,
-	// and the policy attribution keys are present with the right values.
+	// and the clamp attribution keys are present with the right values.
 	fields := map[string]string{}
 	for _, tok := range strings.Fields(lines[0])[1:] {
 		kv := strings.SplitN(tok, "=", 2)

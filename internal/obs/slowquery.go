@@ -37,11 +37,6 @@ type SlowQuery struct {
 	// contending with fix batches for the write lock, and the line
 	// should say so.
 	Repair string
-	// Policy is the serving-path policy decision that shaped the query
-	// ("cache_hit" | "adaptive_ef" | "augmented", or "none" without a
-	// policy layer) — a slow line with policy=cache_hit points at cache
-	// contention, one with adaptive_ef at a miscalibrated band.
-	Policy string
 	// Reshard is the live reshard's phase while the query ran
 	// ("streaming" | "tailing" | "cutover", or "none") — a slow line
 	// during cutover is contending with the drain barrier, one during
@@ -63,7 +58,7 @@ const (
 //
 // Line format (one line, stable key order, parseable as logfmt):
 //
-//	slow-query id=42 k=10 ef=100 efUsed=80 ef_clamped_by=admission repair=steady policy=none reshard=none ndc=1234 adc=5678 hops=57 truncated=false clamped=true durMs=12.345
+//	slow-query id=42 k=10 ef=100 efUsed=80 ef_clamped_by=admission repair=steady reshard=none ndc=1234 adc=5678 hops=57 truncated=false clamped=true durMs=12.345
 type SlowQueryLog struct {
 	// Threshold gates emission: only queries with Duration >= Threshold
 	// are logged. <= 0 disables the log.
@@ -74,23 +69,31 @@ type SlowQueryLog struct {
 	seq atomic.Uint64
 }
 
+// slowQueryKeys are the fields Observe writes, in its order.
+var slowQueryKeys = []string{"id", "k", "ef", "efUsed", "ef_clamped_by", "repair", "reshard",
+	"ndc", "adc", "hops", "truncated", "clamped", "durMs"}
+
 // ParseSlowQuery parses one slow-query logfmt line (as emitted by
 // Observe, with or without a leading log prefix) back into a SlowQuery.
-// Lines from before the policy=, reshard=, or adc= fields parse with
-// those defaulted ("none" / 0), so log pipelines handle mixed-version
-// fleets; unknown keys are rejected — a typo'd dashboard query should
-// fail loudly, not read zeros.
+// It accepts exactly what Observe writes: a missing, repeated or unknown
+// key is an error — a typo'd dashboard query should fail loudly, not
+// read zeros.
 func ParseSlowQuery(line string) (SlowQuery, error) {
 	i := strings.Index(line, "slow-query ")
 	if i < 0 {
 		return SlowQuery{}, fmt.Errorf("obs: not a slow-query line: %q", line)
 	}
-	q := SlowQuery{ClampedBy: ClampNone, Repair: "none", Policy: "none", Reshard: "none"}
+	var q SlowQuery
+	seen := make(map[string]bool, len(slowQueryKeys))
 	for _, field := range strings.Fields(line[i+len("slow-query "):]) {
 		key, val, ok := strings.Cut(field, "=")
 		if !ok {
 			return SlowQuery{}, fmt.Errorf("obs: malformed field %q", field)
 		}
+		if seen[key] {
+			return SlowQuery{}, fmt.Errorf("obs: repeated field %q", key)
+		}
+		seen[key] = true
 		var err error
 		switch key {
 		case "id":
@@ -105,8 +108,6 @@ func ParseSlowQuery(line string) (SlowQuery, error) {
 			q.ClampedBy = val
 		case "repair":
 			q.Repair = val
-		case "policy":
-			q.Policy = val
 		case "reshard":
 			q.Reshard = val
 		case "ndc":
@@ -128,6 +129,11 @@ func ParseSlowQuery(line string) (SlowQuery, error) {
 		}
 		if err != nil {
 			return SlowQuery{}, fmt.Errorf("obs: field %q: %v", field, err)
+		}
+	}
+	for _, key := range slowQueryKeys {
+		if !seen[key] {
+			return SlowQuery{}, fmt.Errorf("obs: missing field %q", key)
 		}
 	}
 	return q, nil
@@ -158,16 +164,12 @@ func (l *SlowQueryLog) Observe(q SlowQuery) bool {
 		if repair == "" {
 			repair = "none"
 		}
-		policy := q.Policy
-		if policy == "" {
-			policy = "none"
-		}
 		reshard := q.Reshard
 		if reshard == "" {
 			reshard = "none"
 		}
-		l.Logf("slow-query id=%d k=%d ef=%d efUsed=%d ef_clamped_by=%s repair=%s policy=%s reshard=%s ndc=%d adc=%d hops=%d truncated=%t clamped=%t durMs=%.3f",
-			q.ID, q.K, q.EF, q.EFUsed, by, repair, policy, reshard, q.NDC, q.ADC, q.Hops, q.Truncated, q.Clamped,
+		l.Logf("slow-query id=%d k=%d ef=%d efUsed=%d ef_clamped_by=%s repair=%s reshard=%s ndc=%d adc=%d hops=%d truncated=%t clamped=%t durMs=%.3f",
+			q.ID, q.K, q.EF, q.EFUsed, by, repair, reshard, q.NDC, q.ADC, q.Hops, q.Truncated, q.Clamped,
 			float64(q.Duration)/float64(time.Millisecond))
 	}
 	return true

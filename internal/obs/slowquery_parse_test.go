@@ -2,24 +2,30 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
 // TestParseSlowQueryRoundTrip renders SlowQuery values through Observe
-// and parses the lines back, table-driven over the policy attribution
-// values plus the legacy (pre-policy) line shape.
+// and parses the lines back: every field must survive, and the
+// attribution fields Observe defaults must come back as "none".
 func TestParseSlowQueryRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
 		q    SlowQuery
-		want string // expected Policy after the round trip
 	}{
-		{"none", SlowQuery{ID: 1, K: 10, EF: 100, EFUsed: 100, NDC: 500, Hops: 12, Duration: 15 * time.Millisecond}, "none"},
-		{"cache_hit", SlowQuery{ID: 2, K: 10, EF: 100, EFUsed: 100, Policy: "cache_hit", Duration: 15 * time.Millisecond}, "cache_hit"},
-		{"adaptive_ef", SlowQuery{ID: 3, K: 5, EF: 100, EFUsed: 40, Policy: "adaptive_ef", NDC: 321, Hops: 9, Clamped: true, ClampedBy: ClampBudget, Duration: 20 * time.Millisecond}, "adaptive_ef"},
-		{"augmented", SlowQuery{ID: 4, K: 10, EF: 64, EFUsed: 64, Policy: "augmented", Repair: "eager", Truncated: true, Duration: 11 * time.Millisecond}, "augmented"},
-		{"resharding", SlowQuery{ID: 5, K: 10, EF: 100, EFUsed: 100, Reshard: "cutover", NDC: 77, Duration: 13 * time.Millisecond}, "none"},
+		{"none", SlowQuery{ID: 1, K: 10, EF: 100, EFUsed: 100, NDC: 500, Hops: 12, Duration: 15 * time.Millisecond}},
+		{"budget_clamped", SlowQuery{ID: 3, K: 5, EF: 100, EFUsed: 40, NDC: 321, Hops: 9, Clamped: true, ClampedBy: ClampBudget, Duration: 20 * time.Millisecond}},
+		{"eager_truncated", SlowQuery{ID: 4, K: 10, EF: 64, EFUsed: 64, Repair: "eager", Truncated: true, Duration: 11 * time.Millisecond}},
+		{"resharding", SlowQuery{ID: 5, K: 10, EF: 100, EFUsed: 100, Reshard: "cutover", NDC: 77, Duration: 13 * time.Millisecond}},
+		{"pq", SlowQuery{ID: 6, K: 10, EF: 64, EFUsed: 64, NDC: 40, ADC: 9000, Hops: 30, Duration: 12 * time.Millisecond}},
+	}
+	orNone := func(s string) string {
+		if s == "" {
+			return "none"
+		}
+		return s
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -34,53 +40,48 @@ func TestParseSlowQueryRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ParseSlowQuery(%q): %v", line, err)
 			}
-			if got.Policy != tc.want {
-				t.Fatalf("Policy = %q, want %q", got.Policy, tc.want)
-			}
-			if got.ID != tc.q.ID || got.K != tc.q.K || got.EF != tc.q.EF || got.EFUsed != tc.q.EFUsed ||
-				got.NDC != tc.q.NDC || got.Hops != tc.q.Hops ||
-				got.Truncated != tc.q.Truncated || got.Clamped != tc.q.Clamped {
-				t.Fatalf("round trip drifted:\n got %+v\nwant %+v", got, tc.q)
-			}
-			if got.Duration != tc.q.Duration {
-				t.Fatalf("Duration = %v, want %v", got.Duration, tc.q.Duration)
-			}
-			wantReshard := tc.q.Reshard
-			if wantReshard == "" {
-				wantReshard = "none"
-			}
-			if got.Reshard != wantReshard {
-				t.Fatalf("Reshard = %q, want %q", got.Reshard, wantReshard)
+			want := tc.q
+			want.ClampedBy, want.Repair, want.Reshard = orNone(want.ClampedBy), orNone(want.Repair), orNone(want.Reshard)
+			if got != want {
+				t.Fatalf("round trip drifted:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}
 }
 
 func TestParseSlowQueryCompatAndErrors(t *testing.T) {
-	// Pre-policy line (mixed-version fleet): Policy defaults to "none".
-	legacy := "slow-query id=7 k=10 ef=100 efUsed=80 ef_clamped_by=admission repair=steady ndc=1234 hops=57 truncated=false clamped=true durMs=12.345"
-	q, err := ParseSlowQuery(legacy)
+	line := "slow-query id=7 k=10 ef=100 efUsed=80 ef_clamped_by=admission repair=steady reshard=none ndc=1234 adc=0 hops=57 truncated=false clamped=true durMs=12.345"
+	q, err := ParseSlowQuery(line)
 	if err != nil {
-		t.Fatalf("legacy line: %v", err)
+		t.Fatalf("full line: %v", err)
 	}
-	if q.Policy != "none" || q.Reshard != "none" || q.Repair != "steady" || q.EFUsed != 80 {
-		t.Fatalf("legacy parse: %+v", q)
+	if q.Reshard != "none" || q.Repair != "steady" || q.EFUsed != 80 {
+		t.Fatalf("full line parse: %+v", q)
 	}
 	// A log-prefixed line still parses (Observe goes through log.Printf).
-	prefixed := "2026/08/07 12:00:00 " + legacy
+	prefixed := "2026/08/07 12:00:00 " + line
 	if _, err := ParseSlowQuery(prefixed); err != nil {
 		t.Fatalf("prefixed line: %v", err)
 	}
-	for _, bad := range []string{
+	// Only what Observe writes parses: a line missing any of its fields
+	// (an older line without reshard= or adc= among them) is an error,
+	// and so is the removed policy= field.
+	bad := []string{
 		"not a slow query",
 		"slow-query id=7 k",                 // malformed field
 		"slow-query id=7 mystery=1",         // unknown key
 		"slow-query id=x k=10",              // bad integer
 		"slow-query id=7 truncated=perhaps", // bad bool
 		"slow-query id=7 durMs=two",         // bad float
-	} {
-		if _, err := ParseSlowQuery(bad); err == nil {
-			t.Fatalf("ParseSlowQuery(%q) accepted", bad)
+		line + " id=8",                      // repeated key
+		strings.Replace(line, " reshard=none", " policy=none reshard=none", 1),
+	}
+	for _, f := range strings.Fields(line)[1:] {
+		bad = append(bad, strings.Replace(line, " "+f, "", 1))
+	}
+	for _, b := range bad {
+		if _, err := ParseSlowQuery(b); err == nil {
+			t.Fatalf("ParseSlowQuery(%q) accepted", b)
 		}
 	}
 }

@@ -6,12 +6,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
-
-	"ngfix/internal/policy"
 )
 
 // canonicalSeeds are spellings the vector-body scanner must decode by
@@ -211,48 +210,31 @@ func TestSearchAllocationCeiling(t *testing.T) {
 }
 
 // Request bodies are decoded out of pooled buffers. Nothing that outlives
-// the handler — the answer cache's stored query, the adaptive-ef
-// reservoir, the fixer's pending ring — may alias one: after concurrent
-// traffic (under -race, where a retained alias would race with the next
-// request's read into the same buffer) every pooled buffer and every
-// request's own bytes are overwritten, and the cache must still answer
-// each query it stored, identically.
+// the handler — the fixer's pending ring above all — may alias one.
+// Concurrent traffic first (under -race, a retained alias would race with
+// the next request's read into the same buffer); then a sequential run
+// that fills the ring, overwriting each request's bytes and every pooled
+// buffer after it. A fix batch over that ring must then add exactly the
+// edges a twin fixer adds from the same queries passed in directly.
 func TestPooledBodiesNeverAliasRetainedState(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
-		_, s, eng, d := newPolicyServer(t, nil, 256, adaptive)
-		const workers, perWorker = 4, 25
-		serve := func(v []float32) (SearchResponse, []byte) {
-			body, err := json.Marshal(SearchRequest{Vector: v, K: IntPtr(5), EF: IntPtr(40)})
-			if err != nil {
-				t.Error(err)
-			}
-			rec := httptest.NewRecorder()
-			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body)))
-			var out SearchResponse
-			if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil {
-				t.Errorf("search: status %d body %s", rec.Code, rec.Body)
-			}
-			return out, body
+	_, s, d := newTestServerFull(t)
+	serve := func(v []float32) {
+		body, err := json.Marshal(SearchRequest{Vector: v, K: IntPtr(5), EF: IntPtr(40)})
+		if err != nil {
+			t.Error(err)
 		}
-		first := make([]SearchResponse, workers*perWorker)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w * perWorker; i < (w+1)*perWorker; i++ {
-					var body []byte
-					first[i], body = serve(d.Base.Row(i))
-					for j := range body {
-						body[j] = '7'
-					}
-				}
-			}(w)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Errorf("search: status %d body %s", rec.Code, rec.Body)
 		}
-		wg.Wait()
-
+		for j := range body {
+			body[j] = '7'
+		}
+	}
+	junkPool := func() {
 		var drained []*bytes.Buffer
-		for i := 0; i < 4*workers; i++ {
+		for i := 0; i < 16; i++ {
 			buf := bodyPool.Get().(*bytes.Buffer)
 			junk := buf.Bytes()[:buf.Cap()]
 			for j := range junk {
@@ -263,26 +245,38 @@ func TestPooledBodiesNeverAliasRetainedState(t *testing.T) {
 		for _, buf := range drained {
 			bodyPool.Put(buf)
 		}
+	}
 
-		if got := s.Topology().Group.Pending(); got != 50 {
-			t.Fatalf("adaptive=%v: %d queries pending, want the full batch of 50", adaptive, got)
-		}
-		if adaptive {
-			continue // the shaped ef moves with calibration, so repeats need not hit
-		}
-		for i := range first {
-			again, _ := serve(d.Base.Row(i))
-			if again.Policy != policy.AttrCacheHit {
-				t.Fatalf("query %d: repeat was not a cache hit (policy %q)", i, again.Policy)
+	const workers, perWorker = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w * perWorker; i < (w+1)*perWorker; i++ {
+				serve(d.Base.Row(i))
 			}
-			for j := range first[i].Results {
-				if again.Results[j] != first[i].Results[j] {
-					t.Fatalf("query %d: cached answer changed at %d", i, j)
-				}
-			}
-		}
-		if st := eng.Cache().Stats(); st.Entries != len(first) {
-			t.Fatalf("cache holds %d entries, want %d", st.Entries, len(first))
-		}
+		}(w)
+	}
+	wg.Wait()
+
+	// The ring holds 50: these sequential queries shed every concurrent one.
+	twin := newTwinFixer(t, d)
+	for i := 0; i < 50; i++ {
+		serve(d.History.Row(i))
+		junkPool()
+		twin.Search(d.History.Row(i), 5, 40)
+	}
+	if got := s.Topology().Group.Pending(); got != 50 {
+		t.Fatalf("%d queries pending, want the full batch of 50", got)
+	}
+	got, err := s.Topology().Group.Fixer(0).FixPendingChecked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := twin.FixPending()
+	got.Elapsed, want.Elapsed = 0, 0
+	if want.NGFixEdges == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fix over the served ring %+v, over the same queries passed directly %+v", got, want)
 	}
 }

@@ -16,7 +16,6 @@ const (
 	outcomeTruncated = "truncated"
 	outcomeClamped   = "clamped"
 	outcomeShed      = "shed"
-	outcomeCacheHit  = "cache_hit"
 )
 
 // serverMetrics is the HTTP layer's telemetry: search latency split by
@@ -33,19 +32,17 @@ type serverMetrics struct {
 // per-shard registries. shardRegs, when given, become the current
 // topology's Registries (a caller that Installs a whole Topology sets
 // them there instead). Call once, before serving traffic (and after
-// EnablePolicy and any ReshardFunc/ReshardProgress wiring, whose
-// families it registers).
+// any ReshardFunc/ReshardProgress wiring, whose families it registers).
 //
 // Label scheme: HTTP-layer and process families live unlabeled on reg;
 // each shard's fixer and store families live on its own registry
 // carrying a shard="<i>" const label (part of the topology, because a
-// reshard doubles the shard line-up); the admission controller, the
-// policy engine, and the reshard coordinator — process-global, not
-// per-shard — register under shard="all" so the e2e label gate can
+// reshard doubles the shard line-up); the admission controller and the
+// reshard coordinator — process-global, not per-shard — register under shard="all" so the e2e label gate can
 // assert every core/persist/admission family names its shard.
 func (s *Server) EnableMetrics(reg *obs.Registry, shardRegs ...*obs.Registry) {
 	m := &serverMetrics{searchSeconds: make(map[string]*obs.Histogram)}
-	for _, outcome := range []string{outcomeOK, outcomeTruncated, outcomeClamped, outcomeShed, outcomeCacheHit} {
+	for _, outcome := range []string{outcomeOK, outcomeTruncated, outcomeClamped, outcomeShed} {
 		m.searchSeconds[outcome] = reg.Histogram("ngfix_search_duration_seconds",
 			"End-to-end /v1/search latency (decode through response), by outcome.",
 			obs.DefLatencyBuckets, obs.Label{Name: "outcome", Value: outcome})
@@ -57,14 +54,6 @@ func (s *Server) EnableMetrics(reg *obs.Registry, shardRegs ...*obs.Registry) {
 		admReg := obs.NewRegistry(obs.Label{Name: "shard", Value: "all"})
 		s.Admission.RegisterMetrics(admReg)
 		regs = append(regs, admReg)
-	}
-	if s.policyEngine != nil {
-		// The policy engine is process-global (one cache, one calibration)
-		// like the admission limiter, so its families carry shard="all".
-		// EnablePolicy must therefore run before EnableMetrics.
-		polReg := obs.NewRegistry(obs.Label{Name: "shard", Value: "all"})
-		s.policyEngine.RegisterMetrics(polReg)
-		regs = append(regs, polReg)
 	}
 	if s.ReshardProgress != nil {
 		rsReg := obs.NewRegistry(obs.Label{Name: "shard", Value: "all"})

@@ -60,7 +60,6 @@ import (
 	"ngfix/internal/graph"
 	"ngfix/internal/obs"
 	"ngfix/internal/persist"
-	"ngfix/internal/policy"
 	"ngfix/internal/repair"
 	"ngfix/internal/replica"
 	"ngfix/internal/shard"
@@ -193,13 +192,6 @@ type Server struct {
 	// families.
 	ReshardProgress func() reshard.Progress
 
-	// policyEngine, when non-nil (set via EnablePolicy), applies the §7
-	// serving-path policies per search: answer-cache lookup before
-	// admission, adaptive per-query ef before costing, and query
-	// augmentation after answering. Each decision is attributed in the
-	// response, the slow-query log, and /v1/stats.
-	policyEngine *policy.Engine
-
 	ready     atomic.Bool
 	draining  atomic.Bool
 	truncated atomic.Int64
@@ -256,22 +248,6 @@ func newServer(t *Topology) *Server {
 	return s
 }
 
-// EnablePolicy wires the policy engine into the request path and hooks
-// the answer cache's invalidation into every shard's mutation paths —
-// after a mutation becomes search-visible and before its ack, WAL-error
-// refusals included, so a cache hit is never stale relative to the
-// store. Call during wiring, before EnableMetrics and before serving
-// traffic. A nil engine is a no-op.
-func (s *Server) EnablePolicy(eng *policy.Engine) {
-	if eng == nil {
-		return
-	}
-	s.policyEngine = eng
-	if c := eng.Cache(); c != nil {
-		s.topo.Load().Group.SetMutationHook(c.Invalidate)
-	}
-}
-
 // Topology returns the serving stack currently installed (wiring and
 // shutdown read it; a live reshard may have replaced it since startup).
 func (s *Server) Topology() Topology { return *s.topo.Load() }
@@ -280,17 +256,9 @@ func (s *Server) Topology() Topology { return *s.topo.Load() }
 // startup wiring and the reshard cutover's serving-path flip alike.
 // From the moment it returns, every request sees t's group, stores,
 // repair fleet, registries and replicas, never a mix with the previous
-// stack's. The policy answer cache (if any) is hooked onto t's mutation
-// paths before the store and invalidated once after it: entries
-// verified against the old topology stay correct in content, but the
-// swap is the natural barrier to drop them at.
+// stack's.
 func (s *Server) Install(t Topology) {
-	c := s.policyEngine.Cache()
-	if c != nil {
-		t.Group.SetMutationHook(c.Invalidate)
-	}
 	s.topo.Store(&t)
-	c.Invalidate()
 }
 
 // SetStores installs stores as the current topology's per-shard stores,
@@ -486,13 +454,6 @@ type SearchResponse struct {
 	// correct as of the replica's applied position, possibly behind the
 	// leader by its replication lag.
 	Stale bool `json:"stale,omitempty"`
-	// Policy attributes the serving-path policy decision that shaped this
-	// answer: "cache_hit" (answered from the verified answer cache, no
-	// beam search ran), "adaptive_ef" (the similarity policy picked the
-	// ef), or "augmented" (this query seeded synthetic repair signal).
-	// Omitted when no policy applied, so unconfigured servers keep their
-	// exact legacy payloads.
-	Policy string `json:"policy,omitempty"`
 }
 
 // InsertRequest is the /v1/insert body.
@@ -555,45 +516,6 @@ type AdmissionStatsResponse struct {
 	// context ending: the units went back and the client saw 429, so they
 	// are in neither Admitted nor TimedOut.
 	Reclaimed uint64 `json:"reclaimed"`
-}
-
-// PolicyCacheStats is the answer-cache slice of the policy block.
-type PolicyCacheStats struct {
-	Entries       int    `json:"entries"`
-	Hits          int64  `json:"hits"`
-	Misses        int64  `json:"misses"`
-	Evictions     int64  `json:"evictions"`
-	Invalidations int64  `json:"invalidations"`
-	Generation    uint64 `json:"generation"`
-}
-
-// PolicyAdaptiveStats is the adaptive-ef slice of the policy block.
-type PolicyAdaptiveStats struct {
-	// Ready is false until the first calibration lands (searches fall
-	// back to the requested ef meanwhile).
-	Ready bool `json:"ready"`
-	// Thresholds/EFs are the calibrated similarity bands: a query whose
-	// probe distance falls below Thresholds[i] searches with EFs[i];
-	// beyond the last threshold it uses the final ef.
-	Thresholds     []float32 `json:"thresholds,omitempty"`
-	EFs            []int     `json:"efs,omitempty"`
-	Recalibrations int64     `json:"recalibrations"`
-	RecalDeferrals int64     `json:"recalDeferrals"`
-}
-
-// PolicyAugmentStats is the augmentation slice of the policy block.
-type PolicyAugmentStats struct {
-	Sampled  int64 `json:"sampled"`
-	Injected int64 `json:"injected"`
-	Rejected int64 `json:"rejected"`
-}
-
-// PolicyStatsResponse is the serving-path policy block of /v1/stats.
-// Each slice is present only when that policy is configured.
-type PolicyStatsResponse struct {
-	Cache    *PolicyCacheStats    `json:"cache,omitempty"`
-	Adaptive *PolicyAdaptiveStats `json:"adaptive,omitempty"`
-	Augment  *PolicyAugmentStats  `json:"augment,omitempty"`
 }
 
 // PQStatsResponse is the compressed-serving block of /v1/stats: the
@@ -671,11 +593,6 @@ type StatsResponse struct {
 	// without them keeps the exact response shape it had before
 	// replication existed.
 	Replica []replica.Status `json:"replica,omitempty"`
-	// Policy is the serving-path policy block (answer cache, adaptive
-	// ef, augmentation). Present only when EnablePolicy wired an engine;
-	// an unconfigured server's payload is byte-identical to before the
-	// policy layer existed.
-	Policy *PolicyStatsResponse `json:"policy,omitempty"`
 	// PQ is the compressed-serving block, aggregated across shards.
 	// Present only when the index serves through the fused PQ path; a
 	// full-precision server's payload is byte-identical to before PQ
@@ -708,44 +625,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-
-	// Adaptive ef runs before admission costing so an easy query admits
-	// cheaper, not just searches cheaper. An explicit client ef is a
-	// ceiling the policy may lower, never raise; the default is replaced.
-	policyAttr := policy.AttrNone
-	shaped, probeNDC, adapted := s.policyEngine.ShapeEF(req.Vector, ef, req.EF != nil)
-	if adapted {
-		ef, policyAttr = shaped, policy.AttrAdaptiveEF
-	} else {
-		ef = shaped
-	}
-
-	// Answer-cache lookup, also before admission: a verified hit skips
-	// the beam search entirely, so it must not pay (or queue for) search
-	// cost units. The generation is captured before the search below so
-	// a Put racing a mutation's invalidation can never store stale.
-	cache := s.policyEngine.Cache()
-	cacheGen := cache.Generation()
-	if res, ok := cache.Get(req.Vector, k, ef); ok {
-		dur := time.Since(start)
-		s.metrics.observeSearch(outcomeCacheHit, dur)
-		if s.SlowQueries.Observe(obs.SlowQuery{
-			ID: s.SlowQueries.NextID(), K: k, EF: requestedEF, EFUsed: ef,
-			NDC: int64(probeNDC), Policy: policy.AttrCacheHit,
-			Repair: topo.repairMode(), Reshard: s.reshardAttr(), Duration: dur,
-		}) {
-			s.metrics.observeSlowQuery()
-		}
-		resp := SearchResponse{
-			NDC: int64(probeNDC), EFUsed: ef, Policy: policy.AttrCacheHit,
-			Results: make([]SearchHit, len(res)),
-		}
-		for i, h := range res {
-			resp.Results[i] = SearchHit{ID: h.ID, Dist: h.Dist}
-		}
-		s.writeJSON(w, resp)
-		return
-	}
 
 	shards := topo.shards()
 	parallel := shards
@@ -789,18 +668,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if st.Truncated {
 		s.truncated.Add(1)
 	}
-	st.NDC += int64(probeNDC) // the similarity probe is real search work
-
-	// Store only complete, fresh answers: a truncated beam is partial,
-	// and a replica's stale slice may already trail the store — caching
-	// either would pin a degraded answer at full-speed serving. The
-	// pre-search generation makes a Put racing an invalidation a no-op.
-	if !st.Truncated && !stale {
-		cache.Put(req.Vector, k, ef, res, cacheGen)
-	}
-	if s.policyEngine.AfterSearch(req.Vector) && policyAttr == policy.AttrNone {
-		policyAttr = policy.AttrAugmented
-	}
 
 	dur := time.Since(start)
 	outcome := outcomeOK
@@ -815,8 +682,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		ID: s.SlowQueries.NextID(), K: k, EF: requestedEF, EFUsed: ef,
 		NDC: st.NDC, ADC: st.ADCLookups, Hops: st.Hops,
 		Truncated: st.Truncated, Clamped: clamped, ClampedBy: clampedBy,
-		Repair: topo.repairMode(), Policy: policyAttr, Reshard: s.reshardAttr(),
-		Duration: dur,
+		Repair: topo.repairMode(), Reshard: s.reshardAttr(), Duration: dur,
 	}) {
 		s.metrics.observeSlowQuery()
 	}
@@ -824,9 +690,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		NDC: st.NDC, ADC: st.ADCLookups, Truncated: st.Truncated,
 		EFUsed: ef, Clamped: clamped, Stale: stale,
 		Results: make([]SearchHit, len(res)),
-	}
-	if policyAttr != policy.AttrNone {
-		resp.Policy = policyAttr
 	}
 	for i, h := range res {
 		resp.Results[i] = SearchHit{ID: h.ID, Dist: h.Dist}
@@ -1090,32 +953,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if topo.Replicas != nil {
 		replicaStatus = topo.Replicas.Statuses()
 	}
-	var pol *PolicyStatsResponse
-	if eng := s.policyEngine; eng != nil {
-		pol = &PolicyStatsResponse{}
-		if c := eng.Cache(); c != nil {
-			cs := c.Stats()
-			pol.Cache = &PolicyCacheStats{
-				Entries: cs.Entries, Hits: cs.Hits, Misses: cs.Misses,
-				Evictions: cs.Evictions, Invalidations: cs.Invalidations,
-				Generation: cs.Generation,
-			}
-		}
-		if a := eng.Adaptive(); a != nil {
-			ths, efs := a.Buckets()
-			recals, deferred := a.Recalibrations()
-			pol.Adaptive = &PolicyAdaptiveStats{
-				Ready: a.Ready(), Thresholds: ths, EFs: efs,
-				Recalibrations: recals, RecalDeferrals: deferred,
-			}
-		}
-		if g := eng.Augmenter(); g != nil {
-			gs := g.Stats()
-			pol.Augment = &PolicyAugmentStats{
-				Sampled: gs.Sampled, Injected: gs.Injected, Rejected: gs.Rejected,
-			}
-		}
-	}
 	var reshardBlock *reshard.Progress
 	if s.ReshardProgress != nil {
 		if p := s.ReshardProgress(); p.State != "" && p.State != reshard.StateIdle {
@@ -1157,7 +994,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		RepairMode:        repairMode,
 		Repair:            repairStatus,
 		Replica:           replicaStatus,
-		Policy:            pol,
 		PQ:                pqBlock,
 		Reshard:           reshardBlock,
 	})

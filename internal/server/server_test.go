@@ -55,6 +55,15 @@ func newTestServerWAL(t *testing.T, wal core.WAL) (*httptest.Server, *Server, *d
 	return ts, s, d
 }
 
+// newTwinFixer builds the fixer newTestServerWAL serves, outside any
+// server, so a test can feed it the same queries directly.
+func newTwinFixer(t *testing.T, d *dataset.Dataset) *core.OnlineFixer {
+	t.Helper()
+	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
+	ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24})
+	return core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 50, PrepEF: 80})
+}
+
 func post(t *testing.T, url string, body interface{}, out interface{}) *http.Response {
 	t.Helper()
 	var buf bytes.Buffer

@@ -9,7 +9,6 @@ import (
 
 	"ngfix/internal/core"
 	"ngfix/internal/graph"
-	"ngfix/internal/vec"
 )
 
 // Group fronts N shard-local fixers with the single-fixer surface the
@@ -114,38 +113,6 @@ func Single(f *core.OnlineFixer) *Group {
 		panic(err) // only reachable with a nil fixer: a programming error
 	}
 	return g
-}
-
-// SetMutationHook installs fn on every shard's fixer (see
-// core.OnlineFixer.SetMutationHook for the exact contract: runs after
-// any applied mutation becomes visible to searches, before the call
-// acks, error paths included). One hook serves all shards — the policy
-// layer's answer cache is keyed on full queries, and every shard
-// contributes to every answer, so any shard's mutation invalidates.
-func (g *Group) SetMutationHook(fn func()) {
-	for _, f := range g.fixers {
-		f.SetMutationHook(fn)
-	}
-}
-
-// RecordSynthetic fans synthetic (augmented) queries to every shard's
-// fixer: a scatter-gather search records its query on every shard, so
-// a synthetic stand-in must reach every shard to repair the same
-// region. Each fixer accepts rows only while its pending buffer has
-// headroom; the return is the minimum accepted across shards — the
-// number of synthetic queries that reached the whole group.
-func (g *Group) RecordSynthetic(qs *vec.Matrix) int {
-	min := -1
-	for _, f := range g.fixers {
-		n := f.RecordSynthetic(qs)
-		if min < 0 || n < min {
-			min = n
-		}
-	}
-	if min < 0 {
-		min = 0
-	}
-	return min
 }
 
 // Router returns the group's id↔shard arithmetic.
