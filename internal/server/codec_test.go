@@ -261,7 +261,7 @@ func TestPooledBodiesNeverAliasRetainedState(t *testing.T) {
 	wg.Wait()
 
 	// The ring holds 50: these sequential queries shed every concurrent one.
-	twin := newTwinFixer(t, d)
+	twin := newTestFixer(d, nil)
 	for i := 0; i < 50; i++ {
 		serve(d.History.Row(i))
 		junkPool()

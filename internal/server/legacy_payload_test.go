@@ -78,17 +78,7 @@ func legacyExchange(t *testing.T, shards int) string {
 	s.Admission = admission.New(admission.Config{Capacity: 64})
 	s.SetReady(true)
 
-	vector := func(v []float32) string {
-		b := []byte{'['}
-		for i, x := range v {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendFloat(b, float64(x), 'g', -1, 32)
-		}
-		return string(append(b, ']'))
-	}
-	q := func(i int) string { return vector(d.TestOOD.Row(i)) }
+	q := func(i int) string { return jsonVector(d.TestOOD.Row(i)) }
 	steps := []struct{ method, path, body string }{
 		{http.MethodGet, "/v1/stats", ""},
 		{http.MethodPost, "/v1/search", `{"vector":` + q(0) + `,"k":5,"ef":30}`},
@@ -96,8 +86,8 @@ func legacyExchange(t *testing.T, shards int) string {
 		{http.MethodPost, "/v1/search", `{"vector":` + q(2) + `,"k":1,"ef":10}`},
 		{http.MethodPost, "/v1/search", `{"vector":` + q(0) + `,"k":5,"ef":30}`},
 		{http.MethodPost, "/v1/search", `{"vector":` + q(3) + `,"k":0}`},
-		{http.MethodPost, "/v1/insert", `{"vector":` + vector(d.History.Row(0)) + `}`},
-		{http.MethodPost, "/v1/search", `{"vector":` + vector(d.History.Row(0)) + `,"k":3,"ef":20}`},
+		{http.MethodPost, "/v1/insert", `{"vector":` + jsonVector(d.History.Row(0)) + `}`},
+		{http.MethodPost, "/v1/search", `{"vector":` + jsonVector(d.History.Row(0)) + `,"k":3,"ef":20}`},
 		{http.MethodPost, "/v1/delete", `{"id":500}`},
 		{http.MethodPost, "/v1/fix", ""},
 		{http.MethodPost, "/v1/search", `{"vector":` + q(4) + `,"k":10,"ef":40}`},
@@ -110,4 +100,17 @@ func legacyExchange(t *testing.T, shards int) string {
 		fmt.Fprintf(&out, "%s %s %s\n%d %s\n", st.method, st.path, st.body, rec.Code, rec.Body.Bytes())
 	}
 	return out.String()
+}
+
+// jsonVector spells v as a JSON array in the shortest form that parses
+// back to the same float32s, as the serving benchmark's client does.
+func jsonVector(v []float32) string {
+	b := []byte{'['}
+	for i, x := range v {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, float64(x), 'g', -1, 32)
+	}
+	return string(append(b, ']'))
 }

@@ -38,8 +38,9 @@ type serverMetrics struct {
 // each shard's fixer and store families live on its own registry
 // carrying a shard="<i>" const label (part of the topology, because a
 // reshard doubles the shard line-up); the admission controller and the
-// reshard coordinator — process-global, not per-shard — register under shard="all" so the e2e label gate can
-// assert every core/persist/admission family names its shard.
+// reshard coordinator — process-global, not per-shard — register under
+// shard="all" so the e2e label gate can assert every
+// core/persist/admission family names its shard.
 func (s *Server) EnableMetrics(reg *obs.Registry, shardRegs ...*obs.Registry) {
 	m := &serverMetrics{searchSeconds: make(map[string]*obs.Histogram)}
 	for _, outcome := range []string{outcomeOK, outcomeTruncated, outcomeClamped, outcomeShed} {

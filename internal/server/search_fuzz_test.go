@@ -6,8 +6,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
 	"testing"
 
 	"ngfix/internal/admission"
@@ -53,14 +51,7 @@ func FuzzServeSearch(f *testing.F) {
 	}
 	live := rows - len(deleted)
 
-	vector := func(v []float32) string {
-		parts := make([]string, len(v))
-		for i, x := range v {
-			parts[i] = strconv.FormatFloat(float64(x), 'g', -1, 32)
-		}
-		return "[" + strings.Join(parts, ",") + "]"
-	}
-	q := vector(d.TestOOD.Row(0))
+	q := jsonVector(d.TestOOD.Row(0))
 	for _, seed := range []string{
 		`{"vector":` + q + `,"k":10,"ef":64}`, // the serving benchmark's body shape
 		`{"vector":` + q + `}`,

@@ -42,9 +42,7 @@ func newTestServerWAL(t *testing.T, wal core.WAL) (*httptest.Server, *Server, *d
 		Dim: 8, Clusters: 6, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 3,
 	})
-	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
-	ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24})
-	fixer := core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 50, PrepEF: 80, WAL: wal})
+	fixer := newTestFixer(d, wal)
 	s := New(fixer)
 	if wal != nil {
 		s.SnapshotFunc = fixer.Snapshot
@@ -55,13 +53,12 @@ func newTestServerWAL(t *testing.T, wal core.WAL) (*httptest.Server, *Server, *d
 	return ts, s, d
 }
 
-// newTwinFixer builds the fixer newTestServerWAL serves, outside any
-// server, so a test can feed it the same queries directly.
-func newTwinFixer(t *testing.T, d *dataset.Dataset) *core.OnlineFixer {
-	t.Helper()
+// newTestFixer builds the fixer newTestServerWAL serves; a test can also
+// build a twin outside any server and feed it the same queries directly.
+func newTestFixer(d *dataset.Dataset, wal core.WAL) *core.OnlineFixer {
 	h := hnsw.Build(d.Base, hnsw.Config{M: 8, EFConstruction: 60, Metric: vec.L2})
 	ix := core.New(h.Bottom(), core.Options{Rounds: []core.Round{{K: 15}}, LEx: 24})
-	return core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 50, PrepEF: 80})
+	return core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 50, PrepEF: 80, WAL: wal})
 }
 
 func post(t *testing.T, url string, body interface{}, out interface{}) *http.Response {
