@@ -13,8 +13,10 @@ RACE_PKGS = ./internal/core ./internal/server ./internal/persist ./internal/admi
 ## (including the e2e server shutdown/recovery test).
 check: fmt vet build race test
 
+## fmt: gofmt -l over every Go file in the tree (the root package and
+## benchmark/ included), skipping the benchmark's build directory.
 fmt:
-	@out="$$($(GOFMT) -l internal cmd examples)"; \
+	@out="$$($(GOFMT) -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print))"; \
 	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:

@@ -160,18 +160,43 @@ func TestBuildFlagsRejected(t *testing.T) {
 	}
 }
 
-// TestRemovedPolicyFlagsIgnored: the serving policy layer is gone, but
-// its four flags still parse. Each set flag logs one line saying it was
-// removed, and the server serves as if it were absent: no policy key in
-// search answers or stats, no ngfix_policy_ metric families.
-func TestRemovedPolicyFlagsIgnored(t *testing.T) {
+// TestRemovedPolicyFlagsRefused: the serving policy layer's four flags
+// are gone from the flag set, so passing one is a usage error (exit
+// status 2) that names it, not a server that starts without it.
+func TestRemovedPolicyFlagsRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the server binary")
+	}
+	bin := buildServerBinary(t, t.TempDir())
+	for _, argv := range [][]string{
+		{"-adaptive-ef"},
+		{"-answer-cache-size", "64"},
+		{"-augment-rate", "1"},
+		{"-augment-sigma", "0.5"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", fmt.Sprintf("127.0.0.1:%d", freePort(t))}, argv...)...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("%s: err %v, want exit status 2; output:\n%s", argv[0], err, out)
+		}
+		if want := "flag provided but not defined: " + argv[0]; !strings.Contains(string(out), want) {
+			t.Fatalf("%s: output does not say %q:\n%s", argv[0], want, out)
+		}
+	}
+}
+
+// TestRemovedRepairFlagsIgnored: eager repair is gone, but its three
+// flags still parse. Each set flag logs one line saying it was removed,
+// and the server serves with the controller in one of its two modes.
+func TestRemovedRepairFlagsIgnored(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the server binary")
 	}
 	work := t.TempDir()
 	bin := buildServerBinary(t, work)
 	d := dataset.Generate(dataset.Config{
-		Name: "flags-policy", N: 400, NHist: 60, NTest: 10,
+		Name: "flags-repair", N: 400, NHist: 60, NTest: 10,
 		Dim: 8, Clusters: 5, Metric: vec.L2,
 		GapMagnitude: 1.5, ClusterStd: 0.2, QueryStdScale: 1.5, Seed: 17,
 	})
@@ -179,9 +204,9 @@ func TestRemovedPolicyFlagsIgnored(t *testing.T) {
 	if err := dataset.SaveMatrix(base, d.Base); err != nil {
 		t.Fatal(err)
 	}
-	removed := []string{"-adaptive-ef", "-answer-cache-size", "-augment-rate", "-augment-sigma"}
-	p := startServer(t, bin, "-base", base, "-shards", "2", "-fix-batch", "16",
-		"-adaptive-ef", "-answer-cache-size", "64", "-augment-rate", "1", "-augment-sigma", "0.5")
+	removed := []string{"-repair-theta-hi", "-repair-theta-lo", "-repair-dwell"}
+	p := startServer(t, bin, "-base", base, "-shards", "2", "-fix-batch", "16", "-fix-interval", "20ms",
+		"-repair-theta-hi", "0.5", "-repair-theta-lo", "0.2", "-repair-dwell", "3s")
 
 	get := func(path string) string {
 		resp, err := http.Get(p.base + path)
@@ -195,27 +220,35 @@ func TestRemovedPolicyFlagsIgnored(t *testing.T) {
 		}
 		return string(b)
 	}
-	for rep := 0; rep < 2; rep++ { // the repeat would have been a cache hit
-		body, _ := json.Marshal(server.SearchRequest{Vector: d.History.Row(0), K: server.IntPtr(5)})
+	for i := 0; i < 40; i++ {
+		body, _ := json.Marshal(server.SearchRequest{Vector: d.History.Row(i), K: server.IntPtr(5)})
 		resp, err := http.Post(p.base+"/v1/search", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		var sr server.SearchResponse
-		if resp.StatusCode != http.StatusOK || json.Unmarshal(b, &sr) != nil || len(sr.Results) != 5 {
-			t.Fatalf("search %d: status %d body %s", rep, resp.StatusCode, b)
-		}
-		if strings.Contains(string(b), `"policy"`) || sr.EFUsed != 100 {
-			t.Fatalf("search %d shaped by a removed policy: %s", rep, b)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("search %d: status %d", i, resp.StatusCode)
 		}
 	}
-	if st := get("/v1/stats"); strings.Contains(st, `"policy"`) {
-		t.Fatalf("stats carry a policy block: %s", st)
+	var st server.StatsResponse
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if err := json.Unmarshal([]byte(get("/v1/stats")), &st); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Repair) == 2 && st.Repair[0].BatchesRun > 0 && st.Repair[1].BatchesRun > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("repair ran no batch on both shards: %+v", st.Repair)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	if m := get("/metrics"); strings.Contains(m, "ngfix_policy_") || strings.Contains(m, "cache_hit") {
-		t.Fatalf("metrics carry policy families:\n%s", m)
+	for _, r := range st.Repair {
+		if r.Mode != "steady" && r.Mode != "backoff" {
+			t.Fatalf("shard %d repair mode %q, want steady or backoff", r.Shard, r.Mode)
+		}
 	}
 	p.terminate(t)
 

@@ -90,10 +90,14 @@ func run(args []string) int {
 	batch := fl.Int("fix-batch", 128, "queries per online fix batch")
 	sample := fl.Int("fix-sample", 1, "record every n-th query for fixing")
 	interval := fl.Duration("fix-interval", 0, "background repair base cadence (0 disables; POST /v1/fix still works)")
-	repairMode := fl.String("repair-mode", "adaptive", "background repair policy with -fix-interval: adaptive (per-shard signal-triggered controller with hysteresis and pressure backoff), the only mode")
-	repairThetaHi := fl.Float64("repair-theta-hi", 0.3, "unreachable-rate EWMA that enters eager repair")
-	repairThetaLo := fl.Float64("repair-theta-lo", 0.1, "unreachable-rate EWMA below which eager repair may exit after the dwell")
-	repairDwell := fl.Duration("repair-dwell", 5*time.Second, "minimum time in eager repair before exiting (hysteresis)")
+	repairMode := fl.String("repair-mode", "adaptive", "background repair policy with -fix-interval: adaptive (per-shard controller with shed-aware attribution and pressure backoff), the only mode")
+	// The flags of the removed eager repair mode still parse, so command
+	// lines that set them keep starting; setting one only logs that it is
+	// gone.
+	removed := map[string]bool{"repair-theta-hi": true, "repair-theta-lo": true, "repair-dwell": true}
+	fl.Float64("repair-theta-hi", 0, "removed with eager repair: accepted and ignored")
+	fl.Float64("repair-theta-lo", 0, "removed with eager repair: accepted and ignored")
+	fl.Duration("repair-dwell", 0, "removed with eager repair: accepted and ignored")
 	repairMaxInterval := fl.Duration("repair-max-interval", 0, "cadence ceiling repair stretches toward under admission pressure (0 means 16x -fix-interval)")
 	repairMinBatch := fl.Int("repair-min-batch", 8, "smallest fix batch the controller pays admission for before deferring a tick")
 	snapDir := fl.String("snapshot-dir", "", "directory for snapshots + op log (enables crash safety and recovery)")
@@ -112,13 +116,6 @@ func run(args []string) int {
 	queueDepth := fl.Int("queue-depth", 0, "bounded wait queue beyond capacity; excess requests get 429 (0 means 2x -max-inflight)")
 	searchTimeout := fl.Duration("search-timeout", 2*time.Second, "per-request compute budget; expired searches return partial results with truncated:true (0 disables)")
 	efFloor := fl.Int("ef-floor", 0, "minimum ef under queue pressure: effective ef shrinks toward this floor as the queue fills (0 disables degradation)")
-	// The serving policies were removed (docs/results/policy-served.txt):
-	// their flags still parse, and setting one only logs that it is gone.
-	removed := map[string]bool{"adaptive-ef": true, "answer-cache-size": true, "augment-rate": true, "augment-sigma": true}
-	fl.Bool("adaptive-ef", false, "removed: accepted and ignored")
-	fl.Int("answer-cache-size", 0, "removed: accepted and ignored")
-	fl.Float64("augment-rate", 0, "removed: accepted and ignored")
-	fl.Float64("augment-sigma", 0.3, "removed: accepted and ignored")
 	metricsOn := fl.Bool("metrics", true, "serve Prometheus metrics on GET /metrics")
 	slowQueryMS := fl.Int("slow-query-ms", 0, "log every search at or over this many milliseconds (0 disables the slow-query log)")
 	pprofOn := fl.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (profiling data; enable only on trusted networks)")
@@ -152,11 +149,8 @@ func run(args []string) int {
 		{"ef-floor", *efFloor >= 0, "at least 0"},
 		{"slow-query-ms", *slowQueryMS >= 0, "at least 0"},
 		{"repair-min-batch", *repairMinBatch >= 1, "at least 1"},
-		{"repair-theta-hi", *repairThetaHi >= 0 && *repairThetaHi <= 1, "in 0..1"},
-		{"repair-theta-lo", *repairThetaLo >= 0 && *repairThetaLo <= 1, "in 0..1"},
 		{"replica-lag-max", *replicaLagMax >= 0, "at least 0"},
 		{"fix-interval", *interval >= 0, "at least 0s"},
-		{"repair-dwell", *repairDwell >= 0, "at least 0s"},
 		{"repair-max-interval", *repairMaxInterval >= 0, "at least 0s"},
 		{"drain-timeout", *drainTimeout >= 0, "at least 0s"},
 		{"search-timeout", *searchTimeout >= 0, "at least 0s"},
@@ -178,7 +172,7 @@ func run(args []string) int {
 			shardsFlagSet = true
 		}
 		if removed[f.Name] {
-			log.Printf("-%s was removed with the serving policy layer; ignoring it", f.Name)
+			log.Printf("-%s was removed with eager repair; ignoring it", f.Name)
 		}
 	})
 
@@ -206,9 +200,6 @@ func run(args []string) int {
 		repair: repair.Config{
 			Interval:    *interval,
 			MaxInterval: *repairMaxInterval,
-			ThetaHi:     *repairThetaHi,
-			ThetaLo:     *repairThetaLo,
-			Dwell:       *repairDwell,
 			MinBatch:    *repairMinBatch,
 		},
 		replicas: replicaSettings{

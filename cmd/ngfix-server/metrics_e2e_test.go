@@ -214,13 +214,12 @@ func TestMetricsShardLabels(t *testing.T) {
 		`ngfix_wal_snapshot_seconds_count{shard="1"}`,
 		`ngfix_admission_admitted_total{shard="all"}`,
 		`ngfix_repair_mode{mode="steady",shard="0"}`,
-		`ngfix_repair_mode{mode="eager",shard="1"}`,
+		`ngfix_repair_mode{mode="backoff",shard="1"}`,
 		`ngfix_repair_triggers_total{reason="interval",shard="0"}`,
 		`ngfix_repair_triggers_total{reason="pressure",shard="1"}`,
 		`ngfix_repair_batches_total{shard="0"}`,
 		`ngfix_repair_deferred_total{shard="1"}`,
 		`ngfix_repair_cost_units_total{shard="0"}`,
-		`ngfix_repair_unreachable_ewma{shard="1"}`,
 		// The reshard coordinator (wired whenever persistence is on)
 		// registers under shard="all" and idles until POST /v1/reshard.
 		`ngfix_reshard_active{shard="all"}`,
@@ -239,6 +238,14 @@ func TestMetricsShardLabels(t *testing.T) {
 	}
 	if got := samples[`ngfix_reshard_active{shard="all"}`]; got != 0 {
 		t.Errorf(`ngfix_reshard_active = %v before any reshard, want 0`, got)
+	}
+	// The controller has two modes, and no trigger reads the unreachable
+	// rate.
+	for key := range samples {
+		if strings.Contains(key, `mode="eager"`) || strings.Contains(key, `reason="unreachable"`) ||
+			strings.HasPrefix(key, "ngfix_repair_unreachable_ewma") {
+			t.Errorf("eager repair series in sharded exposition: %s", key)
+		}
 	}
 	p.terminate(t)
 }

@@ -85,6 +85,8 @@ type Index struct {
 	opts Options
 	rng  *rand.Rand
 	s    *graph.Searcher
+	// ins inserts base rows, planning on s.
+	ins *hnsw.Inserter
 	// fix is the EH/NGFix scratch every fix pass of this index reuses.
 	fix fixScratch
 	// purged records tombstones whose edges were already removed by
@@ -99,13 +101,20 @@ func New(g *graph.Graph, opts Options) *Index {
 	if g.Len() > 0 && !o.PreserveEntry {
 		g.EntryPoint = g.Medoid()
 	}
-	return &Index{
+	ix := &Index{
 		G:      g,
 		opts:   o,
 		rng:    rand.New(rand.NewSource(o.Seed + 1)),
-		s:      graph.NewSearcher(g),
 		purged: make(map[uint32]bool),
 	}
+	ix.setSearcher(graph.NewSearcher(g))
+	return ix
+}
+
+// setSearcher makes s the index's own searcher, for search, RFix and
+// insertion alike.
+func (ix *Index) setSearcher(s *graph.Searcher) {
+	ix.s, ix.ins = s, hnsw.NewInserter(s)
 }
 
 // Options returns the effective (defaulted) options.
@@ -233,12 +242,13 @@ func (ix *Index) FixQuery(q []float32, nn []uint32) QueryFixReport {
 	return out
 }
 
-// Insert adds a new base vector through hnsw.InsertIntoGraphWith, the
-// build's insertion algorithm for one row, and returns its id. Extra
-// edges are untouched (the partial-rebuild step is what refreshes them,
-// per §5.5.1). The index's own searcher is reused across inserts — its
-// visited set grows with the graph — so streaming ingest does not
-// allocate an O(n) scratch array per vector.
+// Insert adds a new base vector through the build's insertion algorithm
+// for one row (hnsw.Inserter) and returns its id. Extra edges are
+// untouched (the partial-rebuild step is what refreshes them, per
+// §5.5.1). The index's own searcher and inserter are reused across
+// inserts — the visited set grows with the graph, and the planning
+// buffers are kept — so streaming ingest does not allocate an O(n)
+// scratch array, or fresh planning buffers, per vector.
 func (ix *Index) Insert(v []float32) uint32 {
-	return hnsw.InsertIntoGraphWith(ix.G, ix.s, v, ix.opts.InsertM, ix.opts.InsertEF)
+	return ix.ins.Insert(ix.G, v, ix.opts.InsertM, ix.opts.InsertEF)
 }

@@ -197,6 +197,30 @@ func TestInsertAndPartialRebuild(t *testing.T) {
 	}
 }
 
+// insertAllocCeiling is the allocations one Index.Insert makes at the
+// default InsertM 16 / InsertEF 200, measured on testWorkload: the new
+// row's out-list, the RNG prunes' kept lists, and the growth of the
+// vector matrix and of the lists linked back to. The planning and
+// commit buffers are the index's own and cost nothing per insert; each
+// new insert allocated them afresh, 10 allocations and 4.5 KB in all.
+const insertAllocCeiling = 5
+
+func TestInsertAllocs(t *testing.T) {
+	d, g := testWorkload(t)
+	ix := New(g, Options{})
+	i := 0
+	next := func() { ix.Insert(d.History.Row(i % d.History.Rows())); i++ }
+	for range 50 { // grow the index's buffers to steady state
+		next()
+	}
+	if n := testing.AllocsPerRun(200, next); n > insertAllocCeiling {
+		t.Fatalf("%.0f allocations per insert (ceiling %d)", n, insertAllocCeiling)
+	}
+	if err := ix.G.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDeleteAndPurge(t *testing.T) {
 	d, g := testWorkload(t)
 	ix := New(g, Options{Rounds: []Round{{K: 15}}, LEx: 32})

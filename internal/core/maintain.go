@@ -162,7 +162,7 @@ func (ix *Index) PurgeAndRepair(k, efTruth int) PurgeReport {
 		st := ix.fix.ngfix(g, nn, NGFixParams{K: k, KMax: kmax, LEx: ix.opts.LEx, Prune: ix.opts.Prune, Rng: ix.rng})
 		rep.RepairEdges += st.EdgesAdded
 	}
-	ix.s = graph.NewSearcher(g)
+	ix.setSearcher(graph.NewSearcher(g))
 	rep.Elapsed = time.Since(start)
 	return rep
 }

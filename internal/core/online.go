@@ -75,13 +75,6 @@ type OnlineFixer struct {
 	// child into a full resync.
 	snapSuspended atomic.Bool
 
-	// unreachableEWMA tracks the unreachable-before rate (fraction of a
-	// batch's queries whose NN pair RFix found unreachable, pre-repair)
-	// smoothed across recent batches — the navigability signal a repair
-	// controller triggers on. Guarded by mu; written once per fix batch.
-	unreachableEWMA float64
-	ewmaSeeded      bool
-
 	// dim is immutable for the fixer's lifetime; nvec tracks the vector
 	// count (monotone: deletes are tombstones). Both are readable without
 	// the lock so request validation stays responsive even while a
@@ -328,10 +321,9 @@ func (o *OnlineFixer) OnlineStats() OnlineStats {
 	return st
 }
 
-// Signals is the navigability snapshot a repair controller decides on:
-// how much repair signal is waiting (and being lost), how unreachable
-// the live workload has been finding the graph, and whether durability
-// is failing. Every field is cheap to read — a controller polls this on
+// Signals is the snapshot a repair controller decides on: how much
+// repair signal is waiting (and being lost), and whether durability is
+// failing. Every field is cheap to read — a controller polls this on
 // every tick.
 type Signals struct {
 	// Pending is the recorded-query buffer depth; BatchCap is its
@@ -343,14 +335,6 @@ type Signals struct {
 	// lifetime (monotone). A rising delta means repair signal is being
 	// lost faster than batches consume it.
 	Shed int
-	// UnreachableEWMA is the smoothed unreachable-before rate across
-	// recent fix batches: the fraction of each batch's queries whose NN
-	// pair RFix found unreachable before repair. Zero until the first
-	// batch with queries runs (or when no round enables RFix).
-	UnreachableEWMA float64
-	// Batches is the lifetime fix-batch count (monotone), so a
-	// controller can tell a fresh EWMA from a stale one.
-	Batches int
 	// WALErrors and Degraded mirror OnlineStats: durability failures the
 	// fixer absorbed, and whether the last one is still uncleared.
 	WALErrors int
@@ -368,13 +352,11 @@ func (o *OnlineFixer) Signals() Signals {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	return Signals{
-		Pending:         pending,
-		BatchCap:        o.batchSize,
-		Shed:            shed,
-		UnreachableEWMA: o.unreachableEWMA,
-		Batches:         o.totalBatches,
-		WALErrors:       o.walErrs,
-		Degraded:        o.lastWALErr != nil,
+		Pending:   pending,
+		BatchCap:  o.batchSize,
+		Shed:      shed,
+		WALErrors: o.walErrs,
+		Degraded:  o.lastWALErr != nil,
 	}
 }
 
@@ -422,12 +404,6 @@ func (o *OnlineFixer) FixPendingChecked() (FixReport, error) {
 	return o.FixPendingLimitChecked(0)
 }
 
-// ewmaAlpha weights the newest batch's unreachable-before rate in the
-// smoothed navigability signal: high enough that one bursty-churn batch
-// moves the needle, low enough that one outlier batch does not flap a
-// trigger with hysteresis around it.
-const ewmaAlpha = 0.3
-
 // FixPendingLimitChecked is FixPendingChecked with a batch cap: at most
 // max recorded queries are drained (oldest first — they are the ones the
 // full buffer would shed next) and the rest stay pending for a later
@@ -463,14 +439,6 @@ func (o *OnlineFixer) FixPendingLimitChecked(max int) (FixReport, error) {
 	rep := o.ix.Fix(batch, truth)
 	o.totalFixed += batch.Rows()
 	o.totalBatches++
-	if rep.Queries > 0 {
-		rate := float64(rep.RFixTriggered) / float64(rep.Queries)
-		if !o.ewmaSeeded {
-			o.unreachableEWMA, o.ewmaSeeded = rate, true
-		} else {
-			o.unreachableEWMA = ewmaAlpha*rate + (1-ewmaAlpha)*o.unreachableEWMA
-		}
-	}
 	// Pooled searchers stay: a fix batch rewires edges, and a searcher
 	// holds nothing edge-derived between searches.
 	var err error

@@ -8,8 +8,9 @@
 // maintenance alike: a row is planned — an efConstruction beam search of
 // the graph from its entry point, RNG-pruned to M out-neighbours — and
 // committed — its out-list set, and each neighbour linked back to it
-// under a 2M degree cap with the same RNG shrink. InsertIntoGraphWith
-// runs it for one row; Build runs it over a whole matrix in batches.
+// under a 2M degree cap with the same RNG shrink. An Inserter runs it row
+// by row (InsertIntoGraphWith for a single row); Build runs it over a
+// whole matrix in batches.
 package hnsw
 
 import (

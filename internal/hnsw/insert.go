@@ -13,20 +13,47 @@ import (
 // them, linking each back under a degree cap of 2m (HNSW's Mmax0). It is
 // Build's algorithm for one row. s is the caller's searcher over g,
 // reused across inserts so that none allocates an O(n) visited set; it
-// grows with the graph.
+// grows with the graph. A caller that inserts many rows keeps an
+// Inserter instead, which reuses the planning buffers too.
 //
 // The maintenance experiments (§5.5.1) use this to grow the base graph of
 // an already-fixed index: the paper requires "a base graph structure that
 // allows incremental updates (e.g., HNSW)", and its partial-rebuild step
 // only touches extra edges, so base insertion and fixing stay independent.
 func InsertIntoGraphWith(g *graph.Graph, s *graph.Searcher, v []float32, m, efConstruction int) uint32 {
+	return NewInserter(s).Insert(g, v, m, efConstruction)
+}
+
+// Inserter runs InsertIntoGraphWith's algorithm row after row, keeping
+// the planning and commit buffers between calls: an insert then
+// allocates little beyond what the graph keeps, the new row's out-list
+// and the growth of the lists linked back to it. Not safe for concurrent
+// use.
+type Inserter struct {
+	ws     [1]scratch
+	plans  [1][]uint32
+	keys   []uint64
+	groups []int
+}
+
+// NewInserter returns an inserter that plans on s, a searcher over the
+// graph it inserts into.
+func NewInserter(s *graph.Searcher) *Inserter {
+	in := &Inserter{}
+	in.ws[0].s = s
+	return in
+}
+
+// Insert inserts v into g as InsertIntoGraphWith does and returns its id.
+func (in *Inserter) Insert(g *graph.Graph, v []float32, m, efConstruction int) uint32 {
 	id := g.AppendVertex(v)
 	if g.Len() == 1 {
 		g.EntryPoint = id
 		return id
 	}
-	ws := []scratch{{s: s}}
-	commit(g, int(id), [][]uint32{ws[0].plan(g, id, m, efConstruction)}, 2*m, ws, nil, nil)
+	in.plans[0] = in.ws[0].plan(g, id, m, efConstruction)
+	in.keys, in.groups = commit(g, int(id), in.plans[:], 2*m, in.ws[:], in.keys, in.groups)
+	in.plans[0] = nil // the graph owns the list now
 	return id
 }
 

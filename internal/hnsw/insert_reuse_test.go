@@ -2,6 +2,7 @@ package hnsw
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ngfix/internal/graph"
@@ -9,9 +10,10 @@ import (
 )
 
 // TestInsertSearcherReuse checks that growing a graph through one reused
-// searcher (the allocation-free bulk-insert path) produces exactly the
-// adjacency that per-insert fresh searchers produce: reuse only recycles
-// scratch, it must not leak state between inserts.
+// searcher, or through one Inserter (the allocation-light bulk-insert
+// path), produces exactly the adjacency that per-insert fresh searchers
+// produce: reuse only recycles scratch, it must not leak state between
+// inserts.
 func TestInsertSearcherReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, dim = 300, 8
@@ -34,22 +36,25 @@ func TestInsertSearcherReuse(t *testing.T) {
 		InsertIntoGraphWith(reused, s, v, 8, 50)
 	}
 
-	if fresh.Len() != reused.Len() {
-		t.Fatalf("sizes differ: %d vs %d", fresh.Len(), reused.Len())
+	inserted := graph.New(vec.NewMatrix(0, dim), vec.L2)
+	in := NewInserter(graph.NewSearcher(inserted))
+	for _, v := range rows {
+		in.Insert(inserted, v, 8, 50)
 	}
-	for u := 0; u < fresh.Len(); u++ {
-		a := fresh.BaseNeighbors(uint32(u))
-		b := reused.BaseNeighbors(uint32(u))
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d degree: %d vs %d", u, len(a), len(b))
+
+	for _, other := range []*graph.Graph{reused, inserted} {
+		if fresh.Len() != other.Len() {
+			t.Fatalf("sizes differ: %d vs %d", fresh.Len(), other.Len())
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d edge %d: %d vs %d", u, i, a[i], b[i])
+		for u := 0; u < fresh.Len(); u++ {
+			a := fresh.BaseNeighbors(uint32(u))
+			b := other.BaseNeighbors(uint32(u))
+			if !slices.Equal(a, b) {
+				t.Fatalf("vertex %d: out-list %v vs %v", u, a, b)
 			}
 		}
-	}
-	if err := reused.Validate(); err != nil {
-		t.Fatal(err)
+		if err := other.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -32,10 +32,8 @@ type SlowQuery struct {
 	// can be attributed to policy decisions, not just observed.
 	ClampedBy string
 	// Repair is the repair controller's aggregate mode while the query
-	// ran ("eager" | "steady" | "backoff", or "none" without a
-	// controller) — a slow search concurrent with eager repair is
-	// contending with fix batches for the write lock, and the line
-	// should say so.
+	// ran ("steady" | "backoff", or "none" without a controller), so a
+	// slow line can be read against what repair was doing.
 	Repair string
 	// Reshard is the live reshard's phase while the query ran
 	// ("streaming" | "tailing" | "cutover", or "none") — a slow line

@@ -74,51 +74,6 @@ func TestTickFixesPendingAndAccounts(t *testing.T) {
 	}
 }
 
-// The trap workload drives the EWMA to 1, so the next tick must enter
-// eager (tight cadence, unreachable attribution) through the real
-// fixer-signal path; once the signal decays below θ_lo and the dwell is
-// served, the controller returns to steady.
-func TestTickEagerEntryAndExit(t *testing.T) {
-	g, qs := multiTrapGraph(1)
-	q := qs[0]
-	ix := core.New(g, core.Options{Rounds: []core.Round{{K: 20, RFix: true}}, LEx: 32, RFixL: 20})
-	f := core.NewOnlineFixer(ix, core.OnlineConfig{BatchSize: 50})
-	// Dwell of one nanosecond: exit is gated purely by θ_lo here.
-	c := New(0, f, nil, Config{Interval: 100 * time.Millisecond, Dwell: time.Nanosecond})
-
-	f.Search(q, 10, 20)
-	c.tick(testRNG(), discardLogf) // batch 1: trap fires, EWMA seeds to 1
-	if got := f.Signals().UnreachableEWMA; got != 1 {
-		t.Fatalf("EWMA after trap batch = %v, want 1", got)
-	}
-
-	f.Search(q, 10, 20)
-	next := c.tick(testRNG(), discardLogf)
-	st := c.Status()
-	if st.Mode != "eager" || st.Reason != ReasonUnreachable {
-		t.Fatalf("tick above θ_hi: %+v", st)
-	}
-	if next != c.cfg.EagerInterval {
-		t.Fatalf("eager cadence = %s, want %s", next, c.cfg.EagerInterval)
-	}
-
-	// Repaired: every further batch has rate 0, decaying the EWMA by
-	// 0.7× per batch. 1 → <0.1 takes ceil(log0.7(0.1)) = 7 batches.
-	for i := 0; i < 8; i++ {
-		f.Search(q, 10, 20)
-		next = c.tick(testRNG(), discardLogf)
-	}
-	if got := f.Signals().UnreachableEWMA; got >= c.cfg.ThetaLo {
-		t.Fatalf("EWMA did not decay below θ_lo: %v", got)
-	}
-	if st := c.Status(); st.Mode != "steady" {
-		t.Fatalf("controller did not exit eager after decay: %+v", st)
-	}
-	if next != c.cfg.Interval {
-		t.Fatalf("post-eager cadence = %s, want %s", next, c.cfg.Interval)
-	}
-}
-
 // Saturation economics: denied the full batch cost, the tick halves the
 // batch until admission grants it — paying strictly less than the
 // full-drain cost — and when even the minimum batch is denied it defers
@@ -335,10 +290,6 @@ func TestFleetStatusModeWedged(t *testing.T) {
 	c1.note(func() { c1.mode = ModeBackoff })
 	if fl.Mode() != "backoff" {
 		t.Fatalf("one shard backing off: fleet mode %q", fl.Mode())
-	}
-	c0.note(func() { c0.mode = ModeEager })
-	if fl.Mode() != "eager" {
-		t.Fatalf("eager must win attribution: fleet mode %q", fl.Mode())
 	}
 	c1.note(func() { c1.fails = c1.cfg.WedgedAfter })
 	if got := fl.WedgedShards(); len(got) != 1 || got[0] != 1 {

@@ -11,7 +11,7 @@ import (
 // All series are Func-backed reads of the controller's own counters, so
 // /metrics and /v1/stats can never disagree about what repair did.
 func (c *Controller) RegisterMetrics(reg *obs.Registry) {
-	for _, m := range []Mode{ModeSteady, ModeEager, ModeBackoff} {
+	for _, m := range []Mode{ModeSteady, ModeBackoff} {
 		m := m
 		reg.GaugeFunc("ngfix_repair_mode",
 			"Repair controller mode, one-hot by mode label (1 = current mode).",
@@ -67,7 +67,4 @@ func (c *Controller) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("ngfix_repair_consecutive_failures",
 		"Unbroken durability failures on the controller's retry schedule (0 = healthy).",
 		func() float64 { return float64(c.consecutiveFails()) })
-	reg.GaugeFunc("ngfix_repair_unreachable_ewma",
-		"Smoothed unreachable-before rate the controller triggers on.",
-		func() float64 { return c.fixer.Signals().UnreachableEWMA })
 }

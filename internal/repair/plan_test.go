@@ -8,55 +8,19 @@ import (
 )
 
 // planCfg is the defaulted config the planner tests read thresholds
-// from: Interval 1s, θ_hi 0.3, θ_lo 0.1, dwell 10s, gate 0.5.
+// from: Interval 1s, MaxInterval 16s, gate 0.5, MinBatch 8.
 func planCfg() Config { return Config{Interval: time.Second}.withDefaults() }
-
-// Hysteresis: entry at θ_hi is immediate, exit needs the signal below
-// θ_lo AND the dwell served, and the band in between changes nothing —
-// a rate oscillating around either threshold cannot flap the mode.
-func TestPlanHysteresis(t *testing.T) {
-	cfg := planCfg()
-	now := time.Now()
-	cases := []struct {
-		name string
-		st   state
-		ewma float64
-		want Mode
-		next time.Duration
-	}{
-		{"below hi stays steady", state{mode: ModeSteady, modeSince: now}, cfg.ThetaHi - 0.01, ModeSteady, cfg.Interval},
-		{"at hi enters eager immediately", state{mode: ModeSteady, modeSince: now}, cfg.ThetaHi, ModeEager, cfg.EagerInterval},
-		{"band holds eager", state{mode: ModeEager, modeSince: now.Add(-time.Hour)}, (cfg.ThetaHi + cfg.ThetaLo) / 2, ModeEager, cfg.EagerInterval},
-		{"below lo but dwell unserved holds eager", state{mode: ModeEager, modeSince: now.Add(-cfg.Dwell / 2)}, 0, ModeEager, cfg.EagerInterval},
-		{"below lo after dwell exits", state{mode: ModeEager, modeSince: now.Add(-cfg.Dwell - time.Second)}, cfg.ThetaLo - 0.01, ModeSteady, cfg.Interval},
-		{"at lo after dwell still eager", state{mode: ModeEager, modeSince: now.Add(-cfg.Dwell - time.Second)}, cfg.ThetaLo, ModeEager, cfg.EagerInterval},
-	}
-	for _, c := range cases {
-		pl := plan(cfg, c.st, core.Signals{UnreachableEWMA: c.ewma, Pending: 5}, 0, now)
-		if pl.mode != c.want {
-			t.Errorf("%s: mode %v, want %v", c.name, pl.mode, c.want)
-		}
-		if pl.next != c.next {
-			t.Errorf("%s: next %s, want %s", c.name, pl.next, c.next)
-		}
-		if c.want == ModeEager && pl.reason != ReasonUnreachable {
-			t.Errorf("%s: reason %q, want %q", c.name, pl.reason, ReasonUnreachable)
-		}
-	}
-}
 
 // Pressure above the gate stretches the cadence linearly toward
 // MaxInterval and shrinks the batch on the same slope (floored at
-// MinBatch) — and it dominates eagerness: a saturated box never repairs
-// at the tight cadence no matter how loud the navigability signal is.
+// MinBatch).
 func TestPlanPressure(t *testing.T) {
 	cfg := planCfg()
-	now := time.Now()
 	sig := core.Signals{Pending: 100, BatchCap: 400}
 
 	// Halfway between the gate and 1: cadence halfway to the ceiling,
 	// batch halved.
-	pl := plan(cfg, state{mode: ModeSteady, modeSince: now}, sig, 0.75, now)
+	pl := plan(cfg, sig, 0, 0.75)
 	if pl.mode != ModeBackoff || pl.reason != ReasonPressure {
 		t.Fatalf("p=0.75: mode/reason %v/%q", pl.mode, pl.reason)
 	}
@@ -72,26 +36,19 @@ func TestPlanPressure(t *testing.T) {
 	}
 
 	// Full pressure: ceiling cadence, floor batch.
-	pl = plan(cfg, state{mode: ModeSteady, modeSince: now}, sig, 1, now)
+	pl = plan(cfg, sig, 0, 1)
 	if pl.next != cfg.MaxInterval || pl.batchLimit != cfg.MinBatch {
 		t.Fatalf("p=1: next %s limit %d, want %s and %d", pl.next, pl.batchLimit, cfg.MaxInterval, cfg.MinBatch)
 	}
 
-	// The gate dominates a screaming unreachable signal.
-	hot := core.Signals{Pending: 100, UnreachableEWMA: 0.9}
-	pl = plan(cfg, state{mode: ModeEager, modeSince: now}, hot, cfg.PressureGate+0.1, now)
-	if pl.mode != ModeBackoff || pl.reason != ReasonPressure {
-		t.Fatalf("pressure must dominate eagerness, got %v/%q", pl.mode, pl.reason)
-	}
-
 	// At (not above) the gate the pressure path stays off.
-	pl = plan(cfg, state{mode: ModeSteady, modeSince: now}, sig, cfg.PressureGate, now)
+	pl = plan(cfg, sig, 0, cfg.PressureGate)
 	if pl.mode != ModeSteady {
 		t.Fatalf("p==gate: mode %v, want steady", pl.mode)
 	}
 
 	// Nothing pending: no fix even under pressure.
-	pl = plan(cfg, state{mode: ModeSteady, modeSince: now}, core.Signals{}, 0.9, now)
+	pl = plan(cfg, core.Signals{}, 0, 0.9)
 	if pl.fix {
 		t.Fatal("p=0.9 with empty queue: fix planned with nothing to do")
 	}
@@ -101,8 +58,7 @@ func TestPlanPressure(t *testing.T) {
 // which outranks the routine interval; an empty queue plans no fix.
 func TestPlanSteadyReasons(t *testing.T) {
 	cfg := planCfg()
-	now := time.Now()
-	st := state{mode: ModeSteady, modeSince: now, lastShed: 3}
+	const lastShed = 3
 	cases := []struct {
 		name   string
 		sig    core.Signals
@@ -116,7 +72,7 @@ func TestPlanSteadyReasons(t *testing.T) {
 		{"empty queue", core.Signals{BatchCap: 16, Shed: 3}, ReasonInterval, false},
 	}
 	for _, c := range cases {
-		pl := plan(cfg, st, c.sig, 0, now)
+		pl := plan(cfg, c.sig, lastShed, 0)
 		if pl.mode != ModeSteady || pl.reason != c.reason || pl.fix != c.fix {
 			t.Errorf("%s: got %v/%q fix=%v, want steady/%q fix=%v", c.name, pl.mode, pl.reason, pl.fix, c.reason, c.fix)
 		}
@@ -126,25 +82,20 @@ func TestPlanSteadyReasons(t *testing.T) {
 	}
 }
 
-// Config defaulting: the zero value must come out runnable, and every
-// relational invariant (lo < hi, eager < base < max) must hold.
+// Config defaulting: the zero value must come out runnable, with the
+// pressure ceiling above the base cadence.
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Interval <= 0 || cfg.EagerInterval <= 0 || cfg.EagerInterval >= cfg.Interval {
-		t.Fatalf("intervals: %+v", cfg)
+	if cfg.Interval <= 0 {
+		t.Fatalf("interval: %+v", cfg)
 	}
 	if cfg.MaxInterval <= cfg.Interval {
 		t.Fatalf("MaxInterval %s not above Interval %s", cfg.MaxInterval, cfg.Interval)
 	}
-	if cfg.ThetaLo <= 0 || cfg.ThetaLo >= cfg.ThetaHi {
-		t.Fatalf("thresholds: lo %v hi %v", cfg.ThetaLo, cfg.ThetaHi)
+	if cfg.PressureGate <= 0 || cfg.PressureGate >= 1 {
+		t.Fatalf("pressure gate %v not in (0, 1)", cfg.PressureGate)
 	}
-	if cfg.MinBatch <= 0 || cfg.WedgedAfter <= 0 || cfg.Dwell <= 0 {
+	if cfg.MinBatch <= 0 || cfg.WedgedAfter <= 0 {
 		t.Fatalf("floors: %+v", cfg)
-	}
-	// An inverted user-supplied band is repaired, not obeyed.
-	cfg = Config{ThetaHi: 0.2, ThetaLo: 0.4}.withDefaults()
-	if cfg.ThetaLo >= cfg.ThetaHi {
-		t.Fatalf("inverted band survived defaulting: lo %v hi %v", cfg.ThetaLo, cfg.ThetaHi)
 	}
 }

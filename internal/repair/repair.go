@@ -1,24 +1,15 @@
 // Package repair closes the loop the rest of the stack built signals
 // for: instead of firing fix batches on a blind fixed cadence, a
-// per-shard Controller watches the navigability signals its fixer
-// exports (pending repair-signal depth, the EWMA of the
-// unreachable-before rate across recent batches, shed counts, WAL
-// state) plus the admission controller's pressure, and decides *when*
-// to repair and *how big* a batch to spend.
+// per-shard Controller watches the signals its fixer exports (pending
+// recorded-query depth, shed counts, WAL state) plus the admission
+// controller's pressure, and decides *when* to repair and *how big* a
+// batch to spend.
 //
-// The control loop follows the trigger/hysteresis design of "When to
-// Repair a Graph ANN Index: Navigability-Signal-Triggered Local Repair
-// Protects Tail Recall Under Bursty Churn" (PAPERS.md):
+// The controller has two modes:
 //
-//   - Eager mode: when the smoothed unreachable rate crosses θ_hi the
-//     controller tightens its cadence (tail recall is at risk *now*;
-//     waiting a full interval costs exactly the queries the paper's
-//     bursty-churn experiments show losing recall). It stays eager
-//     until the rate falls below θ_lo AND a minimum dwell time has
-//     passed — enter fast, exit slow, never flap.
-//   - Steady mode: the familiar fixed cadence, annotated with why each
-//     tick fixed (routine interval, buffer at capacity, repair signal
-//     being shed).
+//   - Steady mode: the fixed cadence, annotated with why each tick
+//     fixed (routine interval, buffer at capacity, repair signal being
+//     shed).
 //   - Backoff mode: under admission pressure the cadence stretches
 //     toward a max interval and batches shrink; after a durability
 //     error the controller keeps core.BackoffDelay's jittered
@@ -57,10 +48,6 @@ const (
 	// ModeSteady is the routine cadence: fix whatever is pending every
 	// base interval.
 	ModeSteady Mode = iota
-	// ModeEager is the tightened cadence entered when the unreachable
-	// EWMA crosses θ_hi: tail recall is at risk, repair runs at
-	// EagerInterval until the signal clears θ_lo and the dwell elapses.
-	ModeEager
 	// ModeBackoff covers both retreat conditions: admission pressure
 	// stretching the cadence toward MaxInterval, and durability errors
 	// retried on core.BackoffDelay's schedule. LastReason tells them
@@ -71,23 +58,16 @@ const (
 // String returns the mode's wire name, as used in /v1/stats, /metrics
 // labels, and the slow-query log.
 func (m Mode) String() string {
-	switch m {
-	case ModeEager:
-		return "eager"
-	case ModeBackoff:
+	if m == ModeBackoff {
 		return "backoff"
-	default:
-		return "steady"
 	}
+	return "steady"
 }
 
 // Trigger reasons: why a tick decided to fix (or to hold back). These
 // appear as the reason label on ngfix_repair_triggers_total and as
 // lastReason in /v1/stats.
 const (
-	// ReasonUnreachable: the unreachable-rate EWMA holds the controller
-	// in eager mode.
-	ReasonUnreachable = "unreachable"
 	// ReasonPending: the recorded-query buffer reached capacity — the
 	// next search sheds repair signal.
 	ReasonPending = "pending"
@@ -106,8 +86,7 @@ const (
 
 // reasons lists every trigger reason, for metric pre-registration.
 var reasons = []string{
-	ReasonUnreachable, ReasonPending, ReasonShed,
-	ReasonInterval, ReasonPressure, ReasonWALError,
+	ReasonPending, ReasonShed, ReasonInterval, ReasonPressure, ReasonWALError,
 }
 
 // Config shapes a Controller. The zero value of every field except
@@ -116,21 +95,9 @@ type Config struct {
 	// Interval is the steady-mode cadence (default 1s). It doubles as
 	// the base of the durability-error backoff schedule.
 	Interval time.Duration
-	// EagerInterval is the tightened eager-mode cadence (default
-	// Interval/4, at least 1ms).
-	EagerInterval time.Duration
 	// MaxInterval is the ceiling the cadence stretches toward under
 	// admission pressure (default 16×Interval).
 	MaxInterval time.Duration
-	// ThetaHi enters eager mode when the unreachable EWMA reaches it
-	// (default 0.3); ThetaLo exits eager below it (default ThetaHi/3).
-	// The gap is the hysteresis band: a signal oscillating inside it
-	// changes nothing.
-	ThetaHi, ThetaLo float64
-	// Dwell is the minimum time spent in eager mode before the
-	// controller may leave it (default 10×Interval). Entering eager is
-	// immediate; leaving is slow — the loop must never flap.
-	Dwell time.Duration
 	// PressureGate is the admission pressure above which the controller
 	// retreats: cadence stretches toward MaxInterval and batches shrink
 	// (default 0.5, matching admission's degradation threshold).
@@ -147,23 +114,8 @@ func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
-	if c.EagerInterval <= 0 {
-		c.EagerInterval = c.Interval / 4
-		if c.EagerInterval < time.Millisecond {
-			c.EagerInterval = time.Millisecond
-		}
-	}
 	if c.MaxInterval <= c.Interval {
 		c.MaxInterval = 16 * c.Interval
-	}
-	if c.ThetaHi <= 0 {
-		c.ThetaHi = 0.3
-	}
-	if c.ThetaLo <= 0 || c.ThetaLo >= c.ThetaHi {
-		c.ThetaLo = c.ThetaHi / 3
-	}
-	if c.Dwell <= 0 {
-		c.Dwell = 10 * c.Interval
 	}
 	if c.PressureGate <= 0 || c.PressureGate >= 1 {
 		c.PressureGate = 0.5
@@ -177,15 +129,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// state is the slice of controller state the planner reads — split out
-// so the decision logic is a pure function over (config, state,
-// signals, pressure, clock) and deterministic to test.
-type state struct {
-	mode      Mode
-	modeSince time.Time
-	lastShed  int
-}
-
 // tickPlan is one wake-up's decision: which mode the controller is in,
 // why, whether to fix, how big a batch at most (0 = drain fully), and
 // when to wake next.
@@ -197,23 +140,11 @@ type tickPlan struct {
 	next       time.Duration
 }
 
-// plan is the trigger/hysteresis/pressure decision, pure and clockless
-// except for the now argument.
-func plan(cfg Config, st state, sig core.Signals, pressure float64, now time.Time) tickPlan {
-	// Hysteresis on the navigability signal. Entering eager is
-	// immediate — every interval spent waiting is tail recall lost.
-	// Leaving requires the signal below θ_lo AND the dwell served, so a
-	// rate oscillating around a threshold cannot flap the mode.
-	eager := st.mode == ModeEager
-	switch {
-	case !eager && sig.UnreachableEWMA >= cfg.ThetaHi:
-		eager = true
-	case eager && sig.UnreachableEWMA < cfg.ThetaLo && now.Sub(st.modeSince) >= cfg.Dwell:
-		eager = false
-	}
-
-	// The pressure gate dominates eagerness: a saturated box repairs
-	// small and slow no matter how loud the navigability signal is,
+// plan is the trigger/pressure decision, a pure function of the config,
+// the signals, the shed count the last tick saw, and the admission
+// pressure.
+func plan(cfg Config, sig core.Signals, lastShed int, pressure float64) tickPlan {
+	// Above the pressure gate a saturated box repairs small and slow,
 	// because repair stealing capacity from search is exactly the
 	// failure mode admission control exists to prevent. The cadence
 	// stretches linearly toward MaxInterval as pressure climbs from the
@@ -232,13 +163,9 @@ func plan(cfg Config, st state, sig core.Signals, pressure float64, now time.Tim
 		return tickPlan{mode: ModeBackoff, reason: ReasonPressure, fix: sig.Pending > 0, batchLimit: limit, next: next}
 	}
 
-	if eager {
-		return tickPlan{mode: ModeEager, reason: ReasonUnreachable, fix: sig.Pending > 0, next: cfg.EagerInterval}
-	}
-
 	reason := ReasonInterval
 	switch {
-	case sig.Shed > st.lastShed:
+	case sig.Shed > lastShed:
 		reason = ReasonShed
 	case sig.BatchCap > 0 && sig.Pending >= sig.BatchCap:
 		reason = ReasonPending
@@ -254,13 +181,12 @@ type Controller struct {
 	adm   *admission.Controller // nil: un-governed, batches are free
 	cfg   Config
 
-	mu        sync.Mutex
-	mode      Mode
-	modeSince time.Time
-	lastShed  int
-	reason    string
-	fails     int
-	lastErr   error
+	mu       sync.Mutex
+	mode     Mode
+	lastShed int
+	reason   string
+	fails    int
+	lastErr  error
 
 	batchesRun      uint64
 	batchesDeferred uint64
@@ -280,7 +206,6 @@ func New(shard int, fixer *core.OnlineFixer, adm *admission.Controller, cfg Conf
 		reason:   ReasonInterval,
 		triggers: make(map[string]uint64, len(reasons)),
 	}
-	c.modeSince = time.Now()
 	c.lastShed = fixer.Signals().Shed
 	return c
 }
@@ -321,21 +246,17 @@ func (c *Controller) tick(rng *rand.Rand, logf func(format string, args ...inter
 	if c.adm != nil {
 		pressure = c.adm.Pressure()
 	}
-	now := time.Now()
 
-	c.mu.Lock()
-	st := state{mode: c.mode, modeSince: c.modeSince, lastShed: c.lastShed}
-	c.mu.Unlock()
-
-	pl := plan(c.cfg, st, sig, pressure, now)
+	var pl tickPlan
 	c.note(func() {
+		pl = plan(c.cfg, sig, c.lastShed, pressure)
 		if c.fails > 0 {
 			// Mid-retry-schedule the controller stays visibly in backoff
 			// (whatever the planner says) until a batch succeeds — /readyz
 			// reports "wedged in backoff", so the mode must agree.
-			c.setModeLocked(ModeBackoff, ReasonWALError, now)
+			c.mode, c.reason = ModeBackoff, ReasonWALError
 		} else {
-			c.setModeLocked(pl.mode, pl.reason, now)
+			c.mode, c.reason = pl.mode, pl.reason
 		}
 		c.lastShed = sig.Shed
 	})
@@ -364,7 +285,7 @@ func (c *Controller) tick(rng *rand.Rand, logf func(format string, args ...inter
 			if batch <= c.cfg.MinBatch {
 				c.note(func() {
 					c.batchesDeferred++
-					c.setModeLocked(ModeBackoff, ReasonPressure, now)
+					c.mode, c.reason = ModeBackoff, ReasonPressure
 				})
 				// Saturation can deny with zero queue pressure (capacity
 				// held by long requests), so the plan's next may not be
@@ -400,7 +321,7 @@ func (c *Controller) tick(rng *rand.Rand, logf func(format string, args ...inter
 		c.note(func() {
 			c.fails++
 			c.lastErr = err
-			c.setModeLocked(ModeBackoff, ReasonWALError, now)
+			c.mode, c.reason = ModeBackoff, ReasonWALError
 			d = core.BackoffDelay(c.cfg.Interval, c.fails, rng.Float64())
 		})
 		logf("repair fix failed (attempt %d, retrying in %s): %v", c.consecutiveFails(), d.Round(time.Millisecond), err)
@@ -413,7 +334,7 @@ func (c *Controller) tick(rng *rand.Rand, logf func(format string, args ...inter
 			// at the next tick, so /v1/stats never shows a healthy
 			// controller still flagged wal_error.
 			recovered = true
-			c.setModeLocked(pl.mode, pl.reason, now)
+			c.mode, c.reason = pl.mode, pl.reason
 		}
 		c.fails = 0
 		c.lastErr = nil
@@ -453,17 +374,6 @@ func (c *Controller) note(fn func()) {
 	fn()
 }
 
-// setModeLocked records a mode transition (caller holds mu). The dwell
-// clock only restarts on actual transitions; re-asserting the current
-// mode keeps modeSince, or exits from eager would never dwell out.
-func (c *Controller) setModeLocked(m Mode, reason string, now time.Time) {
-	if c.mode != m {
-		c.mode = m
-		c.modeSince = now
-	}
-	c.reason = reason
-}
-
 func (c *Controller) consecutiveFails() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -474,7 +384,7 @@ func (c *Controller) consecutiveFails() int {
 // /v1/stats.
 type Status struct {
 	Shard int `json:"shard"`
-	// Mode is eager | steady | backoff; Reason is the last trigger
+	// Mode is steady | backoff; Reason is the last trigger
 	// reason the planner recorded.
 	Mode   string `json:"mode"`
 	Reason string `json:"reason"`
@@ -571,23 +481,18 @@ func (f *Fleet) Status() []Status {
 	return out
 }
 
-// Mode is the fleet's aggregate mode for attribution: eager if any
-// shard is eager (a write-lock-hungry repair is running somewhere),
-// else backoff if any shard is backing off, else steady.
+// Mode is the fleet's aggregate mode for attribution: backoff if any
+// shard is backing off, else steady.
 func (f *Fleet) Mode() string {
-	agg := ModeSteady
 	for _, c := range f.ctls {
 		c.mu.Lock()
 		m := c.mode
 		c.mu.Unlock()
-		if m == ModeEager {
-			return ModeEager.String()
-		}
 		if m == ModeBackoff {
-			agg = ModeBackoff
+			return m.String()
 		}
 	}
-	return agg.String()
+	return ModeSteady.String()
 }
 
 // WedgedShards lists shards whose controller has hit the consecutive-

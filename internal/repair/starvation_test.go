@@ -42,13 +42,13 @@ func TestFrozenRepairNeverStarvesSearch(t *testing.T) {
 	}
 
 	wal := &freezeWAL{started: make(chan struct{}), gate: make(chan struct{})}
-	// Shard 0: a trap query, so the batch certainly journals edges — and
-	// certainly freezes inside the WAL holding its admission units.
-	f0, q0 := trapFixer(1, 16, wal)
-	f0.Search(q0[0], 10, 20)
+	// Shard 0: sixteen OOD queries, so the batch journals edges — and
+	// freezes inside the WAL holding its admission units.
+	f0, d0 := testFixer(t, 16, wal)
+	record(f0, d0, 0, 16)
 	// Shard 1: a healthy fixer on the same limiter.
-	f1, q1 := trapFixer(1, 16, nil)
-	f1.Search(q1[0], 10, 20)
+	f1, d1 := testFixer(t, 16, nil)
+	record(f1, d1, 0, 16)
 
 	c0 := New(0, f0, adm, Config{Interval: 2 * time.Millisecond})
 	c1 := New(1, f1, adm, Config{Interval: 2 * time.Millisecond})
@@ -78,8 +78,8 @@ func TestFrozenRepairNeverStarvesSearch(t *testing.T) {
 
 	// And shard 1 keeps repairing: feed it and watch its batch counter.
 	deadline := time.After(10 * time.Second)
-	for c1.Status().BatchesRun < 2 {
-		f1.Search(q1[0], 10, 20)
+	for i := 16; c1.Status().BatchesRun < 2; i++ {
+		record(f1, d1, i, 1)
 		select {
 		case <-deadline:
 			t.Fatalf("healthy shard stopped batching behind frozen sibling: %+v", c1.Status())

@@ -581,7 +581,7 @@ type StatsResponse struct {
 	// server's).
 	Shards   int                  `json:"shards"`
 	PerShard []ShardStatsResponse `json:"perShard,omitempty"`
-	// RepairMode is the repair fleet's aggregate mode (eager | backoff |
+	// RepairMode is the repair fleet's aggregate mode (backoff |
 	// steady) and Repair its per-shard controller status — mode, last
 	// trigger reason, batch/defer/shrink counters, admission cost paid.
 	// Present when the adaptive repair controller is running.
@@ -699,13 +699,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 // searchParams resolves and strictly validates k and ef. Omitted values
 // take the server defaults; explicit values must make sense — k ≥ 1,
-// ef ≥ k, and ef no larger than the graph itself (a bigger list cannot
-// improve recall, it only burns a bounded-capacity admission slot).
+// ef ≥ k, and k and ef no larger than the graph itself (a bigger list
+// cannot improve recall, it only burns a bounded-capacity admission
+// slot).
 func (s *Server) searchParams(topo *Topology, req SearchRequest) (k, ef int, err error) {
+	n := topo.rows()
 	k = s.DefaultK
 	if req.K != nil {
 		if *req.K <= 0 {
 			return 0, 0, fmt.Errorf("k must be at least 1, got %d", *req.K)
+		}
+		if n > 0 && *req.K > n {
+			return 0, 0, fmt.Errorf("k (%d) exceeds the graph size (%d vectors)", *req.K, n)
 		}
 		k = *req.K
 	}
@@ -720,7 +725,7 @@ func (s *Server) searchParams(topo *Topology, req SearchRequest) (k, ef int, err
 		if *req.EF < k {
 			return 0, 0, fmt.Errorf("ef (%d) must be at least k (%d)", *req.EF, k)
 		}
-		if n := topo.rows(); n > 0 && *req.EF > n {
+		if n > 0 && *req.EF > n {
 			return 0, 0, fmt.Errorf("ef (%d) exceeds the graph size (%d vectors)", *req.EF, n)
 		}
 		ef = *req.EF

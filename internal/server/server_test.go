@@ -151,6 +151,8 @@ func TestSearchParamValidation(t *testing.T) {
 		{"ef zero", SearchRequest{Vector: v, EF: IntPtr(0)}, "ef must be at least 1"},
 		{"ef below k", SearchRequest{Vector: v, K: IntPtr(20), EF: IntPtr(10)}, "must be at least k"},
 		{"ef beyond graph", SearchRequest{Vector: v, K: IntPtr(5), EF: IntPtr(501)}, "exceeds the graph size"},
+		// Without ef, a k above the row count would search at ef = k.
+		{"k beyond graph", SearchRequest{Vector: v, K: IntPtr(501)}, "k (501) exceeds the graph size (500 vectors)"},
 	}
 	for _, c := range bad {
 		var buf bytes.Buffer
