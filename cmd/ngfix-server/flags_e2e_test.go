@@ -161,35 +161,54 @@ func TestBuildFlagsRejected(t *testing.T) {
 }
 
 // TestRemovedPolicyFlagsRefused: the serving policy layer's four flags
-// are gone from the flag set, so passing one is a usage error (exit
-// status 2) that names it, not a server that starts without it.
+// and the snapshot-only durability switch -oplog are gone from the flag
+// set, so passing one is a usage error (exit status 2) that names it,
+// not a server that starts without it.
 func TestRemovedPolicyFlagsRefused(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the server binary")
-	}
-	bin := buildServerBinary(t, t.TempDir())
-	for _, argv := range [][]string{
+	refuseUndefinedFlags(t, [][]string{
 		{"-adaptive-ef"},
 		{"-answer-cache-size", "64"},
 		{"-augment-rate", "1"},
 		{"-augment-sigma", "0.5"},
-	} {
+		{"-oplog=false"},
+	})
+}
+
+// TestRemovedRepairFlagsRefused: eager repair's three flags are gone
+// from the flag set too.
+func TestRemovedRepairFlagsRefused(t *testing.T) {
+	refuseUndefinedFlags(t, [][]string{
+		{"-repair-theta-hi", "0.5"},
+		{"-repair-theta-lo", "0.2"},
+		{"-repair-dwell", "3s"},
+	})
+}
+
+// refuseUndefinedFlags runs the server once per argv and requires exit
+// status 2 with Go's "not defined" message naming the flag.
+func refuseUndefinedFlags(t *testing.T, argvs [][]string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the server binary")
+	}
+	bin := buildServerBinary(t, t.TempDir())
+	for _, argv := range argvs {
+		name, _, _ := strings.Cut(argv[0], "=")
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", fmt.Sprintf("127.0.0.1:%d", freePort(t))}, argv...)...).CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-			t.Fatalf("%s: err %v, want exit status 2; output:\n%s", argv[0], err, out)
+			t.Fatalf("%s: err %v, want exit status 2; output:\n%s", name, err, out)
 		}
-		if want := "flag provided but not defined: " + argv[0]; !strings.Contains(string(out), want) {
-			t.Fatalf("%s: output does not say %q:\n%s", argv[0], want, out)
+		if want := "flag provided but not defined: " + name; !strings.Contains(string(out), want) {
+			t.Fatalf("%s: output does not say %q:\n%s", name, want, out)
 		}
 	}
 }
 
-// TestRemovedRepairFlagsIgnored: eager repair is gone, but its three
-// flags still parse. Each set flag logs one line saying it was removed,
-// and the server serves with the controller in one of its two modes.
-func TestRemovedRepairFlagsIgnored(t *testing.T) {
+// TestAdaptiveRepairRunsEveryShard: with -fix-interval the binary runs
+// one repair controller per shard, each batch in one of its two modes.
+func TestAdaptiveRepairRunsEveryShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the server binary")
 	}
@@ -204,9 +223,7 @@ func TestRemovedRepairFlagsIgnored(t *testing.T) {
 	if err := dataset.SaveMatrix(base, d.Base); err != nil {
 		t.Fatal(err)
 	}
-	removed := []string{"-repair-theta-hi", "-repair-theta-lo", "-repair-dwell"}
-	p := startServer(t, bin, "-base", base, "-shards", "2", "-fix-batch", "16", "-fix-interval", "20ms",
-		"-repair-theta-hi", "0.5", "-repair-theta-lo", "0.2", "-repair-dwell", "3s")
+	p := startServer(t, bin, "-base", base, "-shards", "2", "-fix-batch", "16", "-fix-interval", "20ms")
 
 	get := func(path string) string {
 		resp, err := http.Get(p.base + path)
@@ -251,13 +268,6 @@ func TestRemovedRepairFlagsIgnored(t *testing.T) {
 		}
 	}
 	p.terminate(t)
-
-	log := p.out.String()
-	for _, f := range removed {
-		if n := strings.Count(log, f+" was removed"); n != 1 {
-			t.Errorf("%s: %d log lines saying it was removed, want 1; log:\n%s", f, n, log)
-		}
-	}
 }
 
 // TestOverflowingBaseRowRefused: a -base row whose distances would

@@ -24,12 +24,11 @@
 // plus the log — including the extra edges learned from live traffic.
 //
 // With -shards N the index splits into N shards, each its own fixer,
-// op log, and snapshot directory (shard-<i>/ under -snapshot-dir, with
-// a MANIFEST pinning the count): searches scatter-gather across all
-// shards, mutations route by id, and a stalled or degraded shard never
-// blocks the others. The default -shards 1 keeps the pre-sharding
-// single-directory layout, byte-compatible with existing state; a
-// sharded directory remembers its count, so restarts need no flag.
+// op log, and snapshot directory (epoch-<e>/shard-<i>/ under
+// -snapshot-dir, with a MANIFEST pinning the count and epoch at every
+// shard count): searches scatter-gather across all shards, mutations
+// route by id, and a stalled or degraded shard never blocks the others.
+// The directory remembers its count, so restarts need no flag.
 //
 // The shard count can grow N→2N without stopping the server: POST
 // /v1/reshard streams every parent shard through two filtered children,
@@ -65,7 +64,6 @@ import (
 	"ngfix/internal/hnsw"
 	"ngfix/internal/obs"
 	"ngfix/internal/persist"
-	"ngfix/internal/pq"
 	"ngfix/internal/repair"
 	"ngfix/internal/replica"
 	"ngfix/internal/server"
@@ -91,21 +89,13 @@ func run(args []string) int {
 	sample := fl.Int("fix-sample", 1, "record every n-th query for fixing")
 	interval := fl.Duration("fix-interval", 0, "background repair base cadence (0 disables; POST /v1/fix still works)")
 	repairMode := fl.String("repair-mode", "adaptive", "background repair policy with -fix-interval: adaptive (per-shard controller with shed-aware attribution and pressure backoff), the only mode")
-	// The flags of the removed eager repair mode still parse, so command
-	// lines that set them keep starting; setting one only logs that it is
-	// gone.
-	removed := map[string]bool{"repair-theta-hi": true, "repair-theta-lo": true, "repair-dwell": true}
-	fl.Float64("repair-theta-hi", 0, "removed with eager repair: accepted and ignored")
-	fl.Float64("repair-theta-lo", 0, "removed with eager repair: accepted and ignored")
-	fl.Duration("repair-dwell", 0, "removed with eager repair: accepted and ignored")
 	repairMaxInterval := fl.Duration("repair-max-interval", 0, "cadence ceiling repair stretches toward under admission pressure (0 means 16x -fix-interval)")
 	repairMinBatch := fl.Int("repair-min-batch", 8, "smallest fix batch the controller pays admission for before deferring a tick")
 	snapDir := fl.String("snapshot-dir", "", "directory for snapshots + op log (enables crash safety and recovery)")
-	shards := fl.Int("shards", 1, "shard count: each shard gets its own fixer, op log, and snapshot subdirectory; searches scatter-gather (a sharded -snapshot-dir pins it; grow it N→2N with /v1/reshard or -reshard)")
+	shards := fl.Int("shards", 1, "shard count: each shard gets its own fixer, op log, and snapshot subdirectory; searches scatter-gather (a -snapshot-dir's MANIFEST pins it; grow it N→2N with /v1/reshard or -reshard)")
 	reshardFlag := fl.Bool("reshard", false, "offline maintenance: double -snapshot-dir's shard count (N→2N) and exit; the directory must hold existing state and no server may be running over it")
 	snapEvery := fl.Int("snapshot-every", 8, "automatic snapshot every N fix batches (0 disables; needs -snapshot-dir)")
 	snapOps := fl.Int("snapshot-ops", 4096, "automatic snapshot every M inserts+deletes (0 disables; needs -snapshot-dir)")
-	oplog := fl.Bool("oplog", true, "journal inserts/deletes/fix batches between snapshots (needs -snapshot-dir)")
 	pqOn := fl.Bool("pq", false, "memory-tiered serving: navigate the graph on compressed PQ-ADC lookups and exact-rerank only the top candidates; snapshots persist the quantizer so recovery re-encodes instead of retraining")
 	pqM := fl.Int("pq-m", 0, "PQ subspace count (0 picks the largest of 2..8 dividing the dimension; errors on dimensions only 1 divides)")
 	pqKS := fl.Int("pq-ks", 64, "PQ centroids per subspace (max 256)")
@@ -171,9 +161,6 @@ func run(args []string) int {
 		if f.Name == "shards" {
 			shardsFlagSet = true
 		}
-		if removed[f.Name] {
-			log.Printf("-%s was removed with eager repair; ignoring it", f.Name)
-		}
 	})
 
 	// Offline reshard mode: split, report, exit — no listener.
@@ -194,7 +181,7 @@ func run(args []string) int {
 		reg: reg, adm: adm, opts: core.Options{LEx: *lex},
 		fix: fixerSettings{
 			batch: *batch, sample: *sample,
-			oplog: *oplog, snapEvery: *snapEvery, snapOps: *snapOps,
+			snapEvery: *snapEvery, snapOps: *snapOps,
 		},
 		pq: pqSettings{on: *pqOn, m: *pqM, ks: *pqKS, rerank: *pqRerank, tier: *pqTier},
 		repair: repair.Config{
@@ -381,7 +368,6 @@ func run(args []string) int {
 // fixerSettings is the flag-derived online-fixer wiring.
 type fixerSettings struct {
 	batch, sample      int
-	oplog              bool
 	snapEvery, snapOps int
 }
 
@@ -436,9 +422,6 @@ func (a *assembler) assemble(stores []*persist.Store, ixs []*core.Index, preferS
 		var wal core.WAL
 		if len(stores) > 0 {
 			wal = stores[i]
-			if !a.fix.oplog {
-				wal = snapshotOnly{stores[i]}
-			}
 			if r := regAt(i); r != nil {
 				stores[i].RegisterMetrics(r)
 			}
@@ -545,15 +528,16 @@ type leaderSource struct {
 	m, efc              int
 }
 
-// lead opens a leader's topology. A sharded snapshot dir pins its shard
-// count and epoch via the manifest (routing is a function of the count,
-// and a committed reshard moves the tree under epoch-<e>/); a legacy dir
-// is one shard; a fresh dir takes the flag. Any crashed reshard is
-// resolved first — to exactly the old or the new topology. Each shard
-// then recovers from the snapshot dir when it has state; otherwise the
-// index is built or loaded, partitioned row-interleaved (global id =
-// original row index), and seeded into the dir. Startup state is sealed
-// into a fresh generation per shard before the topology is returned.
+// lead opens a leader's topology. A snapshot dir pins its shard count
+// and epoch via the manifest (routing is a function of the count, and a
+// committed reshard moves the tree to the next epoch-<e>/); a fresh dir
+// takes the flag, and a dir in a layout this binary does not read is
+// refused untouched. Any crashed reshard is resolved first — to exactly
+// the old or the new topology. Each shard then recovers from the
+// snapshot dir when it has state; otherwise the index is built or
+// loaded, partitioned row-interleaved (global id = original row index),
+// and seeded into the dir. Startup state is sealed into a fresh
+// generation per shard before the topology is returned.
 func (a *assembler) lead(src leaderSource) (server.Topology, persist.Layout, error) {
 	n := src.shards
 	var layout persist.Layout
@@ -567,8 +551,6 @@ func (a *assembler) lead(src leaderSource) (server.Topology, persist.Layout, err
 		if stores, err = persist.OpenShardedAt(src.snapDir, n, layout.Epoch, persist.Options{}); err != nil {
 			return server.Topology{}, layout, fmt.Errorf("open snapshot dir: %w", err)
 		}
-	} else if n < 1 {
-		return server.Topology{}, layout, fmt.Errorf("-shards must be at least 1, got %d", n)
 	}
 	if a.replicas.selfReplica && len(stores) == 0 {
 		return server.Topology{}, layout, errors.New("-self-replica needs -snapshot-dir (replicas tail the store's op log)")
@@ -623,9 +605,6 @@ func (a *assembler) lead(src leaderSource) (server.Topology, persist.Layout, err
 	default:
 		return server.Topology{}, layout, errors.New("one of -index, -base, -replica-of, or a non-empty -snapshot-dir is required")
 	}
-	if len(stores) > 0 && !a.fix.oplog {
-		log.Print("op log disabled (-oplog=false): mutations between snapshots will not survive a crash")
-	}
 
 	// Compressed serving prefers the recovered sidecar: attach re-encodes
 	// only the WAL-replayed tail against the frozen codebooks, so codes
@@ -667,17 +646,11 @@ func (a *assembler) follow(target string, shards int, shardsFlagSet bool) (serve
 		}
 		n, epoch = l.Shards, l.Epoch
 	}
-	if n < 1 {
-		return server.Topology{}, fmt.Errorf("-shards must be at least 1, got %d", n)
-	}
 	srcs := make([]replica.Source, n)
 	for i := range srcs {
-		switch {
-		case overHTTP:
+		if overHTTP {
 			srcs[i] = replica.HTTPSource{Base: strings.TrimRight(target, "/"), Shard: i}
-		case n == 1 && epoch == 0:
-			srcs[i] = replica.DirSource{Dir: target}
-		default:
+		} else {
 			srcs[i] = replica.DirSource{Dir: persist.ShardDirAt(target, epoch, i)}
 		}
 	}
@@ -919,6 +892,16 @@ func runReshardCLI(root string, flagShards int, flagSet bool, opts core.Options)
 		log.Print("-reshard needs -snapshot-dir (it doubles an existing on-disk topology)")
 		return 1
 	}
+	// A directory with nothing to split is refused before ResolveLayout
+	// would lay it out and pin its shard count.
+	if _, err := persist.PeekLayout(nil, root, flagShards, flagSet); err != nil {
+		log.Print(err)
+		return 1
+	}
+	if _, ok, _ := persist.ReadManifest(nil, root); !ok {
+		log.Printf("%s holds no state to reshard (build or serve into it first)", root)
+		return 1
+	}
 	layout, err := persist.ResolveLayout(nil, root, flagShards, flagSet)
 	if err != nil {
 		log.Print(err)
@@ -970,18 +953,6 @@ func buildShards(base *vec.Matrix, n int, cfg hnsw.Config, opts core.Options) []
 		ixs[i] = core.New(hnsw.Build(p, cfg).Bottom(), opts)
 	}
 	return ixs
-}
-
-// snapshotOnly is the -oplog=false durability mode: snapshots still run
-// on their cadence, per-op journaling is dropped.
-type snapshotOnly struct{ st *persist.Store }
-
-func (snapshotOnly) LogInsert(v []float32) error                   { return nil }
-func (snapshotOnly) LogDelete(id uint32) error                     { return nil }
-func (snapshotOnly) LogFixEdges(updates []graph.ExtraUpdate) error { return nil }
-func (s snapshotOnly) Snapshot(g *graph.Graph) error               { return s.st.Snapshot(g) }
-func (s snapshotOnly) SnapshotPQ(g *graph.Graph, q *pq.Quantizer) error {
-	return s.st.SnapshotPQ(g, q)
 }
 
 func parseMetric(s string) (vec.Metric, error) {

@@ -228,8 +228,8 @@ func TestGracefulShutdownAndRecovery(t *testing.T) {
 }
 
 // TestShardedServeAndRecovery runs the binary at -shards 2: the state
-// directory grows shard-<i>/ subdirectories plus a MANIFEST pinning the
-// count, stats expose the per-shard breakdown, and a restart with no
+// directory grows epoch-0/shard-<i>/ subdirectories plus a MANIFEST
+// pinning the count, stats expose the per-shard breakdown, and a restart with no
 // -shards flag at all recovers the same sharded index — the directory,
 // not the command line, is the source of truth for the shard count.
 func TestShardedServeAndRecovery(t *testing.T) {
@@ -254,7 +254,7 @@ func TestShardedServeAndRecovery(t *testing.T) {
 	// First life: reshard the prebuilt index into two shards and serve.
 	p := startServer(t, bin, "-index", idx, "-snapshot-dir", snapDir,
 		"-shards", "2", "-fix-batch", "16")
-	for _, path := range []string{"MANIFEST", "shard-0", "shard-1"} {
+	for _, path := range []string{"MANIFEST", "epoch-0/shard-0", "epoch-0/shard-1"} {
 		if _, err := os.Stat(filepath.Join(snapDir, path)); err != nil {
 			t.Fatalf("sharded state layout missing %s: %v", path, err)
 		}

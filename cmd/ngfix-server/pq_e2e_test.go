@@ -56,7 +56,7 @@ func TestPQServeAndRecovery(t *testing.T) {
 
 	// The final snapshot must carry the quantizer sidecar — that is what
 	// makes the next life an attach instead of a retrain.
-	sidecars, err := filepath.Glob(filepath.Join(snapDir, "pq-*.ngpq"))
+	sidecars, err := filepath.Glob(filepath.Join(snapDir, "epoch-0", "shard-0", "pq-*.ngpq"))
 	if err != nil || len(sidecars) == 0 {
 		t.Fatalf("no pq sidecar in %s after shutdown (err %v)", snapDir, err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -273,10 +274,8 @@ func TestLiveReshardEndToEnd(t *testing.T) {
 			t.Fatalf("child shard dir %s missing: %v", dir, err)
 		}
 	}
-	for _, old := range []string{"shard-0", "shard-1"} {
-		if _, err := os.Stat(filepath.Join(snapDir, old)); !os.IsNotExist(err) {
-			t.Fatalf("retired parent %s not reclaimed (err %v)", old, err)
-		}
+	if _, err := os.Stat(persist.EpochDir(snapDir, 0)); !os.IsNotExist(err) {
+		t.Fatalf("retired epoch-0 parents not reclaimed (err %v)", err)
 	}
 }
 
@@ -315,6 +314,15 @@ func TestOfflineReshardCLI(t *testing.T) {
 	if out, err := exec.Command(bin, "-reshard").CombinedOutput(); err == nil {
 		t.Fatalf("-reshard without -snapshot-dir succeeded:\n%s", out)
 	}
+	// Nor does a fresh directory get laid out at some shard count by a
+	// split that has nothing to split.
+	fresh := filepath.Join(work, "fresh")
+	if out, err := exec.Command(bin, "-reshard", "-snapshot-dir", fresh).CombinedOutput(); err == nil {
+		t.Fatalf("-reshard on a fresh directory succeeded:\n%s", out)
+	}
+	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+		t.Fatalf("-reshard created the fresh directory %s (err %v)", fresh, err)
+	}
 
 	if out, err := exec.Command(bin, "-reshard", "-snapshot-dir", snapDir).CombinedOutput(); err != nil {
 		t.Fatalf("-reshard: %v\n%s", err, out)
@@ -336,4 +344,88 @@ func TestOfflineReshardCLI(t *testing.T) {
 		t.Fatalf("inserted id %d lost across offline reshard: %+v", ir.ID, sr.Results)
 	}
 	p2.terminate(t)
+}
+
+// TestUnreadableLayoutRefused: the server and -reshard refuse a snapshot
+// directory written in a layout this binary does not read, naming it,
+// before anything in it is resolved, written, removed or renamed — even
+// with -base on the command line, which must not rebuild over it.
+func TestUnreadableLayoutRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the server binary")
+	}
+	work := t.TempDir()
+	bin := buildServerBinary(t, work)
+	base := filepath.Join(work, "base.ngfx")
+	if err := dataset.SaveMatrix(base, vec.NewMatrix(4, 2)); err != nil {
+		t.Fatal(err)
+	}
+	snap, wal := "snapshot-0000000000000001.ngsnap", "oplog-0000000000000001.wal"
+	for name, files := range map[string]map[string]string{
+		"manifest-less root": {snap: "snap", wal: "wal"},
+		"v1 manifest":        {"MANIFEST": `{"version":1,"shards":2}`, "shard-0/" + snap: "s0", "shard-1/" + snap: "s1"},
+		"v2 manifest":        {"MANIFEST": `{"version":2,"shards":4,"epoch":1}`, "epoch-1/shard-0/" + snap: "s0"},
+		"v2 manifest with reshard intent": {
+			"MANIFEST":        `{"version":2,"shards":2}`,
+			"RESHARD":         `{"version":1,"fromShards":2,"toShards":4,"fromEpoch":0,"toEpoch":1}`,
+			"shard-0/" + snap: "s0", "epoch-1/shard-0/" + snap: "staged",
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "state")
+			for rel, body := range files {
+				path := filepath.Join(dir, rel)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirBytes(t, dir)
+			for _, argv := range [][]string{
+				{"-addr", fmt.Sprintf("127.0.0.1:%d", freePort(t)), "-snapshot-dir", dir, "-base", base},
+				{"-reshard", "-snapshot-dir", dir},
+			} {
+				// A binary that accepts the directory may serve forever; the
+				// timeout turns that into a failure instead of a hang.
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				out, err := exec.CommandContext(ctx, bin, argv...).CombinedOutput()
+				cancel()
+				if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+					t.Fatalf("%v: err %v, want exit status 1; output:\n%s", argv, err, out)
+				}
+				if !bytes.Contains(out, []byte(dir)) {
+					t.Fatalf("%v: refusal does not name %s:\n%s", argv, dir, out)
+				}
+				if after := dirBytes(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+					t.Fatalf("%v touched the tree:\nbefore %v\nafter  %v", argv, before, after)
+				}
+			}
+		})
+	}
+}
+
+// dirBytes maps every entry under root to its contents (directories to
+// "/").
+func dirBytes(t *testing.T, root string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			tree[rel] = "/"
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		tree[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }

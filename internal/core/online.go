@@ -322,9 +322,8 @@ func (o *OnlineFixer) OnlineStats() OnlineStats {
 }
 
 // Signals is the snapshot a repair controller decides on: how much
-// repair signal is waiting (and being lost), and whether durability is
-// failing. Every field is cheap to read — a controller polls this on
-// every tick.
+// repair signal is waiting, and how much is being lost. Every field is
+// cheap to read — a controller polls this on every tick.
 type Signals struct {
 	// Pending is the recorded-query buffer depth; BatchCap is its
 	// capacity (the configured batch size). Pending == BatchCap means
@@ -335,29 +334,15 @@ type Signals struct {
 	// lifetime (monotone). A rising delta means repair signal is being
 	// lost faster than batches consume it.
 	Shed int
-	// WALErrors and Degraded mirror OnlineStats: durability failures the
-	// fixer absorbed, and whether the last one is still uncleared.
-	WALErrors int
-	Degraded  bool
 }
 
-// Signals returns the fixer's repair-trigger snapshot. The queue fields
-// and the batch/durability fields are read under different leaf locks,
-// so they may drift by one in-flight query relative to each other —
-// trigger inputs, not invariants.
+// Signals returns the fixer's repair-trigger snapshot. It takes only the
+// recording lock (the batch size is immutable), so a controller tick
+// never queues behind a writer holding the index lock.
 func (o *OnlineFixer) Signals() Signals {
 	o.qmu.Lock()
-	pending, shed := o.pending.count, o.shed
-	o.qmu.Unlock()
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return Signals{
-		Pending:   pending,
-		BatchCap:  o.batchSize,
-		Shed:      shed,
-		WALErrors: o.walErrs,
-		Degraded:  o.lastWALErr != nil,
-	}
+	defer o.qmu.Unlock()
+	return Signals{Pending: o.pending.count, BatchCap: o.batchSize, Shed: o.shed}
 }
 
 // Dim returns the index dimensionality. Dimensionality is immutable for

@@ -9,7 +9,8 @@ import (
 )
 
 // Signals must report the trigger inputs exactly: queue depth and
-// capacity, lifetime sheds, and the durability state.
+// capacity, and lifetime sheds. Durability state is OnlineStats' and
+// Degraded's to report.
 func TestSignalsSnapshot(t *testing.T) {
 	d, g := testWorkload(t)
 	ix := New(g, Options{Rounds: []Round{{K: 15}}, LEx: 32})
@@ -17,7 +18,7 @@ func TestSignalsSnapshot(t *testing.T) {
 	o := NewOnlineFixer(ix, OnlineConfig{BatchSize: 4, WAL: wal})
 
 	sig := o.Signals()
-	if sig.Pending != 0 || sig.Shed != 0 || sig.Degraded {
+	if sig.Pending != 0 || sig.Shed != 0 || o.Degraded() {
 		t.Fatalf("fresh fixer signals = %+v, want zero", sig)
 	}
 	if sig.BatchCap != 4 {
@@ -41,9 +42,30 @@ func TestSignalsSnapshot(t *testing.T) {
 
 	wal.fail = errTestWAL
 	o.Insert(append([]float32(nil), d.History.Row(0)...))
-	sig = o.Signals()
-	if sig.WALErrors != 1 || !sig.Degraded {
-		t.Fatalf("after failed append: WALErrors=%d degraded=%v, want 1 and true", sig.WALErrors, sig.Degraded)
+	if st := o.OnlineStats(); st.WALErrors != 1 || !o.Degraded() {
+		t.Fatalf("after failed append: WALErrors=%d degraded=%v, want 1 and true", st.WALErrors, o.Degraded())
+	}
+}
+
+// TestSignalsIgnoreIndexLock: a repair controller's tick must not queue
+// behind a writer holding the index lock (say, across a slow WAL
+// append), so Signals returns while another goroutine holds o.mu.
+func TestSignalsIgnoreIndexLock(t *testing.T) {
+	_, g := testWorkload(t)
+	o := NewOnlineFixer(New(g, Options{LEx: 32}), OnlineConfig{BatchSize: 4})
+	o.mu.Lock()
+	done := make(chan Signals, 1)
+	go func() { done <- o.Signals() }()
+	select {
+	case sig := <-done:
+		o.mu.Unlock()
+		if sig.BatchCap != 4 {
+			t.Fatalf("BatchCap = %d, want 4", sig.BatchCap)
+		}
+	case <-time.After(2 * time.Second):
+		o.mu.Unlock()
+		<-done
+		t.Fatal("Signals blocked behind the index write lock")
 	}
 }
 

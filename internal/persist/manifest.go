@@ -7,50 +7,34 @@ import (
 	"io"
 	"io/fs"
 	"path/filepath"
+	"strings"
 )
 
-// ManifestName is the file at the root of a sharded snapshot directory
-// recording the shard count. A single-shard directory deliberately has no
-// manifest: its layout is byte-identical to the pre-sharding store, so a
-// pre-refactor directory recovers unchanged and a directory written today
-// at one shard recovers under the old binary.
+// ManifestName is the file at the root of every snapshot directory,
+// recording the shard count and the epoch directory that holds them.
 const ManifestName = "MANIFEST"
 
-// Manifest versions this binary understands. Version 1 is the original
-// flat layout (shard-<i>/ under the root, or the root itself at one
-// shard). Version 2 adds Epoch: a live reshard doubles the shard count
-// and lands the new shards under epoch-<e>/shard-<i>, so the old and new
-// topologies coexist on disk until the manifest commits the switch.
-const (
-	minManifestVersion = 1
-	maxManifestVersion = 2
-)
+// manifestVersion is the one layout this binary reads and writes: every
+// shard lives at epoch-<e>/shard-<i>/, epoch 0 and a single shard
+// included. Versions 1 and 2 kept epoch 0 (or a single shard) at the
+// root; their directories are refused rather than misread, and an older
+// binary refuses version 3 for the same reason.
+const manifestVersion = 3
 
-// Manifest describes a sharded snapshot directory. The shard count is
-// fixed per epoch: routing is a stable function of the vector id and the
-// count, so changing it requires a reshard (see BeginReshard), which
-// doubles the count into a fresh epoch and commits by rewriting this
-// file.
+// Manifest describes a snapshot directory. The shard count is fixed per
+// epoch: routing is a stable function of the vector id and the count, so
+// changing it requires a reshard (see BeginReshard), which doubles the
+// count into a fresh epoch and commits by rewriting this file.
 type Manifest struct {
 	Version int `json:"version"`
 	Shards  int `json:"shards"`
-	// Epoch is the reshard generation: 0 is the original layout, each
-	// committed N→2N reshard increments it and moves the shard
-	// directories under epoch-<e>/. Requires Version ≥ 2.
-	Epoch int `json:"epoch,omitempty"`
-}
-
-// ShardDir returns the directory shard i of a sharded store lives in:
-// <root>/shard-<i>. Single-shard stores use the root directly (see
-// OpenSharded).
-func ShardDir(root string, i int) string {
-	return filepath.Join(root, fmt.Sprintf("shard-%d", i))
+	// Epoch is the reshard generation: each committed N→2N reshard
+	// increments it, and its shards live under epoch-<e>/.
+	Epoch int `json:"epoch"`
 }
 
 // ReadManifest loads the manifest from root. ok is false when no manifest
-// exists — a legacy single-shard or fresh directory, which the caller
-// disambiguates by probing for snapshots. A nil fsys uses the real
-// filesystem.
+// exists. A nil fsys uses the real filesystem.
 func ReadManifest(fsys FS, root string) (m Manifest, ok bool, err error) {
 	if fsys == nil {
 		fsys = osFS{}
@@ -68,142 +52,69 @@ func ReadManifest(fsys FS, root string) (m Manifest, ok bool, err error) {
 		return Manifest{}, false, fmt.Errorf("persist: read manifest: %w", err)
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
-		return Manifest{}, false, fmt.Errorf("persist: decode manifest: %w", err)
+		return Manifest{}, false, fmt.Errorf("persist: %s: decode manifest: %w", root, err)
 	}
-	// Refuse versions we do not understand: a newer binary may have
-	// changed the layout semantics (a post-reshard epoch directory, say),
-	// and serving through a misread manifest silently misroutes ids.
-	// Failing loudly here is the only safe answer.
-	if m.Version < minManifestVersion || m.Version > maxManifestVersion {
+	// Serving through a misread manifest silently misroutes ids, or
+	// rebuilds over live state from an empty shard directory: refuse
+	// every version but the one layout this binary writes.
+	switch {
+	case m.Version > 0 && m.Version < manifestVersion:
 		return Manifest{}, false, fmt.Errorf(
-			"persist: manifest version %d not supported (this binary understands %d..%d); refusing to guess the layout",
-			m.Version, minManifestVersion, maxManifestVersion)
-	}
-	if m.Epoch != 0 && m.Version < 2 {
-		return Manifest{}, false, fmt.Errorf("persist: manifest declares epoch %d at version %d (epochs need version 2)", m.Epoch, m.Version)
-	}
-	if m.Epoch < 0 {
-		return Manifest{}, false, fmt.Errorf("persist: manifest declares negative epoch %d", m.Epoch)
-	}
-	if m.Shards < 1 {
-		return Manifest{}, false, fmt.Errorf("persist: manifest declares %d shards", m.Shards)
+			"persist: %s has a version %d manifest, a layout that keeps epoch 0 at the root, which this binary does not read; rebuild the index into a fresh directory",
+			root, m.Version)
+	case m.Version != manifestVersion:
+		return Manifest{}, false, fmt.Errorf(
+			"persist: %s: manifest version %d not supported (this binary understands %d); refusing to guess the layout",
+			root, m.Version, manifestVersion)
+	case m.Epoch < 0:
+		return Manifest{}, false, fmt.Errorf("persist: %s: manifest declares negative epoch %d", root, m.Epoch)
+	case m.Shards < 1:
+		return Manifest{}, false, fmt.Errorf("persist: %s: manifest declares %d shards", root, m.Shards)
 	}
 	return m, true, nil
 }
 
-// WriteManifest atomically publishes m at root (tmp file, fsync, rename,
-// directory sync — the same durability discipline as a snapshot). It is
-// written once, when a multi-shard directory is first created.
+// WriteManifest atomically publishes m at root, at the current format
+// version, with the same durability discipline as a snapshot.
 func WriteManifest(fsys FS, root string, m Manifest) error {
 	if fsys == nil {
 		fsys = osFS{}
 	}
-	if m.Shards < 1 {
-		return fmt.Errorf("persist: manifest must declare at least 1 shard, got %d", m.Shards)
+	if m.Shards < 1 || m.Epoch < 0 {
+		return fmt.Errorf("persist: manifest must declare at least 1 shard and a non-negative epoch, got %+v", m)
 	}
-	if m.Version == 0 {
-		m.Version = 1
-		if m.Epoch != 0 {
-			m.Version = 2
-		}
-	}
-	if m.Epoch != 0 && m.Version < 2 {
-		return fmt.Errorf("persist: manifest epoch %d needs version 2, got %d", m.Epoch, m.Version)
-	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("persist: encode manifest: %w", err)
-	}
-	if err := fsys.MkdirAll(root); err != nil {
-		return fmt.Errorf("persist: create dir: %w", err)
-	}
-	path := filepath.Join(root, ManifestName)
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("persist: create manifest: %w", err)
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return fmt.Errorf("persist: write manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return fmt.Errorf("persist: sync manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("persist: close manifest: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("persist: publish manifest: %w", err)
-	}
-	return fsys.SyncDir(root)
+	m.Version = manifestVersion
+	return writeFileAtomic(fsys, root, ManifestName, m)
 }
 
-// OpenSharded opens (or lays out) the stores for an n-shard index under
-// root. One shard uses root itself — byte-compatible with the
-// pre-sharding layout, so existing directories recover unchanged — while
-// n > 1 opens shard-<i> subdirectories, each an independent Store with
+// EpochDir returns the directory epoch e's shard tree lives under:
+// <root>/epoch-<e>.
+func EpochDir(root string, epoch int) string {
+	return filepath.Join(root, fmt.Sprintf("epoch-%d", epoch))
+}
+
+// ShardDirAt returns the directory shard i of epoch e lives in:
+// <root>/epoch-<e>/shard-<i>.
+func ShardDirAt(root string, epoch, i int) string {
+	return filepath.Join(EpochDir(root, epoch), fmt.Sprintf("shard-%d", i))
+}
+
+// OpenSharded opens (or lays out) the stores of an n-shard index at
+// epoch 0 under root.
+func OpenSharded(root string, n int, opts Options) ([]*Store, error) {
+	return OpenShardedAt(root, n, 0, opts)
+}
+
+// OpenShardedAt opens (or lays out) the n stores of epoch e under root,
+// one per epoch-<e>/shard-<i> directory, each an independent Store with
 // its own snapshot generations and op log. Shards therefore fail, stall,
 // and snapshot independently; recovery tolerates them sitting at
 // different generations.
 //
-// OpenSharded does not read or write the manifest: the caller resolves
-// the shard count first (ResolveShards) so flag/manifest conflicts are
-// reported before any directory is touched.
-func OpenSharded(root string, n int, opts Options) ([]*Store, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("persist: shard count %d", n)
-	}
-	if n == 1 {
-		st, err := Open(root, opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Store{st}, nil
-	}
-	stores := make([]*Store, n)
-	for i := range stores {
-		st, err := Open(ShardDir(root, i), opts)
-		if err != nil {
-			return nil, fmt.Errorf("persist: open shard %d: %w", i, err)
-		}
-		stores[i] = st
-	}
-	return stores, nil
-}
-
-// EpochDir returns the directory epoch e's shard tree lives under.
-// Epoch 0 is the root itself (the original flat layout).
-func EpochDir(root string, epoch int) string {
-	if epoch == 0 {
-		return root
-	}
-	return filepath.Join(root, fmt.Sprintf("epoch-%d", epoch))
-}
-
-// ShardDirAt returns the directory shard i of epoch e lives in. Epoch 0
-// keeps the original layout (shard-<i>/ under the root, or — for the
-// single-shard case resolved by OpenSharded — the root itself); later
-// epochs always use epoch-<e>/shard-<i>, even for one shard.
-func ShardDirAt(root string, epoch, i int) string {
-	if epoch == 0 {
-		return ShardDir(root, i)
-	}
-	return filepath.Join(EpochDir(root, epoch), fmt.Sprintf("shard-%d", i))
-}
-
-// OpenShardedAt is OpenSharded for an explicit epoch: epoch 0 delegates
-// to OpenSharded (keeping the legacy single-shard root layout), later
-// epochs open epoch-<e>/shard-<i> for every shard.
+// OpenShardedAt does not read or write the manifest: the caller resolves
+// the layout first (ResolveLayout) so flag/manifest conflicts and
+// unreadable directories are reported before any directory is touched.
 func OpenShardedAt(root string, n, epoch int, opts Options) ([]*Store, error) {
-	if epoch == 0 {
-		return OpenSharded(root, n, opts)
-	}
 	if n < 1 {
 		return nil, fmt.Errorf("persist: shard count %d", n)
 	}
@@ -226,16 +137,17 @@ type Layout struct {
 }
 
 // ResolveLayout decides the effective topology for root given the
-// -shards flag, resolving any crashed reshard first: a RESHARD intent
-// whose target manifest committed finishes (GC of the old side), one
-// that did not aborts (GC of the staged side) — so recovery always lands
-// on exactly the old or the new topology, never a mix.
+// -shards flag. A directory this binary cannot read (an old manifest
+// version, or a snapshot or op log at the root with no manifest) is
+// refused before anything in it is touched. Otherwise any crashed
+// reshard is resolved first: a RESHARD intent whose target manifest
+// committed finishes (GC of the old epoch), one that did not aborts (GC
+// of the staged epoch) — so recovery always lands on exactly the old or
+// the new topology, never a mix.
 //
-// After that, the usual rules: a manifest pins shard count and epoch (a
-// conflicting explicit flag is an error); a manifest-less directory with
-// state is a legacy single-shard store (an explicit -shards > 1 over it
-// is an error); a fresh directory takes the flag and, above one shard,
-// gets a manifest written before any shard directory exists.
+// After that, a manifest pins shard count and epoch (a conflicting
+// explicit flag is an error), and a fresh directory takes the flag and
+// gets its epoch-0 manifest before any shard directory exists.
 //
 // flagSet distinguishes "operator typed -shards" from the default, so a
 // bare restart of a 4-shard server needs no flags.
@@ -243,36 +155,23 @@ func ResolveLayout(fsys FS, root string, flagShards int, flagSet bool) (Layout, 
 	if flagShards < 1 {
 		return Layout{}, fmt.Errorf("persist: -shards must be at least 1, got %d", flagShards)
 	}
-	if err := resolveReshardCrash(fsys, root); err != nil {
-		return Layout{}, err
-	}
-	m, ok, err := ReadManifest(fsys, root)
+	m, ok, err := readLayout(fsys, root)
 	if err != nil {
 		return Layout{}, err
 	}
-	if ok {
-		if flagSet && flagShards != m.Shards {
-			return Layout{}, fmt.Errorf("persist: %s was built with %d shards; -shards %d cannot change that (routing is a function of the shard count; use a reshard to grow it)", root, m.Shards, flagShards)
-		}
-		return Layout{Shards: m.Shards, Epoch: m.Epoch}, nil
-	}
-	// No manifest: probe for legacy single-shard state at the root.
-	probe, err := Open(root, Options{FS: fsys})
-	if err != nil {
-		return Layout{}, err
-	}
-	if probe.HasState() {
-		if flagSet && flagShards != 1 {
-			return Layout{}, fmt.Errorf("persist: %s holds single-shard state; it cannot be re-sharded to %d in place by a flag (run a reshard, or rebuild into a fresh directory)", root, flagShards)
-		}
-		return Layout{Shards: 1}, nil
-	}
-	if flagShards > 1 {
-		if err := WriteManifest(fsys, root, Manifest{Shards: flagShards}); err != nil {
+	if !ok {
+		m = Manifest{Shards: flagShards}
+		if err := WriteManifest(fsys, root, m); err != nil {
 			return Layout{}, err
 		}
 	}
-	return Layout{Shards: flagShards}, nil
+	if err := resolveReshardCrash(fsys, root, m); err != nil {
+		return Layout{}, err
+	}
+	if flagSet && flagShards != m.Shards {
+		return Layout{}, fmt.Errorf("persist: %s was built with %d shards; -shards %d cannot change that (routing is a function of the shard count; use a reshard to grow it)", root, m.Shards, flagShards)
+	}
+	return Layout{Shards: m.Shards, Epoch: m.Epoch}, nil
 }
 
 // PeekLayout reads root's topology without resolving reshard crashes
@@ -280,37 +179,46 @@ func ResolveLayout(fsys FS, root string, flagShards int, flagSet bool) (Layout, 
 // tailing a leader's directory) that must never mutate a tree another
 // process owns. A pending RESHARD intent is reported as the old
 // topology: until the target manifest commits, that is what the owner's
-// recovery would keep.
+// recovery would keep. A fresh directory reports the flag's count at
+// epoch 0, the layout its owner will write.
 func PeekLayout(fsys FS, root string, flagShards int, flagSet bool) (Layout, error) {
 	if flagShards < 1 {
 		return Layout{}, fmt.Errorf("persist: -shards must be at least 1, got %d", flagShards)
 	}
-	m, ok, err := ReadManifest(fsys, root)
+	m, ok, err := readLayout(fsys, root)
 	if err != nil {
 		return Layout{}, err
 	}
-	if ok {
-		if flagSet && flagShards != m.Shards {
-			return Layout{}, fmt.Errorf("persist: %s is a %d-shard tree; -shards %d conflicts with it", root, m.Shards, flagShards)
-		}
-		return Layout{Shards: m.Shards, Epoch: m.Epoch}, nil
+	if !ok {
+		return Layout{Shards: flagShards}, nil
 	}
-	if flagSet && flagShards != 1 {
-		return Layout{}, fmt.Errorf("persist: %s has no manifest (single-shard or empty); -shards %d conflicts with it", root, flagShards)
+	if flagSet && flagShards != m.Shards {
+		return Layout{}, fmt.Errorf("persist: %s is a %d-shard tree; -shards %d conflicts with it", root, m.Shards, flagShards)
 	}
-	return Layout{Shards: 1}, nil
+	return Layout{Shards: m.Shards, Epoch: m.Epoch}, nil
 }
 
-// ResolveShards is ResolveLayout for callers that predate epochs. It
-// refuses a post-reshard (epoch > 0) directory so a caller that would
-// open the flat layout fails loudly instead of reading the wrong tree.
-func ResolveShards(fsys FS, root string, flagShards int, flagSet bool) (int, error) {
-	l, err := ResolveLayout(fsys, root, flagShards, flagSet)
-	if err != nil {
-		return 0, err
+// readLayout reads root's manifest without writing anything, refusing a
+// directory this binary cannot read: a manifest at another version, or
+// no manifest but a snapshot or op log at the root — the single-shard
+// layout from before manifests. ok is false for a fresh directory.
+func readLayout(fsys FS, root string) (m Manifest, ok bool, err error) {
+	if fsys == nil {
+		fsys = osFS{}
 	}
-	if l.Epoch != 0 {
-		return 0, fmt.Errorf("persist: %s is at reshard epoch %d; this code path only understands the flat layout (use ResolveLayout)", root, l.Epoch)
+	if m, ok, err = ReadManifest(fsys, root); err != nil || ok {
+		return m, ok, err
 	}
-	return l.Shards, nil
+	names, err := fsys.ReadDir(root)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return Manifest{}, false, fmt.Errorf("persist: scan %s: %w", root, err)
+	}
+	for _, name := range names {
+		if strings.HasPrefix(name, snapPrefix) || strings.HasPrefix(name, logPrefix) {
+			return Manifest{}, false, fmt.Errorf(
+				"persist: %s holds %s at its root and no MANIFEST, a single-shard layout this binary does not read; rebuild the index into a fresh directory",
+				root, name)
+		}
+	}
+	return Manifest{}, false, nil
 }

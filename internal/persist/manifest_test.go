@@ -3,6 +3,7 @@ package persist
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	if m.Shards != 4 || m.Version != 1 {
+	if m.Shards != 4 || m.Version != manifestVersion {
 		t.Fatalf("manifest %+v", m)
 	}
 	// Garbage manifests are an error, not a silent single-shard fallback.
@@ -48,61 +49,19 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResolveShards(t *testing.T) {
-	// Fresh dir + explicit -shards 4: manifest written, count honored.
-	dir := t.TempDir()
-	n, err := ResolveShards(nil, dir, 4, true)
-	if err != nil || n != 4 {
-		t.Fatalf("fresh: n=%d err=%v", n, err)
-	}
-	// Restart without the flag: manifest pins the count.
-	n, err = ResolveShards(nil, dir, 1, false)
-	if err != nil || n != 4 {
-		t.Fatalf("restart: n=%d err=%v", n, err)
-	}
-	// Conflicting explicit flag is refused.
-	if _, err := ResolveShards(nil, dir, 2, true); err == nil {
-		t.Fatal("shard-count change accepted")
-	}
-
-	// Legacy dir (snapshots at the root, no manifest) resolves to 1 and
-	// refuses explicit re-sharding.
-	legacy := t.TempDir()
-	st, err := Open(legacy, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Snapshot(tinyGraph(t, 3)); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	n, err = ResolveShards(nil, legacy, 1, false)
-	if err != nil || n != 1 {
-		t.Fatalf("legacy: n=%d err=%v", n, err)
-	}
-	if _, err := ResolveShards(nil, legacy, 4, true); err == nil {
-		t.Fatal("re-sharding a legacy dir accepted")
-	}
-	// Resolving must not have added a manifest: the single-shard layout
-	// stays byte-compatible with the pre-sharding store.
-	if _, err := os.Stat(filepath.Join(legacy, ManifestName)); !os.IsNotExist(err) {
-		t.Fatalf("manifest appeared in a single-shard dir: %v", err)
-	}
-}
-
 // TestPeekLayout: the read-only topology probe a follower uses on a
 // directory it does not own — it must report the current (pre-intent)
 // topology and never resolve a reshard crash it finds there.
 func TestPeekLayout(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := ResolveShards(nil, dir, 2, true); err != nil {
+	if _, err := ResolveLayout(nil, dir, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	l, err := PeekLayout(nil, dir, 1, false)
 	if err != nil || l.Shards != 2 || l.Epoch != 0 {
 		t.Fatalf("peek: %+v err=%v", l, err)
 	}
-	// Conflicting explicit flag is refused, matching ResolveShards.
+	// Conflicting explicit flag is refused, matching ResolveLayout.
 	if _, err := PeekLayout(nil, dir, 3, true); err == nil {
 		t.Fatal("conflicting -shards accepted")
 	}
@@ -137,14 +96,15 @@ func TestPeekLayout(t *testing.T) {
 		t.Fatalf("peek post-commit: %+v err=%v", l, err)
 	}
 
-	// Manifest-less dir: single-shard default, explicit -shards refused.
+	// A fresh dir reports the flag's count at epoch 0 — the layout its
+	// owner will write — and peeking writes nothing.
 	bare := t.TempDir()
-	l, err = PeekLayout(nil, bare, 1, false)
-	if err != nil || l.Shards != 1 || l.Epoch != 0 {
-		t.Fatalf("bare peek: %+v err=%v", l, err)
+	l, err = PeekLayout(nil, bare, 2, true)
+	if err != nil || l.Shards != 2 || l.Epoch != 0 {
+		t.Fatalf("fresh peek: %+v err=%v", l, err)
 	}
-	if _, err := PeekLayout(nil, bare, 2, true); err == nil {
-		t.Fatal("re-sharding a manifest-less dir accepted by peek")
+	if entries, err := os.ReadDir(bare); err != nil || len(entries) != 0 {
+		t.Fatalf("peek wrote into a fresh dir: %v err=%v", entries, err)
 	}
 }
 
@@ -158,7 +118,7 @@ func TestOpenShardedLayout(t *testing.T) {
 		t.Fatalf("stores = %d", len(stores))
 	}
 	for i, st := range stores {
-		want := ShardDir(root, i)
+		want := ShardDirAt(root, 0, i)
 		if st.Dir() != want {
 			t.Fatalf("shard %d dir %q, want %q", i, st.Dir(), want)
 		}
@@ -189,22 +149,123 @@ func TestOpenShardedLayout(t *testing.T) {
 		t.Fatalf("shard 1 recovered %d vectors, want 5", g.Len())
 	}
 
-	// One shard uses the root itself: no subdirectories, no manifest.
+	// One shard is laid out like any other count: epoch-0/shard-0, and
+	// ResolveLayout gives the fresh directory its manifest.
 	single := t.TempDir()
+	if _, err := ResolveLayout(nil, single, 1, false); err != nil {
+		t.Fatal(err)
+	}
 	ss, err := OpenSharded(single, 1, Options{NoSync: true})
 	if err != nil || len(ss) != 1 {
 		t.Fatalf("single: %v", err)
 	}
-	if ss[0].Dir() != single {
-		t.Fatalf("single-shard dir %q, want root %q", ss[0].Dir(), single)
+	if want := filepath.Join(single, "epoch-0", "shard-0"); ss[0].Dir() != want {
+		t.Fatalf("single-shard dir %q, want %q", ss[0].Dir(), want)
 	}
-	entries, err := os.ReadDir(single)
+	if err := ss[0].Snapshot(tinyGraph(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	ss[0].Close()
+	if m, ok, err := ReadManifest(nil, single); err != nil || !ok || m.Shards != 1 || m.Epoch != 0 {
+		t.Fatalf("single-shard manifest %+v ok=%v err=%v", m, ok, err)
+	}
+	// And it recovers after a restart.
+	l, err := ResolveLayout(nil, single, 1, false)
+	if err != nil || l != (Layout{Shards: 1}) {
+		t.Fatalf("single-shard restart layout %+v err=%v", l, err)
+	}
+	re1, err := OpenShardedAt(single, l.Shards, l.Epoch, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "shard-") || e.Name() == ManifestName {
-			t.Fatalf("single-shard layout polluted with %s", e.Name())
-		}
+	defer re1[0].Close()
+	if g, err := re1[0].Load(); err != nil || g.Len() != 3 {
+		t.Fatalf("single-shard restart: %v", err)
 	}
+}
+
+// TestUnreadableLayoutRefused: a directory written in a layout this
+// binary does not read is refused by ResolveLayout and PeekLayout with an
+// error naming it, and nothing in it is resolved, written, removed or
+// renamed.
+func TestUnreadableLayoutRefused(t *testing.T) {
+	for name, files := range unreadableLayouts() {
+		t.Run(name, func(t *testing.T) {
+			root := t.TempDir()
+			for rel, body := range files {
+				writeTestFile(t, filepath.Join(root, rel), body)
+			}
+			before := treeBytes(t, root)
+			if _, err := ResolveLayout(nil, root, 1, false); err == nil || !strings.Contains(err.Error(), root) {
+				t.Fatalf("ResolveLayout: err %v, want a refusal naming %s", err, root)
+			}
+			if _, err := PeekLayout(nil, root, 1, false); err == nil || !strings.Contains(err.Error(), root) {
+				t.Fatalf("PeekLayout: err %v, want a refusal naming %s", err, root)
+			}
+			if after := treeBytes(t, root); !reflect.DeepEqual(after, before) {
+				t.Fatalf("refusal touched the tree:\nbefore %v\nafter  %v", before, after)
+			}
+		})
+	}
+}
+
+// unreadableLayouts are the pre-epoch-0 directory shapes, as relative
+// path → contents: a manifest-less single-shard root, a version-1
+// manifest with shard-<i>/ at the root, a version-2 manifest, and a
+// version-2 manifest with a reshard in flight.
+func unreadableLayouts() map[string]map[string]string {
+	snap := "snapshot-0000000000000001.ngsnap"
+	wal := "oplog-0000000000000001.wal"
+	return map[string]map[string]string{
+		"manifest-less root": {snap: "snap", wal: "wal"},
+		"v1 manifest": {
+			ManifestName:                   `{"version":1,"shards":2}`,
+			filepath.Join("shard-0", snap): "snap0",
+			filepath.Join("shard-1", snap): "snap1",
+		},
+		"v2 manifest": {
+			ManifestName: `{"version":2,"shards":4,"epoch":1}`,
+			filepath.Join("epoch-1", "shard-0", snap): "snap0",
+		},
+		"v2 manifest with reshard intent": {
+			ManifestName:                              `{"version":2,"shards":2}`,
+			ReshardIntentName:                         `{"version":1,"fromShards":2,"toShards":4,"fromEpoch":0,"toEpoch":1}`,
+			filepath.Join("shard-0", snap):            "snap0",
+			filepath.Join("epoch-1", "shard-0", snap): "staged",
+		},
+	}
+}
+
+func writeTestFile(t *testing.T, path, body string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// treeBytes maps every file and directory under root to its contents
+// (directories to "/").
+func treeBytes(t *testing.T, root string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			tree[rel] = "/"
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		tree[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"io/fs"
 	"path/filepath"
-	"strings"
 )
 
 // Reshard durability: the two-phase MANIFEST commit behind live N→2N
@@ -74,7 +73,7 @@ func ReadReshardIntent(fsys FS, root string) (in ReshardIntent, ok bool, err err
 	if in.Version != reshardIntentVersion {
 		return ReshardIntent{}, false, fmt.Errorf("persist: reshard intent version %d not supported (this binary understands %d)", in.Version, reshardIntentVersion)
 	}
-	if in.FromShards < 1 || in.ToShards != 2*in.FromShards || in.ToEpoch != in.FromEpoch+1 {
+	if in.FromShards < 1 || in.FromEpoch < 0 || in.ToShards != 2*in.FromShards || in.ToEpoch != in.FromEpoch+1 {
 		return ReshardIntent{}, false, fmt.Errorf("persist: malformed reshard intent %+v", in)
 	}
 	return in, true, nil
@@ -115,83 +114,48 @@ func BeginReshard(fsys FS, root string, cur Layout) (ReshardIntent, error) {
 // to the intent's target topology. Once the rename lands, recovery
 // resolves to the new topology; before it, to the old one.
 func CommitReshard(fsys FS, root string, in ReshardIntent) error {
-	return WriteManifest(fsys, root, Manifest{Version: 2, Shards: in.ToShards, Epoch: in.ToEpoch})
+	return WriteManifest(fsys, root, Manifest{Shards: in.ToShards, Epoch: in.ToEpoch})
 }
 
 // AbortReshard discards a reshard that has not committed: the staged
 // epoch tree is deleted, then the intent. Safe to call on a partially
 // staged (or never staged) epoch.
 func AbortReshard(fsys FS, root string, in ReshardIntent) error {
-	if fsys == nil {
-		fsys = osFS{}
-	}
-	if err := removeTree(fsys, EpochDir(root, in.ToEpoch)); err != nil {
-		return fmt.Errorf("persist: abort reshard: remove staged epoch %d: %w", in.ToEpoch, err)
-	}
-	if err := fsys.Remove(filepath.Join(root, ReshardIntentName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("persist: abort reshard: remove intent: %w", err)
-	}
-	return fsys.SyncDir(root)
+	return retireEpoch(fsys, root, in.ToEpoch, "abort reshard")
 }
 
-// FinishReshard garbage-collects the losing (old) side of a committed
-// reshard, then drops the intent. The intent is removed only after the
-// GC succeeds, so a crash mid-GC re-runs it on the next recovery.
+// FinishReshard garbage-collects the losing (old) epoch of a committed
+// reshard, then drops the intent.
 func FinishReshard(fsys FS, root string, in ReshardIntent) error {
+	return retireEpoch(fsys, root, in.FromEpoch, "finish reshard")
+}
+
+// retireEpoch deletes epoch's tree, then the intent. The intent is
+// removed only after the tree is gone, so a crash mid-GC re-runs it on
+// the next recovery.
+func retireEpoch(fsys FS, root string, epoch int, what string) error {
 	if fsys == nil {
 		fsys = osFS{}
 	}
-	if in.FromEpoch > 0 {
-		if err := removeTree(fsys, EpochDir(root, in.FromEpoch)); err != nil {
-			return fmt.Errorf("persist: finish reshard: remove epoch %d: %w", in.FromEpoch, err)
-		}
-	} else if in.FromShards > 1 {
-		for i := 0; i < in.FromShards; i++ {
-			if err := removeTree(fsys, ShardDir(root, i)); err != nil {
-				return fmt.Errorf("persist: finish reshard: remove shard %d: %w", i, err)
-			}
-		}
-	} else {
-		// Legacy single-shard layout: the store's files live at the root
-		// itself, next to the MANIFEST and the new epoch tree. Remove only
-		// what a Store owns — snapshots, op logs, pq sidecars, the vector
-		// tier, crashed temporaries — never unknown operator files.
-		names, err := fsys.ReadDir(root)
-		if err != nil {
-			return fmt.Errorf("persist: finish reshard: scan root: %w", err)
-		}
-		for _, name := range names {
-			if strings.HasPrefix(name, snapPrefix) || strings.HasPrefix(name, logPrefix) ||
-				strings.HasPrefix(name, pqPrefix) || strings.HasSuffix(name, ".tmp") ||
-				name == "vectors.tier" {
-				if err := fsys.Remove(filepath.Join(root, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-					return fmt.Errorf("persist: finish reshard: remove %s: %w", name, err)
-				}
-			}
-		}
+	if err := removeTree(fsys, EpochDir(root, epoch)); err != nil {
+		return fmt.Errorf("persist: %s: remove epoch %d: %w", what, epoch, err)
 	}
 	if err := fsys.Remove(filepath.Join(root, ReshardIntentName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("persist: finish reshard: remove intent: %w", err)
+		return fmt.Errorf("persist: %s: remove intent: %w", what, err)
 	}
 	return fsys.SyncDir(root)
 }
 
 // resolveReshardCrash lands a directory with a RESHARD intent on exactly
-// one topology: committed intents finish, uncommitted ones abort. A
-// directory without an intent is untouched.
-func resolveReshardCrash(fsys FS, root string) error {
+// one topology: an intent whose target m already records committed and
+// finishes, any other aborts. A directory without an intent is
+// untouched.
+func resolveReshardCrash(fsys FS, root string, m Manifest) error {
 	in, ok, err := ReadReshardIntent(fsys, root)
-	if err != nil {
+	if err != nil || !ok {
 		return err
 	}
-	if !ok {
-		return nil
-	}
-	m, haveManifest, err := ReadManifest(fsys, root)
-	if err != nil {
-		return err
-	}
-	if haveManifest && m.Shards == in.ToShards && m.Epoch == in.ToEpoch {
+	if m.Shards == in.ToShards && m.Epoch == in.ToEpoch {
 		return FinishReshard(fsys, root, in)
 	}
 	return AbortReshard(fsys, root, in)

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestManifestVersionRejected: a manifest from a future binary (or a
-// corrupted version field) must fail loudly, not be served through.
+// TestManifestVersionRejected: a manifest from another binary (or a
+// corrupted field) must fail loudly, not be served through.
 func TestManifestVersionRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -16,8 +16,8 @@ func TestManifestVersionRejected(t *testing.T) {
 		{"future version", `{"version":99,"shards":4}`},
 		{"zero version", `{"version":0,"shards":4}`},
 		{"negative version", `{"version":-1,"shards":4}`},
-		{"epoch without v2", `{"version":1,"shards":4,"epoch":1}`},
-		{"negative epoch", `{"version":2,"shards":4,"epoch":-1}`},
+		{"version 2", `{"version":2,"shards":4,"epoch":1}`},
+		{"negative epoch", `{"version":3,"shards":4,"epoch":-1}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -27,8 +27,8 @@ func TestManifestVersionRejected(t *testing.T) {
 			if _, _, err := ReadManifest(nil, dir); err == nil {
 				t.Fatalf("manifest %q accepted", tc.body)
 			}
-			// The guard must reach ResolveLayout too, so a pre-reshard
-			// binary pointed at a post-reshard directory refuses to start.
+			// The guard must reach ResolveLayout too, so the server refuses
+			// to start over a directory it would misread.
 			if _, err := ResolveLayout(nil, dir, 1, false); err == nil {
 				t.Fatalf("ResolveLayout accepted manifest %q", tc.body)
 			}
@@ -36,7 +36,7 @@ func TestManifestVersionRejected(t *testing.T) {
 	}
 }
 
-// TestEpochLayout: version-2 manifests round-trip the epoch and
+// TestEpochLayout: manifests round-trip the epoch and
 // OpenShardedAt places shard directories under epoch-<e>/.
 func TestEpochLayout(t *testing.T) {
 	dir := t.TempDir()
@@ -47,7 +47,7 @@ func TestEpochLayout(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	if m.Version != 2 || m.Shards != 4 || m.Epoch != 2 {
+	if m.Version != manifestVersion || m.Shards != 4 || m.Epoch != 2 {
 		t.Fatalf("manifest %+v", m)
 	}
 	l, err := ResolveLayout(nil, dir, 1, false)
@@ -56,10 +56,6 @@ func TestEpochLayout(t *testing.T) {
 	}
 	if l.Shards != 4 || l.Epoch != 2 {
 		t.Fatalf("layout %+v", l)
-	}
-	// The legacy entry point refuses an epoch directory.
-	if _, err := ResolveShards(nil, dir, 1, false); err == nil {
-		t.Fatal("ResolveShards accepted an epoch>0 layout")
 	}
 	stores, err := OpenShardedAt(dir, 4, 2, Options{NoSync: true})
 	if err != nil {
@@ -74,15 +70,13 @@ func TestEpochLayout(t *testing.T) {
 	}
 }
 
-// seedFlatShards lays out a flat n-shard directory with a tiny graph in
+// seedShards lays out a fresh n-shard directory with a tiny graph in
 // each shard and returns the root.
-func seedFlatShards(t *testing.T, n int) string {
+func seedShards(t *testing.T, n int) string {
 	t.Helper()
 	root := t.TempDir()
-	if n > 1 {
-		if _, err := ResolveLayout(nil, root, n, true); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := ResolveLayout(nil, root, n, true); err != nil {
+		t.Fatal(err)
 	}
 	stores, err := OpenSharded(root, n, Options{NoSync: true})
 	if err != nil {
@@ -116,7 +110,7 @@ func stageChildren(t *testing.T, root string, in ReshardIntent) {
 // TestReshardCommitFinish: the happy path — begin, stage, commit, finish —
 // ends on the new topology with the old side reclaimed and no intent left.
 func TestReshardCommitFinish(t *testing.T) {
-	root := seedFlatShards(t, 2)
+	root := seedShards(t, 2)
 	cur, err := ResolveLayout(nil, root, 1, false)
 	if err != nil {
 		t.Fatal(err)
@@ -146,10 +140,8 @@ func TestReshardCommitFinish(t *testing.T) {
 	if l.Shards != 4 || l.Epoch != 1 {
 		t.Fatalf("layout after commit %+v", l)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := os.Stat(ShardDir(root, i)); !os.IsNotExist(err) {
-			t.Fatalf("old shard %d not reclaimed: %v", i, err)
-		}
+	if _, err := os.Stat(EpochDir(root, 0)); !os.IsNotExist(err) {
+		t.Fatalf("old epoch not reclaimed: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(root, ReshardIntentName)); !os.IsNotExist(err) {
 		t.Fatalf("intent survived finish: %v", err)
@@ -213,14 +205,14 @@ func TestReshardCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Simulate dying partway through GC: one old shard already gone.
-			if err := os.RemoveAll(ShardDir(root, 0)); err != nil {
+			if err := os.RemoveAll(ShardDirAt(root, 0, 0)); err != nil {
 				t.Fatal(err)
 			}
 		}, newTopo},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			root := seedFlatShards(t, 2)
+			root := seedShards(t, 2)
 			cur, err := ResolveLayout(nil, root, 1, false)
 			if err != nil {
 				t.Fatal(err)
@@ -249,10 +241,8 @@ func TestReshardCrashRecovery(t *testing.T) {
 				if l.Shards != 4 || l.Epoch != 1 {
 					t.Fatalf("wanted new topology, got %+v", l)
 				}
-				for i := 0; i < 2; i++ {
-					if _, err := os.Stat(ShardDir(root, i)); !os.IsNotExist(err) {
-						t.Fatalf("old shard %d survived finish: %v", i, err)
-					}
+				if _, err := os.Stat(EpochDir(root, 0)); !os.IsNotExist(err) {
+					t.Fatalf("old epoch survived finish: %v", err)
 				}
 			}
 			if _, err := os.Stat(filepath.Join(root, ReshardIntentName)); !os.IsNotExist(err) {
@@ -277,18 +267,17 @@ func TestReshardCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestReshardFromLegacySingleShard: resharding the manifest-less root
-// layout (1→2) must GC only store-owned files at the root, leaving the
-// MANIFEST and the new epoch tree.
-func TestReshardFromLegacySingleShard(t *testing.T) {
-	root := seedFlatShards(t, 1)
-	// An unrelated operator file must survive the GC.
+// TestReshardFromSingleShard: a one-shard directory splits 1→2 like any
+// other count, and finishing reclaims epoch-0/ whole while the MANIFEST,
+// the new epoch and files the store does not own stay.
+func TestReshardFromSingleShard(t *testing.T) {
+	root := seedShards(t, 1)
 	keep := filepath.Join(root, "NOTES.txt")
 	if err := os.WriteFile(keep, []byte("ops"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cur, err := ResolveLayout(nil, root, 1, false)
-	if err != nil || cur.Shards != 1 {
+	if err != nil || cur != (Layout{Shards: 1}) {
 		t.Fatalf("cur=%+v err=%v", cur, err)
 	}
 	in, err := BeginReshard(nil, root, cur)
@@ -306,7 +295,6 @@ func TestReshardFromLegacySingleShard(t *testing.T) {
 	if err != nil || l.Shards != 2 || l.Epoch != 1 {
 		t.Fatalf("layout %+v err=%v", l, err)
 	}
-	// Old root-level snapshot files gone, operator file kept.
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +303,7 @@ func TestReshardFromLegacySingleShard(t *testing.T) {
 		switch e.Name() {
 		case ManifestName, "NOTES.txt", "epoch-1":
 		default:
-			t.Fatalf("unexpected root entry after legacy GC: %s", e.Name())
+			t.Fatalf("unexpected root entry after finish: %s", e.Name())
 		}
 	}
 }
@@ -325,7 +313,7 @@ func TestReshardFromLegacySingleShard(t *testing.T) {
 // point must recover to exactly the old or the new topology.
 func TestReshardCommitTornWrite(t *testing.T) {
 	for budget := 0; ; budget++ {
-		root := seedFlatShards(t, 2)
+		root := seedShards(t, 2)
 		cur, err := ResolveLayout(nil, root, 1, false)
 		if err != nil {
 			t.Fatal(err)

@@ -430,8 +430,8 @@ func TestReshardOnline2to4(t *testing.T) {
 	verifyTopology(t, p.root, want, 4, 1)
 }
 
-// TestReshardPQFromSingleShard: a 1→2 split of a PQ-compressed legacy
-// root store. Children inherit the parent's frozen codebooks with codes
+// TestReshardPQFromSingleShard: a 1→2 split of a PQ-compressed
+// one-shard store. Children inherit the parent's frozen codebooks with codes
 // re-encoded row-stable: child code bytes equal the parent's for the
 // same global id.
 func TestReshardPQFromSingleShard(t *testing.T) {
@@ -440,10 +440,11 @@ func TestReshardPQFromSingleShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := persist.Open(root, persist.Options{NoSync: true})
+	parents, err := persist.OpenSharded(root, 1, persist.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := parents[0]
 	defer st.Close()
 
 	base := vec.NewMatrix(0, testDim)
