@@ -171,6 +171,8 @@ func TestRemovedPolicyFlagsRefused(t *testing.T) {
 		{"-augment-rate", "1"},
 		{"-augment-sigma", "0.5"},
 		{"-oplog=false"},
+		{"-self-replica"},
+		{"-failover-after=1s"},
 	})
 }
 

@@ -110,9 +110,7 @@ func run(args []string) int {
 	slowQueryMS := fl.Int("slow-query-ms", 0, "log every search at or over this many milliseconds (0 disables the slow-query log)")
 	pprofOn := fl.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (profiling data; enable only on trusted networks)")
 	replicaOf := fl.String("replica-of", "", "run as a read-only follower of a leader: a URL (http://host:port, pulls over /v1/replicate/*) or the leader's snapshot directory; serves always-stale searches, no mutations")
-	selfReplica := fl.Bool("self-replica", false, "keep one in-process read replica per shard fed from this server's own stores (needs -snapshot-dir): reads on a frozen or degraded shard fail over to the replica, flagged stale")
-	replicaLagMax := fl.Int64("replica-lag-max", 0, "most WAL bytes a replica may lag and still stand in for its shard (0: any bootstrapped replica serves)")
-	failoverAfter := fl.Duration("failover-after", 150*time.Millisecond, "hedge delay before a primary read is retried on its replica (with -self-replica; 0 fails over only degraded shards)")
+	replicaLagMax := fl.Int64("replica-lag-max", 0, "most WAL bytes a follower's shard replica may lag and still count as ready (0: any bootstrapped replica serves)")
 	replicaPoll := fl.Duration("replica-poll", 100*time.Millisecond, "replica WAL tail cadence")
 	fl.Parse(args)
 	// Every numeric flag against its documented range, in one pass before
@@ -144,7 +142,6 @@ func run(args []string) int {
 		{"repair-max-interval", *repairMaxInterval >= 0, "at least 0s"},
 		{"drain-timeout", *drainTimeout >= 0, "at least 0s"},
 		{"search-timeout", *searchTimeout >= 0, "at least 0s"},
-		{"failover-after", *failoverAfter >= 0, "at least 0s"},
 		{"replica-poll", *replicaPoll > 0, "more than 0s"},
 	} {
 		if !c.ok {
@@ -189,10 +186,7 @@ func run(args []string) int {
 			MaxInterval: *repairMaxInterval,
 			MinBatch:    *repairMinBatch,
 		},
-		replicas: replicaSettings{
-			selfReplica: *selfReplica, lagMax: *replicaLagMax,
-			poll: *replicaPoll, failoverAfter: *failoverAfter,
-		},
+		replicas: replicaSettings{lagMax: *replicaLagMax, poll: *replicaPoll},
 	}
 
 	// --- Topology: a leader recovers, loads or builds its shards; a
@@ -245,23 +239,15 @@ func run(args []string) int {
 	// ngfix_reshard_* families register.
 	var mgr *reshardManager
 	if len(topo.Stores) > 0 {
-		if *selfReplica {
-			// Replicas tail specific parent stores; retiring those under a
-			// running replica set is not supported yet.
-			s.ReshardFunc = func() (int, int, error) {
-				return 0, 0, errors.New("live resharding with -self-replica is not supported; restart without it to reshard")
-			}
-		} else {
-			mgr = &reshardManager{
-				s: s, asm: asm, maint: maint, base: ctx,
-				root: *snapDir, layout: layout, stores: topo.Stores,
-			}
-			if adm != nil {
-				mgr.acquire = adm.TryAcquire
-			}
-			s.ReshardFunc = mgr.Start
-			s.ReshardProgress = mgr.Progress
+		mgr = &reshardManager{
+			s: s, asm: asm, maint: maint, base: ctx,
+			root: *snapDir, layout: layout, stores: topo.Stores,
 		}
+		if adm != nil {
+			mgr.acquire = adm.TryAcquire
+		}
+		s.ReshardFunc = mgr.Start
+		s.ReshardProgress = mgr.Progress
 	}
 	if reg != nil {
 		s.EnableMetrics(reg) // also wires the admission controller's families
@@ -378,12 +364,11 @@ type pqSettings struct {
 	tier          bool
 }
 
-// replicaSettings is the flag-derived replica wiring: -self-replica's
-// standbys and -replica-of's followers share the lag bound and cadence.
+// replicaSettings is the flag-derived wiring of -replica-of's shard
+// replicas: the lag bound and the tail cadence.
 type replicaSettings struct {
-	selfReplica         bool
-	lagMax              int64
-	poll, failoverAfter time.Duration
+	lagMax int64
+	poll   time.Duration
 }
 
 // assembler is the one place a serving topology is built. Startup runs
@@ -405,9 +390,8 @@ type assembler struct {
 // indexes into a ready topology: a shard="<i>" registry per shard (at
 // every shard count, so dashboards need one query shape), online fixers
 // journaling to their stores, compressed serving (preferring the
-// stores' sealed sidecars when preferSidecar), the group, one repair
-// controller per shard, and with -self-replica one read replica per
-// shard.
+// stores' sealed sidecars when preferSidecar), the group, and one repair
+// controller per shard.
 func (a *assembler) assemble(stores []*persist.Store, ixs []*core.Index, preferSidecar bool) (server.Topology, error) {
 	topo := server.Topology{Stores: stores, Registries: a.shardRegistries(len(ixs))}
 	regAt := func(i int) *obs.Registry {
@@ -454,31 +438,6 @@ func (a *assembler) assemble(stores []*persist.Store, ixs []*core.Index, preferS
 		}
 		topo.Repair = repair.NewFleet(ctls...)
 	}
-
-	if a.replicas.selfReplica {
-		srcs := make([]replica.Source, len(stores))
-		for i, st := range stores {
-			srcs[i] = replica.StoreSource{St: st}
-		}
-		if topo.Replicas, err = a.replicaSet(srcs, topo.Registries); err != nil {
-			return server.Topology{}, err
-		}
-		rr := make([]shard.ReadReplica, len(stores))
-		for i := range rr {
-			rr[i] = topo.Replicas.Replica(i)
-		}
-		pol := shard.FailoverPolicy{
-			After: a.replicas.failoverAfter,
-			// A shard whose durability already failed is known-bad: route
-			// its reads to the replica immediately, no hedge delay.
-			Unhealthy: func(sh int) bool { return g.Fixer(sh).Degraded() },
-		}
-		if err := g.SetReplicas(rr, pol); err != nil {
-			return server.Topology{}, fmt.Errorf("attach replicas: %w", err)
-		}
-		log.Printf("self-replica enabled: %d per-shard read replicas, failover after %s, lag max %d bytes",
-			len(rr), a.replicas.failoverAfter, a.replicas.lagMax)
-	}
 	return topo, nil
 }
 
@@ -494,27 +453,6 @@ func (a *assembler) shardRegistries(n int) []*obs.Registry {
 		regs[i] = obs.NewRegistry(obs.Label{Name: "shard", Value: strconv.Itoa(i)})
 	}
 	return regs
-}
-
-// replicaSet builds one read replica per shard source — -self-replica's
-// in-process standbys and -replica-of's followers alike — registering
-// each on its shard's registry (regs is nil with -metrics=false).
-func (a *assembler) replicaSet(srcs []replica.Source, regs []*obs.Registry) (*replica.Set, error) {
-	reps := make([]*replica.Replica, len(srcs))
-	for i, src := range srcs {
-		reps[i] = replica.New(src, replica.Config{
-			Shard: i, Opts: a.opts, LagMax: a.replicas.lagMax, Poll: a.replicas.poll,
-			Logf: log.Printf,
-		})
-		if regs != nil {
-			reps[i].RegisterMetrics(regs[i])
-		}
-	}
-	set, err := replica.NewSet(reps)
-	if err != nil {
-		return nil, fmt.Errorf("assemble replica set: %w", err)
-	}
-	return set, nil
 }
 
 // leaderSource is the flag-derived location of a leader's index: its
@@ -551,9 +489,6 @@ func (a *assembler) lead(src leaderSource) (server.Topology, persist.Layout, err
 		if stores, err = persist.OpenShardedAt(src.snapDir, n, layout.Epoch, persist.Options{}); err != nil {
 			return server.Topology{}, layout, fmt.Errorf("open snapshot dir: %w", err)
 		}
-	}
-	if a.replicas.selfReplica && len(stores) == 0 {
-		return server.Topology{}, layout, errors.New("-self-replica needs -snapshot-dir (replicas tail the store's op log)")
 	}
 
 	var ixs []*core.Index
@@ -646,18 +581,24 @@ func (a *assembler) follow(target string, shards int, shardsFlagSet bool) (serve
 		}
 		n, epoch = l.Shards, l.Epoch
 	}
-	srcs := make([]replica.Source, n)
-	for i := range srcs {
+	topo := server.Topology{Registries: a.shardRegistries(n)}
+	reps := make([]*replica.Replica, n)
+	for i := range reps {
+		var src replica.Source = replica.DirSource{Dir: persist.ShardDirAt(target, epoch, i)}
 		if overHTTP {
-			srcs[i] = replica.HTTPSource{Base: strings.TrimRight(target, "/"), Shard: i}
-		} else {
-			srcs[i] = replica.DirSource{Dir: persist.ShardDirAt(target, epoch, i)}
+			src = replica.HTTPSource{Base: strings.TrimRight(target, "/"), Shard: i}
+		}
+		reps[i] = replica.New(src, replica.Config{
+			Shard: i, Opts: a.opts, LagMax: a.replicas.lagMax, Poll: a.replicas.poll,
+			Logf: log.Printf,
+		})
+		if topo.Registries != nil { // nil with -metrics=false
+			reps[i].RegisterMetrics(topo.Registries[i])
 		}
 	}
-	topo := server.Topology{Registries: a.shardRegistries(n)}
 	var err error
-	if topo.Replicas, err = a.replicaSet(srcs, topo.Registries); err != nil {
-		return server.Topology{}, err
+	if topo.Replicas, err = replica.NewSet(reps); err != nil {
+		return server.Topology{}, fmt.Errorf("assemble replica set: %w", err)
 	}
 	log.Printf("following %s (%d shard replica(s), epoch %d, lag max %d bytes)", target, n, epoch, a.replicas.lagMax)
 	return topo, nil

@@ -56,11 +56,11 @@ func saveTestIndex(t *testing.T, work string, seed int64) (*dataset.Dataset, str
 	return d, idx
 }
 
-// TestMetricsReplicaFamilies is the replica telemetry gate: at -shards 2
-// with -self-replica, /metrics must export every ngfix_replica_* family
-// for both shards, shard-labeled, and the tail must visibly apply the
-// leader's mutations. Named TestMetrics* so the CI metrics-contract job
-// (go test -run 'TestMetrics') picks it up.
+// TestMetricsReplicaFamilies is the replica telemetry gate: a
+// -replica-of follower of a 2-shard leader must export every
+// ngfix_replica_* family for both shards, shard-labeled, and its tail
+// must visibly apply the leader's mutations. Named TestMetrics* so the
+// CI metrics-contract job (go test -run 'TestMetrics') picks it up.
 func TestMetricsReplicaFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the server binary")
@@ -69,25 +69,22 @@ func TestMetricsReplicaFamilies(t *testing.T) {
 	bin := buildServerBinary(t, work)
 	d, idx := saveTestIndex(t, work, 19)
 
-	p := startServer(t, bin, "-index", idx,
-		"-snapshot-dir", filepath.Join(work, "state"),
-		"-shards", "2", "-self-replica", "-replica-poll", "10ms")
-
-	// Both shard replicas bootstrap from the startup snapshots.
-	waitFor(t, 10*time.Second, "both shard replicas ready", func() bool {
-		s := scrapeSamples(t, p.base)
-		return s[`ngfix_replica_ready{shard="0"}`] == 1 && s[`ngfix_replica_ready{shard="1"}`] == 1
-	})
+	leader := startServer(t, bin, "-index", idx,
+		"-snapshot-dir", filepath.Join(work, "state"), "-shards", "2")
+	// startServer blocks on the follower's /readyz: both shard replicas
+	// bootstrapped from the leader's startup snapshots.
+	fol := startServer(t, bin, "-replica-of", leader.base,
+		"-shards", "2", "-replica-poll", "10ms")
 
 	var ins server.InsertResponse
-	p.post(t, "/v1/insert", server.InsertRequest{Vector: d.TestOOD.Row(0)}, &ins)
+	leader.post(t, "/v1/insert", server.InsertRequest{Vector: d.TestOOD.Row(0)}, &ins)
 	waitFor(t, 10*time.Second, "tail applied the insert", func() bool {
-		s := scrapeSamples(t, p.base)
+		s := scrapeSamples(t, fol.base)
 		return s[`ngfix_replica_applied_records_total{shard="0"}`]+
 			s[`ngfix_replica_applied_records_total{shard="1"}`] >= 1
 	})
 
-	samples := scrapeSamples(t, p.base)
+	samples := scrapeSamples(t, fol.base)
 	for _, fam := range []string{
 		"ngfix_replica_ready",
 		"ngfix_replica_generation",
@@ -97,7 +94,6 @@ func TestMetricsReplicaFamilies(t *testing.T) {
 		"ngfix_replica_applied_records_total",
 		"ngfix_replica_tail_errors_total",
 		"ngfix_replica_resyncs_total",
-		"ngfix_replica_failovers_total",
 	} {
 		for shard := 0; shard < 2; shard++ {
 			key := fmt.Sprintf(`%s{shard="%d"}`, fam, shard)
@@ -113,11 +109,23 @@ func TestMetricsReplicaFamilies(t *testing.T) {
 			t.Errorf("replica family without shard label: %s", key)
 		}
 	}
-	// Caught-up replicas on a healthy leader: no failovers, no errors.
-	if got := samples[`ngfix_replica_failovers_total{shard="0"}`] + samples[`ngfix_replica_failovers_total{shard="1"}`]; got != 0 {
-		t.Errorf("failovers on a healthy leader: %v", got)
+	// Caught-up replicas on a healthy leader: ready, no tail errors.
+	for shard := 0; shard < 2; shard++ {
+		if v := samples[fmt.Sprintf(`ngfix_replica_ready{shard="%d"}`, shard)]; v != 1 {
+			t.Errorf("shard %d replica not ready: %v", shard, v)
+		}
+		if v := samples[fmt.Sprintf(`ngfix_replica_tail_errors_total{shard="%d"}`, shard)]; v != 0 {
+			t.Errorf("shard %d replica tail errors on a healthy leader: %v", shard, v)
+		}
 	}
-	p.terminate(t)
+	// A leader no longer hosts replicas: its exposition has none.
+	for key := range scrapeSamples(t, leader.base) {
+		if strings.HasPrefix(key, "ngfix_replica_") {
+			t.Errorf("leader exports replica family %s", key)
+		}
+	}
+	fol.terminate(t)
+	leader.terminate(t)
 }
 
 // waitFor polls cond until it holds or the deadline passes.

@@ -370,6 +370,7 @@ func TestUnreadableLayoutRefused(t *testing.T) {
 			"RESHARD":         `{"version":1,"fromShards":2,"toShards":4,"fromEpoch":0,"toEpoch":1}`,
 			"shard-0/" + snap: "s0", "epoch-1/shard-0/" + snap: "staged",
 		},
+		"manifest-less epoch tree": {"epoch-0/shard-0/" + snap: "s0", "epoch-0/shard-1/" + snap: "s1"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "state")

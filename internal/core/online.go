@@ -31,12 +31,16 @@ import (
 // neither the base graph nor the edges learned from live traffic.
 //
 // Lock order: pmu before mu, never the reverse. pmu serializes the set
-// {graph mutations, snapshots}: every mutation path (Insert, Delete, the
-// apply phase of a fix batch, PurgeAndRepair) holds pmu around its mu
-// critical section, and a snapshot holds pmu alone for its whole
-// duration. The graph is therefore quiescent while a snapshot serializes
-// it even though mu is free — so searches (read-only) keep flowing during
-// a snapshot's encode and fsync, and only mutations stall behind it.
+// {graph mutations, journal appends, snapshots}: every mutation path
+// (Insert, Delete, the apply phase of a fix batch, PurgeAndRepair) holds
+// pmu around its mu critical section and its journal append, and a
+// snapshot holds pmu alone for its whole duration. mu is held only while
+// memory changes, never across disk I/O: the graph is quiescent while an
+// append or a snapshot writes because pmu excludes every other mutation,
+// so searches (read-only) keep flowing during every encode, write and
+// fsync, and only mutations stall behind a slow disk. A write is
+// therefore visible to searches as soon as it is applied; its
+// acknowledgement still waits for the append and the fsync.
 type OnlineFixer struct {
 	pmu sync.Mutex // serializes mutations with snapshots; acquired before mu
 	mu  sync.RWMutex
@@ -77,10 +81,10 @@ type OnlineFixer struct {
 
 	// dim is immutable for the fixer's lifetime; nvec tracks the vector
 	// count (monotone: deletes are tombstones). Both are readable without
-	// the lock so request validation stays responsive even while a
-	// stalled mutation (e.g. a slow-disk WAL append) holds mu — the whole
-	// point of admission control is to shed load before the lock, and
-	// that requires the pre-lock path to never block on it.
+	// the lock so request validation never waits on a mutation's critical
+	// section (a fix batch holds mu for its whole apply) — the whole point
+	// of admission control is to shed load before the lock, and that
+	// requires the pre-lock path to never block on it.
 	dim  int
 	nvec atomic.Int64
 
@@ -100,11 +104,14 @@ type OnlineFixer struct {
 }
 
 // WAL is the durability sink the fixer writes through (implemented by
-// internal/persist.Store). Log appends are invoked while the fixer holds
-// its write lock; Snapshot is invoked with only the fixer's mutation
-// mutex held, so searches proceed while it runs. In every case the fixer
-// guarantees implementations observe a quiescent graph and a log order
-// identical to the apply order.
+// internal/persist.Store). Every method is invoked with the fixer's
+// mutation mutex held and its index lock released, so searches proceed
+// while an append or a snapshot writes and fsyncs. Appends stay under the
+// mutation mutex for two reasons: the log order is the apply order, and a
+// snapshot (which holds the same mutex) can never seal a mutation whose
+// record would then land in the next generation's log, where replay
+// would apply it twice. In every case implementations observe a
+// quiescent graph.
 type WAL interface {
 	// LogInsert journals an appended base vector.
 	LogInsert(v []float32) error
@@ -347,11 +354,11 @@ func (o *OnlineFixer) Signals() Signals {
 
 // Dim returns the index dimensionality. Dimensionality is immutable for
 // the fixer's lifetime, so this never touches the lock — request
-// validation must stay responsive even while a stalled write holds it.
+// validation must stay responsive even while a fix batch holds it.
 func (o *OnlineFixer) Dim() int { return o.dim }
 
 // Len returns the vector count from an atomic maintained by the mutation
-// paths — no lock, so validation can consult it during a write stall.
+// paths — no lock, so validation never waits on a mutation.
 // The count is monotone non-decreasing (deletes are tombstones), so a
 // marginally stale read is harmless.
 func (o *OnlineFixer) Len() int {
@@ -426,26 +433,26 @@ func (o *OnlineFixer) FixPendingLimitChecked(max int) (FixReport, error) {
 	o.totalBatches++
 	// Pooled searchers stay: a fix batch rewires edges, and a searcher
 	// holds nothing edge-derived between searches.
-	var err error
-	snap := false
+	var updates []graph.ExtraUpdate
 	if o.wal != nil {
 		dirty := o.ix.G.TakeExtraMutations()
-		if len(dirty) > 0 {
-			updates := make([]graph.ExtraUpdate, len(dirty))
-			for i, u := range dirty {
-				updates[i] = graph.ExtraUpdate{U: u, Edges: o.ix.G.ExtraNeighbors(u)}
-			}
-			err = o.wal.LogFixEdges(updates)
-			o.noteWALErr(err)
+		updates = make([]graph.ExtraUpdate, len(dirty))
+		for i, u := range dirty {
+			updates[i] = graph.ExtraUpdate{U: u, Edges: o.ix.G.ExtraNeighbors(u)}
 		}
-		o.sinceBatches++
-		snap = o.wantSnapshotLocked()
 	}
 	o.mu.Unlock()
 	o.metrics.observeFix(rep)
-	if snap {
-		o.snapshotHoldingPmu() // failure already recorded in the counters
+	if o.wal == nil {
+		return rep, nil
 	}
+	// Journal with mu released but pmu held (see WAL): searches already
+	// see the repaired graph, and the ack waits for the append.
+	var err error
+	if len(updates) > 0 {
+		err = o.wal.LogFixEdges(updates)
+	}
+	o.journaled(err, &o.sinceBatches)
 	return rep, err
 }
 
@@ -471,18 +478,14 @@ func (o *OnlineFixer) InsertChecked(v []float32) (uint32, error) {
 	o.pqAppendLocked(v)
 	// Pooled searchers stay: each grows its visited set to the graph's
 	// size (geometrically) on its next search.
-	var err error
-	snap := false
-	if o.wal != nil {
-		err = o.wal.LogInsert(v)
-		o.noteWALErr(err)
-		o.sinceMuts++
-		snap = o.wantSnapshotLocked()
-	}
 	o.mu.Unlock()
-	if snap {
-		o.snapshotHoldingPmu() // failure already recorded in the counters
+	if o.wal == nil {
+		return id, nil
 	}
+	// Journal with mu released but pmu held (see WAL): the vector is
+	// already searchable, and the ack waits for the append and its fsync.
+	err := o.wal.LogInsert(v)
+	o.journaled(err, &o.sinceMuts)
 	return id, err
 }
 
@@ -509,18 +512,14 @@ func (o *OnlineFixer) DeleteChecked(id uint32) (bool, error) {
 		return false, ErrUnknownID
 	}
 	changed := o.ix.Delete(id)
-	var err error
-	snap := false
-	if changed && o.wal != nil {
-		err = o.wal.LogDelete(id)
-		o.noteWALErr(err)
-		o.sinceMuts++
-		snap = o.wantSnapshotLocked()
-	}
 	o.mu.Unlock()
-	if snap {
-		o.snapshotHoldingPmu() // failure already recorded in the counters
+	if !changed || o.wal == nil {
+		return changed, nil
 	}
+	// Journal with mu released but pmu held (see WAL): searches already
+	// skip the tombstone, and the ack waits for the append and its fsync.
+	err := o.wal.LogDelete(id)
+	o.journaled(err, &o.sinceMuts)
 	return changed, err
 }
 
@@ -604,10 +603,21 @@ func (o *OnlineFixer) SuspendAutoSnapshots(v bool) {
 	o.snapSuspended.Store(v)
 }
 
-func (o *OnlineFixer) noteWALErr(err error) {
+// journaled accounts one journal append made under pmu with mu released:
+// it re-takes mu briefly to record a failure and advance the snapshot
+// cadence counter since, then runs the snapshot the cadence calls for
+// (its failure is recorded in the same counters).
+func (o *OnlineFixer) journaled(err error, since *int) {
+	o.mu.Lock()
 	if err != nil {
 		o.walErrs++
 		o.lastWALErr = err
+	}
+	*since++
+	snap := o.wantSnapshotLocked()
+	o.mu.Unlock()
+	if snap {
+		o.snapshotHoldingPmu()
 	}
 }
 

@@ -90,8 +90,11 @@ func WriteManifest(fsys FS, root string, m Manifest) error {
 // EpochDir returns the directory epoch e's shard tree lives under:
 // <root>/epoch-<e>.
 func EpochDir(root string, epoch int) string {
-	return filepath.Join(root, fmt.Sprintf("epoch-%d", epoch))
+	return filepath.Join(root, fmt.Sprintf("%s%d", epochPrefix, epoch))
 }
+
+// epochPrefix names every epoch directory: epoch-<e>.
+const epochPrefix = "epoch-"
 
 // ShardDirAt returns the directory shard i of epoch e lives in:
 // <root>/epoch-<e>/shard-<i>.
@@ -199,9 +202,11 @@ func PeekLayout(fsys FS, root string, flagShards int, flagSet bool) (Layout, err
 }
 
 // readLayout reads root's manifest without writing anything, refusing a
-// directory this binary cannot read: a manifest at another version, or
-// no manifest but a snapshot or op log at the root — the single-shard
-// layout from before manifests. ok is false for a fresh directory.
+// directory this binary cannot read: a manifest at another version, no
+// manifest but a snapshot or op log at the root — the single-shard
+// layout from before manifests — or no manifest but an epoch-<e>/ tree,
+// whose shard count only the lost manifest recorded. ok is false for a
+// fresh directory.
 func readLayout(fsys FS, root string) (m Manifest, ok bool, err error) {
 	if fsys == nil {
 		fsys = osFS{}
@@ -217,6 +222,14 @@ func readLayout(fsys FS, root string) (m Manifest, ok bool, err error) {
 		if strings.HasPrefix(name, snapPrefix) || strings.HasPrefix(name, logPrefix) {
 			return Manifest{}, false, fmt.Errorf(
 				"persist: %s holds %s at its root and no MANIFEST, a single-shard layout this binary does not read; rebuild the index into a fresh directory",
+				root, name)
+		}
+		if strings.HasPrefix(name, epochPrefix) {
+			// Routing is a function of the shard count: adopting the
+			// flag's count over existing shard state would misroute every
+			// row it holds.
+			return Manifest{}, false, fmt.Errorf(
+				"persist: %s holds %s but no MANIFEST, so its shard count is unknown; refusing to guess it (restore the MANIFEST or rebuild the index into a fresh directory)",
 				root, name)
 		}
 	}

@@ -196,11 +196,18 @@ func TestUnreadableLayoutRefused(t *testing.T) {
 				writeTestFile(t, filepath.Join(root, rel), body)
 			}
 			before := treeBytes(t, root)
-			if _, err := ResolveLayout(nil, root, 1, false); err == nil || !strings.Contains(err.Error(), root) {
-				t.Fatalf("ResolveLayout: err %v, want a refusal naming %s", err, root)
-			}
-			if _, err := PeekLayout(nil, root, 1, false); err == nil || !strings.Contains(err.Error(), root) {
-				t.Fatalf("PeekLayout: err %v, want a refusal naming %s", err, root)
+			// A bare restart and an explicit -shards alike: neither may
+			// pin a count over the tree.
+			for _, flag := range []struct {
+				shards int
+				set    bool
+			}{{1, false}, {4, true}} {
+				if l, err := ResolveLayout(nil, root, flag.shards, flag.set); err == nil || !strings.Contains(err.Error(), root) {
+					t.Fatalf("ResolveLayout(-shards %d): layout %+v err %v, want a refusal naming %s", flag.shards, l, err, root)
+				}
+				if l, err := PeekLayout(nil, root, flag.shards, flag.set); err == nil || !strings.Contains(err.Error(), root) {
+					t.Fatalf("PeekLayout(-shards %d): layout %+v err %v, want a refusal naming %s", flag.shards, l, err, root)
+				}
 			}
 			if after := treeBytes(t, root); !reflect.DeepEqual(after, before) {
 				t.Fatalf("refusal touched the tree:\nbefore %v\nafter  %v", before, after)
@@ -209,10 +216,12 @@ func TestUnreadableLayoutRefused(t *testing.T) {
 	}
 }
 
-// unreadableLayouts are the pre-epoch-0 directory shapes, as relative
-// path → contents: a manifest-less single-shard root, a version-1
-// manifest with shard-<i>/ at the root, a version-2 manifest, and a
-// version-2 manifest with a reshard in flight.
+// unreadableLayouts are the directory shapes this binary refuses, as
+// relative path → contents: a manifest-less single-shard root, a
+// version-1 manifest with shard-<i>/ at the root, a version-2 manifest,
+// a version-2 manifest with a reshard in flight, and a two-shard
+// epoch-0/ tree whose manifest is missing (what OpenSharded lays out
+// when nothing resolved the layout first).
 func unreadableLayouts() map[string]map[string]string {
 	snap := "snapshot-0000000000000001.ngsnap"
 	wal := "oplog-0000000000000001.wal"
@@ -232,6 +241,10 @@ func unreadableLayouts() map[string]map[string]string {
 			ReshardIntentName:                         `{"version":1,"fromShards":2,"toShards":4,"fromEpoch":0,"toEpoch":1}`,
 			filepath.Join("shard-0", snap):            "snap0",
 			filepath.Join("epoch-1", "shard-0", snap): "staged",
+		},
+		"manifest-less epoch tree": {
+			filepath.Join("epoch-0", "shard-0", snap): "snap0",
+			filepath.Join("epoch-0", "shard-1", snap): "snap1",
 		},
 	}
 }

@@ -55,7 +55,7 @@ type Options struct {
 
 // Store is a snapshot + op-log persistence root over one directory. All
 // methods are safe for concurrent use, though the serving layer already
-// serializes mutations behind the fixer's write lock.
+// serializes appends and snapshots behind the fixer's mutation mutex.
 type Store struct {
 	mu   sync.Mutex
 	fs   FS

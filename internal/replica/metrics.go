@@ -10,7 +10,7 @@ import (
 // the replica's own counters, so /metrics and /v1/stats never disagree.
 func (r *Replica) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("ngfix_replica_ready",
-		"Whether the shard's replica can stand in for its primary (1 = ready).",
+		"Whether the shard's replica is bootstrapped and within its lag bound (1 = ready).",
 		func() float64 {
 			if r.Ready() {
 				return 1
@@ -38,7 +38,4 @@ func (r *Replica) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("ngfix_replica_resyncs_total",
 		"Full re-bootstraps forced by the tailed generation disappearing under the replica.",
 		func() float64 { return float64(r.resyncs.Load()) })
-	reg.CounterFunc("ngfix_replica_failovers_total",
-		"Searches served by this replica because the primary could not answer.",
-		func() float64 { return float64(r.failovers.Load()) })
 }

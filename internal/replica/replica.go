@@ -1,5 +1,6 @@
-// Package replica keeps a read-only follower of one shard warm enough to
-// serve that shard's searches when the leader cannot.
+// Package replica keeps a read-only follower of one shard: a -replica-of
+// server's read path, and the stream a live reshard's children catch up
+// from.
 //
 // A Replica bootstraps from the leader's newest checksummed snapshot,
 // then tails the leader's op-log WAL, applying inserts, deletes, and
@@ -53,9 +54,8 @@ type Config struct {
 	// 500ms), doubling per consecutive failure with jitter.
 	Backoff time.Duration
 	// LagMax, when positive, is the most WAL bytes the replica may be
-	// behind and still report Ready for failover. Zero means any
-	// bootstrapped replica is eligible — staleness costs freshness, not
-	// availability.
+	// behind and still report Ready. Zero means any bootstrapped replica
+	// is ready — staleness costs freshness, not availability.
 	LagMax int64
 	// Logf (nil to discard) receives bootstrap/resync/error lines.
 	Logf func(format string, args ...interface{})
@@ -117,11 +117,10 @@ type Replica struct {
 	leaderBytes   atomic.Int64
 	leaderRecords atomic.Int64
 
-	ready     atomic.Bool // first bootstrap completed
-	tailErrs  atomic.Int64
-	resyncs   atomic.Int64
-	failovers atomic.Int64
-	applied   atomic.Int64 // records applied over the replica's lifetime
+	ready    atomic.Bool // first bootstrap completed
+	tailErrs atomic.Int64
+	resyncs  atomic.Int64
+	applied  atomic.Int64 // records applied over the replica's lifetime
 
 	// Filtered-child state: parentLen counts the parent rows seen so far
 	// (snapshot rows + tailed inserts), which is the parent-local id the
@@ -153,8 +152,7 @@ func New(src Source, cfg Config) *Replica {
 
 // Run drives bootstrap and tailing until ctx ends. Source errors are
 // retried with exponential backoff; they never abort the loop, because a
-// replica that stops retrying is a replica that silently stops being a
-// failover target.
+// replica that stops retrying silently stops following its leader.
 func (r *Replica) Run(ctx context.Context) {
 	rng := xrand.NewOffset(int64(r.cfg.Shard))
 	fails := 0
@@ -428,7 +426,7 @@ func (r *Replica) SearchCtx(ctx context.Context, q []float32, k, ef int) ([]grap
 	return res, st, true
 }
 
-// Ready reports whether the replica can stand in for its shard: it has
+// Ready reports whether the replica can serve its shard: it has
 // bootstrapped, and (when LagMax is set) is within the configured lag.
 func (r *Replica) Ready() bool {
 	if !r.ready.Load() {
@@ -441,10 +439,6 @@ func (r *Replica) Ready() bool {
 	}
 	return true
 }
-
-// NoteFailover records that a search was served from this replica
-// because the primary could not answer.
-func (r *Replica) NoteFailover() { r.failovers.Add(1) }
 
 // Lag measures how far behind the leader's last observed position this
 // replica is. Bytes and Records compare WAL positions and are only
@@ -490,7 +484,6 @@ type Status struct {
 	Lag            Lag    `json:"lag"`
 	TailErrors     int64  `json:"tailErrors,omitempty"`
 	Resyncs        int64  `json:"resyncs,omitempty"`
-	Failovers      int64  `json:"failovers,omitempty"`
 	LastError      string `json:"lastError,omitempty"`
 	// Kept/Discarded count rows and records by a split filter's verdict,
 	// across bootstrap and tail (zero on ordinary replicas).
@@ -512,7 +505,6 @@ func (r *Replica) Status() Status {
 		Lag:            r.Lag(),
 		TailErrors:     r.tailErrs.Load(),
 		Resyncs:        r.resyncs.Load(),
-		Failovers:      r.failovers.Load(),
 		LastError:      lastErr,
 		Kept:           r.kept.Load(),
 		Discarded:      r.discarded.Load(),

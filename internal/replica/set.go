@@ -10,10 +10,9 @@ import (
 )
 
 // Set is one replica per shard — the whole-index follower a replica-only
-// server runs, and the bundle a leader hands its Group for failover. The
-// shard↔global id arithmetic is the same Router the leader uses, so a
-// global id returned by a replica search means the same vector it means
-// on the leader.
+// server runs. The shard↔global id arithmetic is the same Router the
+// leader uses, so a global id returned by a replica search means the same
+// vector it means on the leader.
 type Set struct {
 	router shard.Router
 	reps   []*Replica
@@ -38,9 +37,6 @@ func NewSet(reps []*Replica) (*Set, error) {
 
 // Shards returns the shard count.
 func (s *Set) Shards() int { return len(s.reps) }
-
-// Replica returns shard i's replica.
-func (s *Set) Replica(i int) *Replica { return s.reps[i] }
 
 // Run drives every replica's tail loop until ctx ends. Blocks until all
 // loops exit.
@@ -105,10 +101,9 @@ func (s *Set) Len() int {
 // absent from the answer, reported via Stats.Truncated, because a
 // follower's job is to keep answering with what it has.
 func (s *Set) Search(ctx context.Context, q []float32, k, ef, parallel int) ([]graph.Result, graph.Stats) {
-	res, st, _ := shard.Gather(ctx, s.router, k, parallel, func(i int) ([]graph.Result, graph.Stats, bool) {
+	return shard.Gather(ctx, s.router, k, parallel, func(i int) ([]graph.Result, graph.Stats) {
 		res, st, ok := s.reps[i].SearchCtx(ctx, q, k, ef)
 		st.Truncated = st.Truncated || !ok
-		return res, st, true
+		return res, st
 	})
-	return res, st
 }

@@ -16,7 +16,7 @@ import (
 // Source is where a replica pulls its shard's state from: the leader's
 // replication position, its current snapshot, and its op log. Three
 // implementations cover the deployment shapes: StoreSource reads a live
-// Store in-process (a leader hosting its own failover replicas),
+// Store in-process (a live reshard's children catching up),
 // DirSource follows the leader's persistence directory on shared storage
 // (same-host tests, NFS), and HTTPSource speaks the server's
 // /v1/replicate/* endpoints across machines.
@@ -38,10 +38,10 @@ type Source interface {
 }
 
 // StoreSource serves replication straight from a live Store — the
-// in-process path a leader uses to feed its own hot-standby replicas.
+// in-process path a live reshard's children stream the parent through.
 // Reads never take the fixer's locks, only the store's brief position
 // mutex, so a wedged leader WAL (appends blocked, not failed) does not
-// stop its replicas from tailing what was already written.
+// stop a replica from tailing what was already written.
 type StoreSource struct {
 	St *persist.Store
 }

@@ -16,9 +16,9 @@ import (
 )
 
 // blockingWAL stalls LogInsert until released — a slow disk seam. The
-// insert holds the fixer's write lock while stalled, so every search
-// behind it blocks too: exactly the scenario where admission control has
-// to shed instead of letting goroutines stack unboundedly.
+// stalled insert holds its admission unit and the fixer's mutation
+// mutex, so later mutations queue behind it; it does not hold the index
+// lock, so searches keep answering.
 type blockingWAL struct {
 	entered chan struct{}
 	release chan struct{}
@@ -70,23 +70,121 @@ func getStats(t *testing.T, url string) StatsResponse {
 	return st
 }
 
+// TestFrozenWALKeepsReadsServing: an insert frozen inside its WAL
+// append, with a fix batch queued behind it, holds only the fixer's
+// mutation mutex, never its index lock. Every read keeps answering
+// meanwhile: a full search, /v1/stats and /readyz each within 100ms. The
+// frozen insert and the queued fix answer only once the disk does.
+func TestFrozenWALKeepsReadsServing(t *testing.T) {
+	wal := newBlockingWAL()
+	ts, s, d := newTestServerWAL(t, wal)
+	t.Cleanup(wal.unblock)
+	client := ts.Client()
+	client.Timeout = time.Second // a wedged read fails instead of hanging
+	fixer := s.topo.Load().Group.Fixer(0)
+
+	// Record queries for the fix batch (this also warms the connection).
+	for i := 0; i < 10; i++ {
+		if resp := post(t, ts.URL+"/v1/search", SearchRequest{Vector: d.History.Row(i), K: IntPtr(5), EF: IntPtr(40)}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("recording search: status %d", resp.StatusCode)
+		}
+	}
+
+	postAsync := func(path string, body interface{}) <-chan int {
+		done := make(chan int, 1)
+		go func() {
+			var buf bytes.Buffer
+			json.NewEncoder(&buf).Encode(body)
+			resp, err := ts.Client().Post(ts.URL+path, "application/json", &buf)
+			if err != nil {
+				done <- -1
+				return
+			}
+			resp.Body.Close()
+			done <- resp.StatusCode
+		}()
+		return done
+	}
+	insertDone := postAsync("/v1/insert", InsertRequest{Vector: d.TestOOD.Row(0)})
+	<-wal.entered
+	fixDone := postAsync("/v1/fix", struct{}{})
+	waitForCond(t, "fix batch to take its queries", func() bool { return fixer.Signals().Pending == 0 })
+
+	// Each read is checked on its own (Errorf, not Fatalf), so a
+	// regression reports every endpoint it wedges.
+	timed := func(what string, req func() (*http.Response, error)) *http.Response {
+		t.Helper()
+		start := time.Now()
+		resp, err := req()
+		if err != nil {
+			t.Errorf("%s during the frozen append: %v", what, err)
+			return nil
+		}
+		if el := time.Since(start); el > 100*time.Millisecond {
+			t.Errorf("%s during the frozen append took %v, want <= 100ms", what, el)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s during the frozen append: status %d", what, resp.StatusCode)
+		}
+		return resp
+	}
+	var body bytes.Buffer
+	json.NewEncoder(&body).Encode(SearchRequest{Vector: d.TestOOD.Row(1), K: IntPtr(5), EF: IntPtr(40)})
+	if resp := timed("search", func() (*http.Response, error) {
+		return client.Post(ts.URL+"/v1/search", "application/json", &body)
+	}); resp != nil {
+		var sr SearchResponse
+		if err := decodeBody(resp, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Truncated || len(sr.Results) != 5 {
+			t.Errorf("search during the frozen append: %d results, truncated %v; want 5 untruncated", len(sr.Results), sr.Truncated)
+		}
+	}
+	for _, path := range []string{"/v1/stats", "/readyz"} {
+		if resp := timed(path, func() (*http.Response, error) { return client.Get(ts.URL + path) }); resp != nil {
+			resp.Body.Close()
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	select {
+	case code := <-insertDone:
+		t.Fatalf("insert answered %d before its append returned", code)
+	case code := <-fixDone:
+		t.Fatalf("fix answered %d while queued behind the frozen append", code)
+	default:
+	}
+	wal.unblock()
+	if code := <-insertDone; code != http.StatusOK {
+		t.Fatalf("frozen insert finished with %d", code)
+	}
+	if code := <-fixDone; code != http.StatusOK {
+		t.Fatalf("queued fix finished with %d", code)
+	}
+}
+
 // TestBurstShedsDuringWALStall is the acceptance scenario end to end: a
-// slow-disk WAL stall wedges the write lock during a search burst. The
-// server must (a) keep exactly capacity+queue requests in play and
-// answer everyone else 429+Retry-After immediately, (b) time queued
-// waiters out against the server budget, (c) return partial results with
-// truncated:true from the in-flight searches once the lock frees — their
-// deadline fired while they were wedged — and (d) keep the goroutine
-// count bounded the whole time. Run with -race.
+// search burst arrives while a slow-disk WAL stall freezes an insert and
+// the rest of the capacity is held. The server must (a) keep exactly
+// capacity+queue requests in play and answer everyone else
+// 429+Retry-After immediately, (b) keep the goroutine count bounded the
+// whole time, and (c) complete the queued searches, untruncated, as soon
+// as capacity frees — while the insert is still frozen, because the
+// stall holds no lock a search needs. Run with -race.
 func TestBurstShedsDuringWALStall(t *testing.T) {
 	wal := newBlockingWAL()
 	ts, s, d := newTestServerWAL(t, wal)
 	t.Cleanup(wal.unblock)
 	s.Admission = admission.New(admission.Config{Capacity: 3, QueueDepth: 2, CostUnitEF: 100})
-	s.SearchTimeout = 300 * time.Millisecond
+	// Far above the test's waits: the queued searches must still be
+	// queued when the held capacity is let go.
+	s.SearchTimeout = 5 * time.Second
 	client := ts.Client()
 
-	// Stall the disk mid-insert: the fixer's write lock is now held.
+	// Stall the disk mid-insert: the insert holds one unit until it acks.
 	insertDone := make(chan int, 1)
 	go func() {
 		var buf bytes.Buffer
@@ -100,16 +198,23 @@ func TestBurstShedsDuringWALStall(t *testing.T) {
 		insertDone <- resp.StatusCode
 	}()
 	<-wal.entered
+	// Hold the other two units, so nothing new is admitted until the
+	// test lets go.
+	hold, err := s.Admission.Acquire(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	baseline := runtime.NumGoroutine()
 
-	// Burst: far more searches than capacity (3, one unit held by the
-	// stalled insert) plus queue (2) can hold.
+	// Burst: far more searches than the queue (2) can hold.
 	const burst = 24
+	const k = 5
 	type result struct {
 		code      int
 		retry     string
 		truncated bool
+		hits      int
 		elapsed   time.Duration
 	}
 	results := make(chan result, burst)
@@ -119,7 +224,7 @@ func TestBurstShedsDuringWALStall(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var buf bytes.Buffer
-			json.NewEncoder(&buf).Encode(SearchRequest{Vector: d.History.Row(i), K: IntPtr(5), EF: IntPtr(30)})
+			json.NewEncoder(&buf).Encode(SearchRequest{Vector: d.History.Row(i), K: IntPtr(k), EF: IntPtr(30)})
 			start := time.Now()
 			resp, err := client.Post(ts.URL+"/v1/search", "application/json", &buf)
 			if err != nil {
@@ -131,39 +236,50 @@ func TestBurstShedsDuringWALStall(t *testing.T) {
 			resp.Body.Close()
 			results <- result{
 				code: resp.StatusCode, retry: resp.Header.Get("Retry-After"),
-				truncated: sr.Truncated, elapsed: time.Since(start),
+				truncated: sr.Truncated, hits: len(sr.Results), elapsed: time.Since(start),
 			}
 		}(i)
 	}
 
-	// While wedged, the goroutine count is bounded by the burst we sent —
-	// each in-flight HTTP exchange costs a handful of goroutines (client
-	// transport loops, server conn, background reader), but nothing may
-	// stack on top of that per-request constant.
-	waitForCond(t, "burst in flight", func() bool {
-		return s.Admission.Stats().Shed > 0
+	// While saturated, the goroutine count is bounded by the burst we
+	// sent — each in-flight HTTP exchange costs a handful of goroutines
+	// (client transport loops, server conn, background reader), but
+	// nothing may stack on top of that per-request constant.
+	waitForCond(t, "burst settled: two queued, the rest shed", func() bool {
+		st := s.Admission.Stats()
+		return st.Queued == 2 && st.Shed == burst-2
 	})
 	if n := runtime.NumGoroutine(); n > baseline+6*burst {
 		t.Fatalf("goroutines ballooned during stall: %d (baseline %d, burst %d)", n, baseline, burst)
 	}
 
-	// Free the disk after every shed/timeout has played out.
-	waitForCond(t, "queue drained by timeouts", func() bool {
-		st := s.Admission.Stats()
-		return st.Queued == 0 && st.Shed >= burst-4
-	})
+	// Free the held capacity with the disk still frozen: the queued
+	// searches run and answer in full. The bound turns a search wedged
+	// behind the append into a failure instead of a hang.
+	hold()
+	burstDone := make(chan struct{})
+	go func() { wg.Wait(); close(burstDone) }()
+	select {
+	case <-burstDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("queued searches did not answer while the insert's append was frozen")
+	}
+	select {
+	case code := <-insertDone:
+		t.Fatalf("stalled insert answered %d before its append returned", code)
+	default:
+	}
 	wal.unblock()
 
-	wg.Wait()
 	close(results)
-	var n200, n429, nTrunc int
+	var n200, n429 int
 	var shedLat []time.Duration
 	for r := range results {
 		switch r.code {
 		case http.StatusOK:
 			n200++
-			if r.truncated {
-				nTrunc++
+			if r.truncated || r.hits != k {
+				t.Fatalf("search admitted during the stall: %d hits, truncated %v; want %d untruncated", r.hits, r.truncated, k)
 			}
 		case http.StatusTooManyRequests:
 			n429++
@@ -175,18 +291,13 @@ func TestBurstShedsDuringWALStall(t *testing.T) {
 			t.Fatalf("unexpected status %d", r.code)
 		}
 	}
-	// Capacity 3 minus the stalled insert leaves 2 searches in flight;
-	// everyone else was shed at the door or timed out in the queue.
+	// The two queued searches were served; everyone else was shed at the
+	// door.
 	if n200 != 2 || n429 != burst-2 {
 		t.Fatalf("burst outcome: %d OK, %d shed (want 2 and %d)", n200, n429, burst-2)
 	}
-	// The in-flight searches sat past their 300ms budget behind the lock,
-	// so they must have come back partial, not complete.
-	if nTrunc != n200 {
-		t.Fatalf("%d of %d in-flight searches reported truncation", nTrunc, n200)
-	}
 	// Shedding is immediate: even p99 of the shed responses is far below
-	// the stall duration (bounded by the queue-wait budget).
+	// the stall duration.
 	sort.Slice(shedLat, func(i, j int) bool { return shedLat[i] < shedLat[j] })
 	if p99 := shedLat[len(shedLat)*99/100]; p99 > 2*time.Second {
 		t.Fatalf("shed p99 %s: shedding is supposed to be immediate", p99)
@@ -198,7 +309,7 @@ func TestBurstShedsDuringWALStall(t *testing.T) {
 
 	// Counters made it to /v1/stats.
 	st := getStats(t, ts.URL)
-	if st.Admission == nil || st.Admission.Shed < uint64(burst-4) || st.TruncatedSearches < 2 {
+	if st.Admission == nil || st.Admission.Shed < uint64(burst-2) || st.TruncatedSearches != 0 {
 		t.Fatalf("overload counters not surfaced: %+v", st)
 	}
 	if st.Admission.MaxQueued > 2 {
@@ -244,9 +355,10 @@ func TestExpiredBudgetReturnsTruncatedPartial(t *testing.T) {
 	}
 }
 
-// Mass client disconnect during a WAL stall: queued waiters must leave
-// the queue promptly (freeing their slots), the server must survive, and
-// every goroutine must drain once the stall clears.
+// Mass client disconnect during a WAL stall: with the stalled insert and
+// a held unit filling the capacity, queued waiters must leave the queue
+// promptly (freeing their slots), the server must survive, and every
+// goroutine must drain once the stall clears.
 func TestMassClientDisconnectDuringStall(t *testing.T) {
 	wal := newBlockingWAL()
 	ts, s, d := newTestServerWAL(t, wal)
@@ -264,11 +376,15 @@ func TestMassClientDisconnectDuringStall(t *testing.T) {
 		}
 	}()
 	<-wal.entered
+	hold, err := s.Admission.Acquire(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	baseline := runtime.NumGoroutine()
 
 	ctx, cancelAll := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -281,7 +397,7 @@ func TestMassClientDisconnectDuringStall(t *testing.T) {
 			}
 		}(i)
 	}
-	// 1 search admitted (capacity 2 minus the insert), 4 queued.
+	// Capacity 2 is the insert's unit plus the held one: all 4 queue.
 	waitForCond(t, "queue to fill", func() bool { return s.Admission.Stats().Queued == 4 })
 
 	// Everyone hangs up at once.
@@ -292,6 +408,7 @@ func TestMassClientDisconnectDuringStall(t *testing.T) {
 		return st.Queued == 0 && st.TimedOut >= 4
 	})
 
+	hold()
 	wal.unblock()
 	<-insertDone
 	waitForCond(t, "admission to drain", func() bool { return s.Admission.Stats().InUse == 0 })
@@ -389,13 +506,18 @@ func TestPressureClampsEF(t *testing.T) {
 		}
 	}()
 	<-wal.entered
+	// Fill the capacity: the insert holds one unit, the test the other.
+	hold, err := s.Admission.Acquire(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Push the queue past the 0.5 threshold with cancellable waiters: one
-	// is admitted (capacity 2 minus the insert), three queue.
+	// Push the queue past the 0.5 threshold with cancellable waiters: all
+	// three queue.
 	ctx, cancelAll := context.WithCancel(context.Background())
 	defer cancelAll()
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -426,10 +548,12 @@ func TestPressureClampsEF(t *testing.T) {
 	}()
 	waitForCond(t, "probe to queue", func() bool { return s.Admission.Stats().Queued == 4 })
 
-	// Clear the stall: the cancellable waiters hang up, the probe drains
-	// through the queue and answers with its degraded quality on record.
+	// Clear the stall: the cancellable waiters hang up, the capacity
+	// frees, and the probe drains through the queue and answers with its
+	// degraded quality on record.
 	cancelAll()
 	wg.Wait()
+	hold()
 	wal.unblock()
 	<-insertDone
 	sr := <-probeDone

@@ -84,8 +84,9 @@ const (
 // it is built whole (by the caller's assembler) and swapped whole (by
 // Install); nothing in it is mutated after installation.
 //
-// A follower's topology (NewFollower) holds only Replicas; dim, rows,
-// shards and search are the only places that tell the two apart.
+// A follower's topology (NewFollower) holds only Replicas and a leader's
+// never does; dim, rows, shards and search are the only places that tell
+// the two apart.
 type Topology struct {
 	// Group fronts the shard fixers: searches scatter-gather, mutations
 	// route by id. Nil on a follower.
@@ -102,11 +103,8 @@ type Topology struct {
 	// Registries are the per-shard metric registries (const-labeled
 	// shard="<i>") that /metrics merges in after the server's own.
 	Registries []*obs.Registry
-	// Replicas are this server's own per-shard read replicas (the group
-	// must have them attached via SetReplicas too): /v1/stats gains a
-	// per-shard replica block, and /readyz downgrades "shard dark" to
-	// "degraded, serving from replica" when a wedged shard's reads are
-	// covered. On a follower they are the whole index.
+	// Replicas are a follower's per-shard read replicas, the whole index
+	// it serves. Nil on a leader.
 	Replicas *replica.Set
 }
 
@@ -136,13 +134,15 @@ func (t *Topology) shards() int {
 }
 
 // search runs one read with at most parallel per-shard searches at once;
-// stale reports that replica state answered (always, on a follower).
+// stale reports that replica state answered (always on a follower, never
+// on a leader).
 func (t *Topology) search(ctx context.Context, q []float32, k, ef, parallel int) ([]graph.Result, graph.Stats, bool) {
 	if t.Group == nil {
 		res, st := t.Replicas.Search(ctx, q, k, ef, parallel)
 		return res, st, true
 	}
-	return t.Group.SearchStale(ctx, q, k, ef, parallel)
+	res, st := t.Group.SearchCtx(ctx, q, k, ef, parallel)
+	return res, st, false
 }
 
 // Server wires a shard group (one or many online fixers) to an
@@ -449,10 +449,9 @@ type SearchResponse struct {
 	// overload pressure shrank it below the requested (or default) ef.
 	EFUsed  int  `json:"efUsed"`
 	Clamped bool `json:"clamped,omitempty"`
-	// Stale marks that at least one shard's slice of the answer came from
-	// a read replica instead of the primary (failover or follower serving):
-	// correct as of the replica's applied position, possibly behind the
-	// leader by its replication lag.
+	// Stale marks that the answer came from a follower's read replicas
+	// instead of the primaries: correct as of the replicas' applied
+	// positions, possibly behind the leader by its replication lag.
 	Stale bool `json:"stale,omitempty"`
 }
 
@@ -587,12 +586,6 @@ type StatsResponse struct {
 	// Present when the adaptive repair controller is running.
 	RepairMode string          `json:"repairMode,omitempty"`
 	Repair     []repair.Status `json:"repair,omitempty"`
-	// Replica is the per-shard read-replica status — generation, applied
-	// position, lag against the leader, tail error/resync/failover
-	// counters. Present only when replicas are configured; a server
-	// without them keeps the exact response shape it had before
-	// replication existed.
-	Replica []replica.Status `json:"replica,omitempty"`
 	// PQ is the compressed-serving block, aggregated across shards.
 	// Present only when the index serves through the fused PQ path; a
 	// full-precision server's payload is byte-identical to before PQ
@@ -954,10 +947,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		repairMode = fleet.Mode()
 		repairStatus = fleet.Status()
 	}
-	var replicaStatus []replica.Status
-	if topo.Replicas != nil {
-		replicaStatus = topo.Replicas.Statuses()
-	}
 	var reshardBlock *reshard.Progress
 	if s.ReshardProgress != nil {
 		if p := s.ReshardProgress(); p.State != "" && p.State != reshard.StateIdle {
@@ -998,7 +987,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PerShard:          perShard,
 		RepairMode:        repairMode,
 		Repair:            repairStatus,
-		Replica:           replicaStatus,
 		PQ:                pqBlock,
 		Reshard:           reshardBlock,
 	})
@@ -1027,42 +1015,29 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {
 		return
 	}
-	// A shard in trouble is "dark" (503: stop routing here) unless a
-	// caught-up read replica covers it — then the server still answers
-	// every read, just possibly stale, and readyz reports 200 with the
-	// detail so operators see the degradation without losing the node.
+	// A shard in trouble makes the node "dark" (503: stop routing here).
 	topo := s.topo.Load()
 	group := topo.Group
 	if bad := group.DegradedShards(); len(bad) > 0 {
-		if uncovered := uncoveredShards(group, bad); len(uncovered) > 0 {
-			// Searches still work, but acknowledged writes may not survive a
-			// crash until a snapshot succeeds — stop routing traffic here.
-			msg := "durability degraded (WAL failing; snapshot to recover)"
-			if group.Shards() > 1 {
-				msg = fmt.Sprintf("durability degraded on shard(s) %v (WAL failing; snapshot to recover)", uncovered)
-			}
-			s.httpError(w, http.StatusServiceUnavailable, errors.New(msg))
-			return
+		// Searches still work, but acknowledged writes may not survive a
+		// crash until a snapshot succeeds — stop routing traffic here.
+		msg := "durability degraded (WAL failing; snapshot to recover)"
+		if group.Shards() > 1 {
+			msg = fmt.Sprintf("durability degraded on shard(s) %v (WAL failing; snapshot to recover)", bad)
 		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintf(w, "degraded, serving from replica: durability failing on shard(s) %v\n", bad)
+		s.httpError(w, http.StatusServiceUnavailable, errors.New(msg))
 		return
 	}
 	if fleet := topo.Repair; fleet != nil {
 		if bad := fleet.WedgedShards(); len(bad) > 0 {
-			if uncovered := uncoveredShards(group, bad); len(uncovered) > 0 {
-				// The index still answers, but repair signal is accumulating
-				// unapplied: the controller has failed several consecutive fix
-				// batches and is wedged on its retry schedule.
-				msg := "repair wedged in backoff (consecutive fix-batch failures)"
-				if group.Shards() > 1 {
-					msg = fmt.Sprintf("repair wedged in backoff on shard(s) %v (consecutive fix-batch failures)", uncovered)
-				}
-				s.httpError(w, http.StatusServiceUnavailable, errors.New(msg))
-				return
+			// The index still answers, but repair signal is accumulating
+			// unapplied: the controller has failed several consecutive fix
+			// batches and is wedged on its retry schedule.
+			msg := "repair wedged in backoff (consecutive fix-batch failures)"
+			if group.Shards() > 1 {
+				msg = fmt.Sprintf("repair wedged in backoff on shard(s) %v (consecutive fix-batch failures)", bad)
 			}
-			w.WriteHeader(http.StatusOK)
-			fmt.Fprintf(w, "degraded, serving from replica: repair wedged on shard(s) %v\n", bad)
+			s.httpError(w, http.StatusServiceUnavailable, errors.New(msg))
 			return
 		}
 	}
@@ -1077,18 +1052,6 @@ func (t *Topology) repairMode() string {
 		return ""
 	}
 	return t.Repair.Mode()
-}
-
-// uncoveredShards filters a list of troubled shards down to those no
-// ready read replica can serve — the ones that make the node dark.
-func uncoveredShards(group *shard.Group, bad []int) []int {
-	var uncovered []int
-	for _, sh := range bad {
-		if !group.ReplicaCovers(sh) {
-			uncovered = append(uncovered, sh)
-		}
-	}
-	return uncovered
 }
 
 // checkVector validates a request vector against the served

@@ -16,17 +16,13 @@ import (
 // top-k merge, mutations route to the owning shard, and maintenance
 // (fix batches, purges, snapshots) fans out so each shard repairs and
 // persists independently. Except for the round-robin insert cursor there
-// is no cross-shard synchronization — a shard whose WAL is stalled holds
-// only its own locks, so inserts, fixes, and snapshots on the other
-// shards proceed at full speed.
+// is no cross-shard synchronization. A shard whose WAL is stalled holds
+// only its own mutation mutex (the fixer journals outside its index
+// lock): searches keep reaching every shard, that one included, and
+// inserts, fixes and snapshots on the other shards proceed at full speed.
 type Group struct {
 	router Router
 	fixers []*core.OnlineFixer
-
-	// replicas/pol route reads around unhealthy or unresponsive
-	// primaries; see SetReplicas. Both are fixed at wiring time.
-	replicas []ReadReplica
-	pol      FailoverPolicy
 
 	// rr is the insert cursor. Routing inserts round-robin (rather than
 	// to the shortest shard) keeps placement lock-free: reading shard
@@ -148,22 +144,32 @@ func (g *Group) Pending() int {
 	return n
 }
 
-// SearchCtx scatters the query to every shard and gathers a global
-// top-k. parallel bounds how many per-shard beams run at once — the
-// server passes the admission units the request was granted, so a
-// half-admitted search under pressure degrades to a narrower fan-out
-// instead of stealing CPU it did not pay for. Stats aggregate across
-// shards (NDC and hops sum; they measure total work, which is what the
-// cost model prices).
-//
-// Cancellation is two-level: each per-shard beam honors ctx on its own
-// (returning its best-so-far with Truncated set), and the gather loop
-// stops waiting for stragglers once ctx ends, merging whatever shards
-// have answered. Either way the caller gets a ranked partial answer
-// with Stats.Truncated reporting the quality loss.
+// SearchCtx scatters the query to every shard's primary and gathers a
+// global top-k through Gather, whose doc covers the merge and the
+// two-level cancellation; one shard is searched directly, so its answer
+// is bit-for-bit the unsharded search. parallel bounds how many
+// per-shard beams run at once — the server passes the admission units
+// the request was granted, so a half-admitted search under pressure
+// degrades to a narrower fan-out instead of stealing CPU it did not pay
+// for.
 func (g *Group) SearchCtx(ctx context.Context, q []float32, k, ef int, parallel int) ([]graph.Result, graph.Stats) {
-	res, st, _ := g.SearchStale(ctx, q, k, ef, parallel)
-	return res, st
+	if len(g.fixers) == 1 {
+		// Direct call: the closure Gather takes escapes to the heap, one
+		// allocation per search the unsharded path need not pay.
+		return g.fixers[0].SearchCtx(ctx, q, k, ef)
+	}
+	return Gather(ctx, g.router, k, parallel, func(s int) ([]graph.Result, graph.Stats) {
+		return g.fixers[s].SearchCtx(ctx, q, k, ef)
+	})
+}
+
+// SearchStale is SearchCtx with a third result that is always false
+// (a leader's shards answer from their primaries, never from stale
+// replica state). It stays only because the serving benchmark's trace
+// harness (benchmark/trace.go) times the scatter through it.
+func (g *Group) SearchStale(ctx context.Context, q []float32, k, ef int, parallel int) ([]graph.Result, graph.Stats, bool) {
+	res, st := g.SearchCtx(ctx, q, k, ef, parallel)
+	return res, st, false
 }
 
 // InsertChecked routes the vector to the next shard in round-robin

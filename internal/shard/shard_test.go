@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"reflect"
 	"testing"
 
 	"ngfix/internal/core"
@@ -161,5 +162,24 @@ func TestGroupSearchRecordsAndFixes(t *testing.T) {
 	total, _ := g.OnlineStats()
 	if total.FixBatches != 4 {
 		t.Fatalf("fix batches %d, want 4 (one per shard)", total.FixBatches)
+	}
+}
+
+// TestNoReplicasNoStale: SearchStale is the plain scatter — stale never
+// set, answers identical to SearchCtx at one shard and at several.
+func TestNoReplicasNoStale(t *testing.T) {
+	d := testDataset(t)
+	for _, n := range []int{1, 2} {
+		g := buildGroup(t, d, n, core.OnlineConfig{BatchSize: 1 << 20})
+		for i := 0; i < 5; i++ {
+			res, _, stale := g.SearchStale(nil, d.TestOOD.Row(i), 10, 40, n)
+			if stale {
+				t.Fatalf("%d shards: a leader's answer flagged stale", n)
+			}
+			want, _ := g.SearchCtx(nil, d.TestOOD.Row(i), 10, 40, n)
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("%d shards: SearchStale %v, SearchCtx %v", n, res, want)
+			}
+		}
 	}
 }
